@@ -57,6 +57,24 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _real(value, what: str) -> float:
+    """A finite JSON number; bools, strings, NaN and infinities are config errors."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer, or a float with an integral value (25.0, not 25.7)."""
+    if not _real(value, what).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,11 +129,14 @@ def _apply_variable(fixed: dict, variable: str, x: float) -> dict:
 
 
 def _taps_from(cfg: dict):
-    re = _require(cfg, "h_re", "theorem3 curve")
-    im = cfg.get("h_im", [0.0] * len(re))
+    re = _require(cfg, "h_re", "channel taps")
+    im = cfg.get("h_im", [0.0] * len(re) if isinstance(re, list) else None)
+    if not (isinstance(re, list) and re and isinstance(im, list)):
+        raise ConfigError("h_re (and h_im, if given) must be nonempty lists of numbers")
     if len(im) != len(re):
         raise ConfigError("h_re and h_im must have the same length")
-    return tuple(complex(a, b) for a, b in zip(re, im))
+    return tuple(complex(_real(a, "h_re entry"), _real(b, "h_im entry"))
+                 for a, b in zip(re, im))
 
 
 def _eval_curve(label: str, cfg: dict) -> float:
@@ -209,49 +230,58 @@ def cmd_rate_sweep(spec_path: str, out_path):
 
 def _scenario_from_config(cfg: dict):
     scheme = _require(cfg, "scheme", "simulate config")
+    if scheme not in (1, 2, 3):
+        raise ConfigError(f"unknown scheme {scheme!r} (expected 1, 2 or 3)")
+    context = f"scheme {scheme} config"
+
+    def real(key):
+        return _real(_require(cfg, key, context), key)
+
+    def optional(key):
+        return _real(cfg[key], key) if key in cfg else None
+
+    # validation knob: scales the realized forward noise (0 = noiseless
+    # loop) while the design still assumes sigma2
+    noise_scale = optional("noise_scale")
+    if noise_scale is not None and noise_scale < 0:
+        raise ConfigError(f"noise_scale must be nonnegative, got {noise_scale!r}")
     common = dict(
-        n=int(_require(cfg, "n", "simulate config")),
-        eps=float(_require(cfg, "eps", "simulate config")),
-        sigma2=float(_require(cfg, "sigma2", "simulate config")),
-        P=float(_require(cfg, "P", "simulate config")),
-        # validation knob: scales the realized forward noise (0 = noiseless
-        # loop) while the design still assumes sigma2
-        noise_scale=float(cfg.get("noise_scale", 1.0)),
+        n=_integer(_require(cfg, "n", context), "n"),
+        eps=real("eps"),
+        sigma2=real("sigma2"),
+        P=real("P"),
+        noise_scale=1.0 if noise_scale is None else noise_scale,
     )
     if scheme == 1:
         return QuasiStaticScenario(
-            h_hat=float(_require(cfg, "h_hat", "scheme 1 config")),
-            distortion=float(_require(cfg, "distortion", "scheme 1 config")),
-            P_tilde=float(_require(cfg, "P_tilde", "scheme 1 config")),
-            sigma_z=float(_require(cfg, "sigma_z", "scheme 1 config")),
-            h=float(cfg["h"]) if "h" in cfg else None,
+            h_hat=real("h_hat"), distortion=real("distortion"),
+            P_tilde=real("P_tilde"), sigma_z=real("sigma_z"), h=optional("h"),
             **common,
         )
     if scheme == 2:
         return TwoPathScenario(
-            h1_hat=float(_require(cfg, "h1_hat", "scheme 2 config")),
-            h2_hat=float(_require(cfg, "h2_hat", "scheme 2 config")),
-            distortion=float(_require(cfg, "distortion", "scheme 2 config")),
-            P_tilde=float(_require(cfg, "P_tilde", "scheme 2 config")),
-            sigma_z=float(_require(cfg, "sigma_z", "scheme 2 config")),
-            h1=float(cfg["h1"]) if "h1" in cfg else None,
-            h2=float(cfg["h2"]) if "h2" in cfg else None,
+            h1_hat=real("h1_hat"), h2_hat=real("h2_hat"),
+            distortion=real("distortion"), P_tilde=real("P_tilde"),
+            sigma_z=real("sigma_z"), h1=optional("h1"), h2=optional("h2"),
             **common,
         )
-    if scheme == 3:
-        taps = _taps_from(cfg)
-        return MultiPathScenario(
-            h=taps,
-            subchannels=int(cfg["subchannels"]) if "subchannels" in cfg else None,
-            **common,
+    taps = _taps_from(cfg)
+    k = _integer(cfg["subchannels"], "subchannels") if "subchannels" in cfg else None
+    n, paths = common["n"], len(taps)
+    if k is not None and not paths <= k <= n - paths + 1:
+        raise ConfigError(
+            f"subchannels must lie in {{{paths}, ..., {n - paths + 1}}} "
+            f"for {paths} taps and n={n}, got {k}"
         )
-    raise ConfigError(f"unknown scheme {scheme!r} (expected 1, 2 or 3)")
+    return MultiPathScenario(h=taps, subchannels=k, **common)
 
 
 def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path):
     cfg = _load_json(config_path)
     if trials < 1:
         raise ConfigError("trials must be positive")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     scenario = _scenario_from_config(cfg)
     report = monte_carlo(scenario, trials, seed)
     payload = {

@@ -147,12 +147,15 @@ def philox_key(seed: int, index: int = 0, tag: int = 0) -> int:
     Layout: seed in bits 64..127, index in bits 8..63, tag in bits 0..7.
     Distinct keys give independent substreams, so transmitter, receiver and
     analysis code can derive identical sequences without message passing.
+    A field outside its range raises ValueError rather than aliasing
+    another key.
     """
-    return (
-        ((seed & 0xFFFFFFFFFFFFFFFF) << 64)
-        | ((index & 0x00FFFFFFFFFFFFFF) << 8)
-        | (tag & 0xFF)
-    )
+    if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 56 and 0 <= tag < 1 << 8):
+        raise ValueError(
+            f"philox_key: need seed in [0, 2**64), index in [0, 2**56) and tag "
+            f"in [0, 2**8), got seed={seed}, index={index}, tag={tag}"
+        )
+    return (seed << 64) | (index << 8) | tag
 
 
 @dataclass

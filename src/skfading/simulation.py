@@ -7,6 +7,13 @@ results, trials are order-independent, and the coupled-system runs reuse
 the exact noise realizations of their original-system partners (common
 random numbers).
 
+Streams are re-keyed, not rebuilt: each batch of trials builds one Philox
+and sets every trial's key, with a zero counter and empty buffers, through
+its state, which gives the exact stream a fresh Generator(Philox(key=...))
+would. The scheme-3 messages of a trial come from one integers() call with
+per-component bounds, which consumes the stream like the per-component
+scalar draws it stands for.
+
 The per-trial state machines are expressed with array-broadcasting step
 functions, so one code path serves both single-trial inspection and
 batches of 10^5 trials run in lockstep.
@@ -49,6 +56,7 @@ TAG_DITHER = 2
 TAG_ENV = 3
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_MASK64 = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,26 +189,41 @@ def _alias_event(arg, half):
     return (arg < -half) | (arg >= half)
 
 
+def _ball_gain(fixed, center, distortion, u):
+    """Per-trial true gain: the fixed value if given, else uniform in the
+    CSI ball, mapped from the uniforms u on [0, 1)."""
+    if fixed is not None:
+        return np.full(len(u), fixed, dtype=float)
+    return center + distortion * (2.0 * u - 1.0)
+
+
 # ---------------------------------------------------------------------------
 # keyed randomness
 # ---------------------------------------------------------------------------
 
-def _stream(master_seed: int, trial_index: int, tag: int) -> Generator:
-    return Generator(Philox(key=philox_key(master_seed, trial_index, tag)))
+def _keyed_streams(master_seed: int, indices, tag: int):
+    """Yield one generator per index, at the start of its keyed stream.
 
-
-def _normal_rows(master_seed, indices, count) -> np.ndarray:
-    out = np.empty((len(indices), count))
-    for r, ix in enumerate(indices):
-        out[r] = _stream(master_seed, int(ix), TAG_NOISE).standard_normal(count)
-    return out
-
-
-def _dither_rows(master_seed, indices, count, spacing) -> np.ndarray:
-    out = np.empty((len(indices), count))
-    for r, ix in enumerate(indices):
-        out[r] = _stream(master_seed, int(ix), TAG_DITHER).random(count)
-    return (out - 0.5) * spacing
+    A single Philox is re-keyed through its state for each index: the state
+    of a fresh Philox (zero counter, empty buffers) with the key replaced by
+    philox_key(master_seed, index, tag). Philox output depends only on
+    (key, counter), so each yielded generator draws exactly what
+    Generator(Philox(key=philox_key(master_seed, index, tag))) would. The
+    same generator object is re-keyed on the next step; draw from it before
+    advancing.
+    """
+    bitgen = Philox()
+    gen = Generator(bitgen)
+    state = bitgen.state
+    state["buffer"] = state["buffer"].tolist()
+    inner = state["state"]
+    inner["counter"] = inner["counter"].tolist()
+    key = inner["key"] = [0, 0]
+    for ix in indices:
+        packed = philox_key(master_seed, int(ix), tag)
+        key[0], key[1] = packed & _MASK64, packed >> 64
+        bitgen.state = state
+        yield gen
 
 
 def realize_noise(config: TrialConfig, i: int):
@@ -213,57 +236,13 @@ def realize_noise(config: TrialConfig, i: int):
     scenario = config.scenario
     if not (1 <= i <= scenario.n):
         raise ValueError(f"time index {i} outside 1..{scenario.n}")
-    gen = _stream(config.master_seed, config.trial_index, TAG_NOISE)
+    gen = next(_keyed_streams(config.master_seed, [config.trial_index], TAG_NOISE))
     if scenario.scheme_id == 3:
         draws = gen.standard_normal(2 * i)
         scale = scenario.noise_scale * math.sqrt(scenario.sigma2 / 2.0)
         return complex(scale * draws[2 * i - 2], scale * draws[2 * i - 1])
     draws = gen.standard_normal(i)
     return scenario.noise_scale * math.sqrt(scenario.sigma2) * draws[i - 1]
-
-
-def _env_quasi_static(scenario, master_seed, indices, msg_count):
-    """Per-trial channel draw and message, in a fixed stream order."""
-    h = np.empty(len(indices))
-    w = np.empty(len(indices), dtype=np.int64)
-    for r, ix in enumerate(indices):
-        gen = _stream(master_seed, int(ix), TAG_ENV)
-        u = gen.random()
-        if scenario.h is not None:
-            h[r] = scenario.h
-        else:
-            h[r] = scenario.h_hat + scenario.distortion * (2.0 * u - 1.0)
-        w[r] = gen.integers(1, msg_count + 1)
-    return h, w
-
-
-def _env_two_path(scenario, master_seed, indices, msg_count, art_std):
-    h1 = np.empty(len(indices))
-    h2 = np.empty(len(indices))
-    w = np.empty(len(indices), dtype=np.int64)
-    art = np.empty(len(indices))
-    for r, ix in enumerate(indices):
-        gen = _stream(master_seed, int(ix), TAG_ENV)
-        u1, u2 = gen.random(), gen.random()
-        h1[r] = scenario.h1 if scenario.h1 is not None else \
-            scenario.h1_hat + scenario.distortion * (2.0 * u1 - 1.0)
-        h2[r] = scenario.h2 if scenario.h2 is not None else \
-            scenario.h2_hat + scenario.distortion * (2.0 * u2 - 1.0)
-        w[r] = gen.integers(1, msg_count + 1)
-        art[r] = art_std * gen.standard_normal()
-    return h1, h2, w, art
-
-
-def _env_multi_path(master_seed, indices, m_re, m_im):
-    k = len(m_re)
-    w_re = np.empty((len(indices), k), dtype=np.int64)
-    w_im = np.empty((len(indices), k), dtype=np.int64)
-    for r, ix in enumerate(indices):
-        gen = _stream(master_seed, int(ix), TAG_ENV)
-        for col in range(k):
-            w_re[r, col] = gen.integers(1, int(m_re[col]) + 1)
-            w_im[r, col] = gen.integers(1, int(m_im[col]) + 1)
-    return w_re, w_im
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +256,21 @@ def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
     n = params.n
     count = qs.message_size(n, params.rate)
     t = len(indices)
-    noise = scenario.noise_scale * math.sqrt(params.sigma2) \
-        * _normal_rows(master_seed, indices, n)
-    dithers = _dither_rows(master_seed, indices, n - 1, params.lattice_spacing)
-    h, w = _env_quasi_static(scenario, master_seed, indices, count)
+    noise = np.empty((t, n))
+    dithers = np.empty((t, n - 1))
+    u = np.empty(t)
+    w = np.empty(t, dtype=np.int64)
+    for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
+        gen.standard_normal(out=row)
+    for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
+        gen.random(out=row)
+    for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
+        u[r] = gen.random()
+        w[r] = gen.integers(1, count + 1)
+    noise *= scenario.noise_scale * math.sqrt(params.sigma2)
+    dithers -= 0.5
+    dithers *= params.lattice_spacing
+    h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u)
     theta = qs.map_message(w, count)
     beta, _ = qs.mmse_coefficients1(params, h)
 
@@ -372,12 +362,25 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool):
     n = params.n
     count = qs.message_size(n, params.rate)
     t = len(indices)
-    noise = scenario.noise_scale * math.sqrt(params.sigma2) \
-        * _normal_rows(master_seed, indices, n)
+    noise = np.empty((t, n))
     dithers = np.zeros((t, n + 1))
-    dithers[:, 2:n] = _dither_rows(master_seed, indices, n - 2, params.lattice_spacing)
-    art_std = math.sqrt(params.art_noise_var)
-    h1, h2, w, art = _env_two_path(scenario, master_seed, indices, count, art_std)
+    u = np.empty((t, 2))
+    w = np.empty(t, dtype=np.int64)
+    art = np.empty(t)
+    for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
+        gen.standard_normal(out=row)
+    for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
+        gen.random(out=row[2:n])
+    for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
+        gen.random(out=u[r])
+        w[r] = gen.integers(1, count + 1)
+        art[r] = gen.standard_normal()
+    noise *= scenario.noise_scale * math.sqrt(params.sigma2)
+    dithers[:, 2:n] -= 0.5
+    dithers[:, 2:n] *= params.lattice_spacing
+    art *= math.sqrt(params.art_noise_var)
+    h1 = _ball_gain(scenario.h1, scenario.h1_hat, scenario.distortion, u[:, 0])
+    h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
     theta = qs.map_message(w, count)
 
     sign_true = tp.sign_product(h1, h2)
@@ -501,11 +504,17 @@ def _engine_multi_path(scenario, master_seed, indices):
     block_len = plan.block_len
     taps = np.asarray(scenario.h, dtype=complex)
 
-    total_steps = blocks * block_len
-    raw = _normal_rows(master_seed, indices, 2 * total_steps)
+    raw = np.empty((t, 2 * blocks * block_len))
+    # one message draw per component, interleaved (re_1, im_1, re_2, ...)
+    w = np.empty((t, 2 * k), dtype=np.int64)
+    hi = np.column_stack([m_re, m_im]).ravel() + 1
+    for row, gen in zip(raw, _keyed_streams(master_seed, indices, TAG_NOISE)):
+        gen.standard_normal(out=row)
+    for row, gen in zip(w, _keyed_streams(master_seed, indices, TAG_ENV)):
+        row[:] = gen.integers(1, hi)
     scale = scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
     noise = scale * (raw[:, 0::2] + 1j * raw[:, 1::2])
-    w_re, w_im = _env_multi_path(master_seed, indices, m_re, m_im)
+    w_re, w_im = w[:, 0::2], w[:, 1::2]
 
     theta = (-0.5 + (2.0 * w_re - 1.0) / (2.0 * m_re)) \
         + 1j * (-0.5 + (2.0 * w_im - 1.0) / (2.0 * m_im))

@@ -134,6 +134,67 @@ def test_simulate_scheme2_and_scheme3(tmp_path):
     assert report["avg_fb_power"] == 0.0
 
 
+SCHEME3_CONFIG = {
+    "scheme": 3, "n": 24, "eps": 1e-2, "sigma2": 1.0, "P": 10.0,
+    "h_re": [0.9, 0.5], "subchannels": 3,
+}
+
+
+@pytest.mark.parametrize("seed,code", [
+    ("-1", EXIT_BAD_CONFIG),
+    (str(2**64), EXIT_BAD_CONFIG),
+    (str(2**64 + 1), EXIT_BAD_CONFIG),
+    (str(2**64 - 1), EXIT_OK),
+])
+def test_simulate_seed_range(tmp_path, capsys, seed, code):
+    # seeds are not reduced modulo 2**64: out-of-range seeds are rejected
+    # before any trial runs instead of aliasing an in-range seed
+    cfg = write_json(tmp_path / "c.json", SCHEME1_CONFIG)
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg, "--trials", "20",
+                 "--seed", seed, "--out", str(out)]) == code
+    if code == EXIT_BAD_CONFIG:
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["trials"] == 20
+
+
+@pytest.mark.parametrize("subchannels", [1, 24, 0, -3])
+def test_simulate_subchannels_out_of_range(tmp_path, capsys, subchannels):
+    # admissible counts for 2 taps and n = 24 are 2, ..., 23
+    cfg = write_json(tmp_path / "c.json", dict(SCHEME3_CONFIG, subchannels=subchannels))
+    assert main(["simulate", "--config", cfg, "--trials", "10",
+                 "--seed", "1"]) == EXIT_BAD_CONFIG
+    assert "subchannels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base,key,value", [
+    (SCHEME1_CONFIG, "P", "ten"),
+    (SCHEME1_CONFIG, "P", float("nan")),
+    (SCHEME1_CONFIG, "sigma2", float("inf")),
+    (SCHEME1_CONFIG, "h", None),
+    (SCHEME1_CONFIG, "distortion", True),
+    (SCHEME1_CONFIG, "n", 25.7),
+    (SCHEME1_CONFIG, "n", "12"),
+    (SCHEME1_CONFIG, "noise_scale", -1.0),
+    (SCHEME3_CONFIG, "subchannels", 2.5),
+    (SCHEME3_CONFIG, "h_re", [0.9, "x"]),
+    (SCHEME3_CONFIG, "h_re", 0.9),
+])
+def test_simulate_bad_config_values(tmp_path, capsys, base, key, value):
+    cfg = write_json(tmp_path / "c.json", dict(base, **{key: value}))
+    assert main(["simulate", "--config", cfg, "--trials", "10",
+                 "--seed", "1"]) == EXIT_BAD_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_simulate_integral_float_accepted(tmp_path):
+    cfg = write_json(tmp_path / "c.json", dict(SCHEME3_CONFIG, n=24.0, subchannels=3.0))
+    assert main(["simulate", "--config", cfg, "--trials", "10",
+                 "--seed", "1"]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # rate-sweep
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from skfading.numerics import InfeasibleError
 from skfading.quasi_static import message_size
 from skfading.simulation import (
+    TAG_NOISE,
     CoupledTrialResult,
     MonteCarloReport,
     MultiPathScenario,
     QuasiStaticScenario,
     TrialConfig,
     TwoPathScenario,
+    _keyed_streams,
     coupled_mode_trial,
     monte_carlo,
     realize_noise,
@@ -37,6 +39,14 @@ SC2_SOFT = TwoPathScenario(
     P_tilde=10.0, sigma_z=1e-3, n=10, eps=1e-2, h1=0.9, h2=-0.5,
 )
 SC3 = MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24, eps=1e-2, subchannels=3)
+
+
+def normal_rows(master_seed, indices, count):
+    """Raw forward-noise normals, as the engines draw them."""
+    out = np.empty((len(indices), count))
+    for row, gen in zip(out, _keyed_streams(master_seed, indices, TAG_NOISE)):
+        gen.standard_normal(out=row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +81,7 @@ def test_realize_noise_keyed_and_consistent():
 
 def test_realize_noise_statistics():
     # the same keyed streams that drive the engines
-    from skfading.simulation import _normal_rows
-
-    draws = _normal_rows(123, range(10_000), 100)
+    draws = normal_rows(123, range(10_000), 100)
     assert draws.var() == pytest.approx(1.0, rel=0.01)
     assert abs(draws.mean()) < 3.5 / math.sqrt(draws.size)
 
@@ -82,17 +90,13 @@ def test_realize_noise_complex_split():
     cfg = TrialConfig(SC3, master_seed=2, trial_index=0)
     val = realize_noise(cfg, 4)
     assert isinstance(val, complex)
-    from skfading.simulation import _normal_rows
-
-    raw = _normal_rows(2, [0], 8)[0]
+    raw = normal_rows(2, [0], 8)[0]
     scale = math.sqrt(SC3.sigma2 / 2.0)
     assert val == complex(scale * raw[6], scale * raw[7])
 
 
 def test_scheme3_noise_components_independent():
-    from skfading.simulation import _normal_rows
-
-    raw = _normal_rows(99, range(2_000), 50)
+    raw = normal_rows(99, range(2_000), 50)
     re, im = raw[:, 0::2].ravel(), raw[:, 1::2].ravel()
     n = re.size
     assert np.var(re) == pytest.approx(1.0, rel=0.02)
@@ -397,10 +401,8 @@ def test_scheme3_power_budget():
 
 def test_scheme3_dft_noise_whiteness():
     # the unitary DFT keeps the complex noise white with variance sigma2
-    from skfading.simulation import _normal_rows
-
     k = 8
-    raw = _normal_rows(101, range(20_000), 2 * k)
+    raw = normal_rows(101, range(20_000), 2 * k)
     noise = (raw[:, 0::2] + 1j * raw[:, 1::2]) / math.sqrt(2.0)
     freq = np.fft.fft(noise, axis=1) / math.sqrt(k)
     cov = freq.conj().T @ freq / freq.shape[0]
