@@ -14,20 +14,16 @@ from .multi_path import (
     plan_block,
 )
 from .numerics import (
-    DitherStream,
     InfeasibleError,
-    Lattice,
     SpectralDecomposition,
     channel_spectrum,
     dft,
     idft,
-    modulo_d,
     q_tail,
     q_tail_inv,
     water_fill,
 )
 from .quasi_static import (
-    FadingChannel,
     QuasiStaticParams,
     TransmitterCsi,
     capacity_fd,
@@ -47,7 +43,6 @@ from .simulation import (
 )
 from .two_path import (
     TransmitterCsi2,
-    TwoPathChannel,
     TwoPathParams,
     derive_params2,
     rate_tp_benchmark,
@@ -56,10 +51,7 @@ from .two_path import (
 
 __all__ = [
     "BlockPlan",
-    "DitherStream",
-    "FadingChannel",
     "InfeasibleError",
-    "Lattice",
     "MonteCarloReport",
     "MultiPathChannel",
     "MultiPathScenario",
@@ -70,7 +62,6 @@ __all__ = [
     "TransmitterCsi2",
     "TrialConfig",
     "TrialResult",
-    "TwoPathChannel",
     "TwoPathParams",
     "TwoPathScenario",
     "capacity_fd",
@@ -80,7 +71,6 @@ __all__ = [
     "derive_params2",
     "dft",
     "idft",
-    "modulo_d",
     "monte_carlo",
     "optimize_subchannel_count",
     "plan_block",

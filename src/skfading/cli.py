@@ -95,14 +95,14 @@ def _load_json(path: str) -> dict:
 def _sweep_values(spec: dict):
     values = _require(spec, "values", "sweep spec")
     if isinstance(values, dict):
-        start = _require(values, "start", "sweep range")
-        stop = _require(values, "stop", "sweep range")
-        count = int(_require(values, "count", "sweep range"))
+        start = _real(_require(values, "start", "sweep range"), "sweep range start")
+        stop = _real(_require(values, "stop", "sweep range"), "sweep range stop")
+        count = _integer(_require(values, "count", "sweep range"), "sweep range count")
         if count < 1:
             raise ConfigError("sweep range: count must be positive")
-        points = np.linspace(float(start), float(stop), count).tolist()
+        points = np.linspace(start, stop, count).tolist()
     elif isinstance(values, list) and values:
-        points = [float(v) for v in values]
+        points = [_real(v, "sweep value") for v in values]
     else:
         raise ConfigError("sweep spec: 'values' must be a list or a range object")
     return sorted(points)
@@ -120,7 +120,7 @@ def _apply_variable(fixed: dict, variable: str, x: float) -> dict:
         cfg["P_tilde"] = x
     elif variable == "SNR":
         sigma2 = _require(cfg, "sigma2", "SNR sweep")
-        cfg["P"] = x * float(sigma2)
+        cfg["P"] = x * _real(sigma2, "sigma2")
     elif variable == "K":
         cfg["subchannels"] = int(round(x))
     else:
@@ -140,47 +140,34 @@ def _taps_from(cfg: dict):
 
 
 def _eval_curve(label: str, cfg: dict) -> float:
-    snr = float(_require(cfg, "P", label)) / float(_require(cfg, "sigma2", label))
-    n = int(_require(cfg, "n", label))
-    eps = float(_require(cfg, "eps", label))
+    def num(key):
+        return _real(_require(cfg, key, label), key)
+
+    snr = num("P") / num("sigma2")
+    n = _integer(_require(cfg, "n", label), "n")
+    eps = num("eps")
     if label == "capacity_fd":
-        return qs.capacity_fd(float(_require(cfg, "h", label)), snr)
+        return qs.capacity_fd(num("h"), snr)
     if label == "fd_baseline":
-        return qs.rate_fd_baseline(float(_require(cfg, "h", label)), snr, n, eps)
+        return qs.rate_fd_baseline(num("h"), snr, n, eps)
     if label == "theorem1":
-        csi = qs.TransmitterCsi(
-            float(_require(cfg, "h_hat", label)),
-            float(_require(cfg, "distortion", label)),
-        )
+        csi = qs.TransmitterCsi(num("h_hat"), num("distortion"))
         params = qs.derive_params1(
-            float(cfg["sigma2"]), float(cfg["P"]),
-            float(_require(cfg, "P_tilde", label)),
-            float(_require(cfg, "sigma_z", label)), csi, n, eps,
+            num("sigma2"), num("P"), num("P_tilde"), num("sigma_z"), csi, n, eps,
         )
         return params.rate
     if label == "theorem2":
-        csi = tp.TransmitterCsi2(
-            float(_require(cfg, "h1_hat", label)),
-            float(_require(cfg, "h2_hat", label)),
-            float(_require(cfg, "distortion", label)),
-        )
+        csi = tp.TransmitterCsi2(num("h1_hat"), num("h2_hat"), num("distortion"))
         params = tp.derive_params2(
-            float(cfg["sigma2"]), float(cfg["P"]),
-            float(_require(cfg, "P_tilde", label)),
-            float(_require(cfg, "sigma_z", label)), csi, n, eps,
+            num("sigma2"), num("P"), num("P_tilde"), num("sigma_z"), csi, n, eps,
         )
         return params.rate
     if label == "tp_benchmark":
-        return tp.rate_tp_benchmark(
-            float(_require(cfg, "h1", label)),
-            float(_require(cfg, "h2", label)), snr, n, eps,
-        )
+        return tp.rate_tp_benchmark(num("h1"), num("h2"), snr, n, eps)
     if label in ("theorem3", "theorem3_real_dim"):
-        channel = mp.MultiPathChannel(
-            _taps_from(cfg), float(cfg["sigma2"]), float(cfg["P"])
-        )
+        channel = mp.MultiPathChannel(_taps_from(cfg), num("sigma2"), num("P"))
         if "subchannels" in cfg:
-            plan = mp.plan_block(channel, n, eps, int(cfg["subchannels"]))
+            plan = mp.plan_block(channel, n, eps, _integer(cfg["subchannels"], "subchannels"))
         else:
             plan = mp.optimize_subchannel_count(channel, n, eps)
         return plan.rate if label == "theorem3" else plan.rate_per_real_dim
@@ -234,8 +221,13 @@ def _scenario_from_config(cfg: dict):
         raise ConfigError(f"unknown scheme {scheme!r} (expected 1, 2 or 3)")
     context = f"scheme {scheme} config"
 
-    def real(key):
-        return _real(_require(cfg, key, context), key)
+    def real(key, low=None, closed=False):
+        """A required number; with low, above it (at least it when closed)."""
+        value = _real(_require(cfg, key, context), key)
+        if low is not None and (value < low or (value == low and not closed)):
+            bound = "at least" if closed else "above"
+            raise ConfigError(f"{key} must be {bound} {low:g}, got {value!r}")
+        return value
 
     def optional(key):
         return _real(cfg[key], key) if key in cfg else None
@@ -245,29 +237,42 @@ def _scenario_from_config(cfg: dict):
     noise_scale = optional("noise_scale")
     if noise_scale is not None and noise_scale < 0:
         raise ConfigError(f"noise_scale must be nonnegative, got {noise_scale!r}")
+    n = _integer(_require(cfg, "n", context), "n")
+    # below the smallest normal double, eps / (4 (n - 1)) underflows to 0
+    eps = real("eps", sys.float_info.min, closed=True)
+    if eps >= 1.0:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps!r}")
     common = dict(
-        n=_integer(_require(cfg, "n", context), "n"),
-        eps=real("eps"),
-        sigma2=real("sigma2"),
-        P=real("P"),
+        n=n, eps=eps, sigma2=real("sigma2", 0.0), P=real("P", 0.0),
         noise_scale=1.0 if noise_scale is None else noise_scale,
     )
+
+    def check_n(minimum):
+        if n < minimum:
+            raise ConfigError(f"scheme {scheme} needs n of at least {minimum}, got {n}")
+
+    if scheme in (1, 2):
+        check_n(2 if scheme == 1 else 4)
+        # CSI distortion bound and feedback link, shared by schemes 1 and 2
+        feedback = dict(
+            distortion=real("distortion", 0.0, closed=True),
+            P_tilde=real("P_tilde", 0.0), sigma_z=real("sigma_z", 0.0, closed=True),
+        )
     if scheme == 1:
         return QuasiStaticScenario(
-            h_hat=real("h_hat"), distortion=real("distortion"),
-            P_tilde=real("P_tilde"), sigma_z=real("sigma_z"), h=optional("h"),
-            **common,
+            h_hat=real("h_hat"), h=optional("h"), **feedback, **common,
         )
     if scheme == 2:
         return TwoPathScenario(
             h1_hat=real("h1_hat"), h2_hat=real("h2_hat"),
-            distortion=real("distortion"), P_tilde=real("P_tilde"),
-            sigma_z=real("sigma_z"), h1=optional("h1"), h2=optional("h2"),
-            **common,
+            h1=optional("h1"), h2=optional("h2"), **feedback, **common,
         )
     taps = _taps_from(cfg)
+    paths = len(taps)
+    if paths < 2 or not any(taps):
+        raise ConfigError("scheme 3 needs at least two channel taps, not all zero")
+    check_n(2 * paths)
     k = _integer(cfg["subchannels"], "subchannels") if "subchannels" in cfg else None
-    n, paths = common["n"], len(taps)
     if k is not None and not paths <= k <= n - paths + 1:
         raise ConfigError(
             f"subchannels must lie in {{{paths}, ..., {n - paths + 1}}} "

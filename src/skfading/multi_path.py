@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import channel_spectrum, q_tail_inv, water_fill
+from .numerics import InfeasibleError, channel_spectrum, q_tail_inv, water_fill
 from .quasi_static import decode_midpoint, map_message
 
 __all__ = [
@@ -24,11 +24,8 @@ __all__ = [
     "plan_block",
     "optimize_subchannel_count",
     "sub_message_sizes",
-    "split_message",
-    "join_message",
     "map_complex",
     "decode_complex",
-    "decode_joint",
     "add_cyclic_prefix",
     "extract_payload",
     "variance_lemma3",
@@ -137,7 +134,7 @@ def optimize_subchannel_count(channel: MultiPathChannel, n: int, eps: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# message splitting and complex mapping
+# per-component messages and complex mapping
 # ---------------------------------------------------------------------------
 
 def sub_message_sizes(plan: BlockPlan):
@@ -150,8 +147,9 @@ def sub_message_sizes(plan: BlockPlan):
     bits = plan.n * plan.sub_rate_half
     sizes = np.maximum(np.floor(np.power(2.0, bits)), 1.0)
     if np.any(bits > 50):
-        raise ValueError(
-            "sub-message alphabet exceeds double-precision midpoint resolution"
+        raise InfeasibleError(
+            "sub-message alphabet exceeds double-precision midpoint resolution; "
+            "reduce n or the rate for simulation"
         )
     m_re = sizes.astype(np.int64)
     m_im = sizes.astype(np.int64)
@@ -159,51 +157,14 @@ def sub_message_sizes(plan: BlockPlan):
     return m_re, m_im, achieved
 
 
-def split_message(w: int, m_re, m_im):
-    """Mixed-radix split of one index into per-component indices.
+def map_complex(w_re, w_im, m_re, m_im):
+    """Map component indices to complex midpoints on the unit square grid.
 
-    Bijective between 1..prod(sizes) and the component tuples; components
-    are ordered (re_1, im_1, re_2, im_2, ...).
+    Broadcasts over arrays of indices and alphabet sizes (one column per
+    subchannel); scalar input gives a complex number.
     """
-    sizes = _interleave(m_re, m_im)
-    total = 1
-    for s in sizes:
-        total *= int(s)
-    if not (1 <= w <= total):
-        raise ValueError(f"message index out of range 1..{total}")
-    digits = []
-    residue = w - 1
-    for s in sizes:
-        digits.append(int(residue % s) + 1)
-        residue //= int(s)
-    pairs = [(digits[2 * i], digits[2 * i + 1]) for i in range(len(m_re))]
-    return pairs
-
-
-def join_message(pairs, m_re, m_im) -> int:
-    """Inverse of split_message."""
-    sizes = _interleave(m_re, m_im)
-    digits = []
-    for re_part, im_part in pairs:
-        digits.extend([re_part, im_part])
-    w = 0
-    for size, digit in zip(reversed(sizes), reversed(digits)):
-        if not (1 <= digit <= size):
-            raise ValueError("component index out of range")
-        w = w * int(size) + (digit - 1)
-    return w + 1
-
-
-def _interleave(m_re, m_im):
-    out = []
-    for a, b in zip(m_re, m_im):
-        out.extend([int(a), int(b)])
-    return out
-
-
-def map_complex(w_re, w_im, m_re: int, m_im: int) -> complex:
-    """Map a component pair to a complex midpoint on the unit square grid."""
-    return complex(map_message(w_re, m_re), map_message(w_im, m_im))
+    theta = map_message(w_re, m_re) + 1j * map_message(w_im, m_im)
+    return complex(theta) if np.ndim(theta) == 0 else theta
 
 
 def decode_complex(theta_hat, m_re: int, m_im: int):
@@ -213,19 +174,6 @@ def decode_complex(theta_hat, m_re: int, m_im: int):
         decode_midpoint(theta_hat.real, m_re),
         decode_midpoint(theta_hat.imag, m_im),
     )
-
-
-def decode_joint(theta_hats, m_re, m_im) -> int:
-    """Decode every subchannel estimate and join back into one index.
-
-    The overall message errs if any component does; subchannels with a
-    single-point alphabet always decode correctly.
-    """
-    pairs = [
-        decode_complex(theta_hats[k], int(m_re[k]), int(m_im[k]))
-        for k in range(len(m_re))
-    ]
-    return join_message(pairs, m_re, m_im)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,22 @@
 """Shared numerical primitives.
 
-Gaussian tail functions, scalar modulo-lattice arithmetic, reproducible
-dither streams, unitary DFT pairs, circulant channel spectra and
-water-filling power allocation. Everything here is pure except for
-DitherStream, whose only mutation is its position counter.
+Gaussian tail functions, scalar modulo-lattice arithmetic, keys for the
+counter-based random streams, unitary DFT pairs, circulant channel spectra
+and water-filling power allocation. Everything here is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 __all__ = [
     "InfeasibleError",
     "q_tail",
     "q_tail_inv",
-    "Lattice",
-    "modulo_d",
     "modulo_reduce",
-    "modulo_distributive_check",
-    "DitherStream",
-    "dither_next",
     "philox_key",
     "dft",
     "idft",
@@ -35,8 +28,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-_MASK128 = (1 << 128) - 1
 
 
 class InfeasibleError(ValueError):
@@ -87,17 +78,6 @@ def q_tail_inv(p: float) -> float:
 # Scalar modulo lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lattice:
-    """Scalar lattice spacing * Z used for modulo reduction."""
-
-    spacing: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise ValueError(f"lattice spacing must be positive, got {self.spacing!r}")
-
-
 def modulo_reduce(x, spacing):
     """Reduce x into [-spacing/2, spacing/2) against the nearest lattice point.
 
@@ -116,29 +96,8 @@ def modulo_reduce(x, spacing):
     return r
 
 
-def modulo_d(x: float, lattice: Lattice) -> float:
-    """Scalar modulo-lattice reduction into [-d/2, d/2)."""
-    if not math.isfinite(x):
-        raise ValueError(f"modulo_d requires finite input, got {x!r}")
-    return float(modulo_reduce(x, lattice.spacing))
-
-
-def modulo_distributive_check(
-    x: float, d1: float, d2: float, lattice: Lattice, tol: float = 1e-12
-) -> bool:
-    """Self-test of the distributive law of the modulo reduction.
-
-    reduce(reduce(x + d1) + d2 - x) == reduce(d1 + d2) for every real
-    x, d1, d2; holds exactly because the inner lattice point drops out by
-    periodicity.
-    """
-    lhs = modulo_d(modulo_d(x + d1, lattice) + d2 - x, lattice)
-    rhs = modulo_d(d1 + d2, lattice)
-    return abs(lhs - rhs) <= tol
-
-
 # ---------------------------------------------------------------------------
-# Dither streams
+# Stream keys
 # ---------------------------------------------------------------------------
 
 def philox_key(seed: int, index: int = 0, tag: int = 0) -> int:
@@ -156,43 +115,6 @@ def philox_key(seed: int, index: int = 0, tag: int = 0) -> int:
             f"in [0, 2**8), got seed={seed}, index={index}, tag={tag}"
         )
     return (seed << 64) | (index << 8) | tag
-
-
-@dataclass
-class DitherStream:
-    """Reproducible stream of uniforms on [-spacing/2, spacing/2).
-
-    Two streams built from the same (seed, spacing) produce identical
-    sequences; a stream created at position k continues exactly where a
-    fresh stream would be after k draws.
-    """
-
-    spacing: float
-    seed: int
-    position: int = 0
-    _gen: Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise ValueError(f"dither spacing must be positive, got {self.spacing!r}")
-        if self.position < 0:
-            raise ValueError("position must be nonnegative")
-        self._gen = Generator(Philox(key=self.seed & _MASK128))
-        if self.position:
-            self._gen.random(self.position)
-
-    def next(self) -> float:
-        self.position += 1
-        return (self._gen.random() - 0.5) * self.spacing
-
-    def take(self, count: int) -> np.ndarray:
-        """Draw ``count`` values at once (same sequence as repeated next())."""
-        self.position += count
-        return (self._gen.random(count) - 0.5) * self.spacing
-
-
-def dither_next(stream: DitherStream) -> float:
-    return stream.next()
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +148,6 @@ class SpectralDecomposition:
 
     size: int
     gains: np.ndarray
-
-    def circulant(self) -> np.ndarray:
-        """Dense circulant matrix with these eigenvalues (for cross-checks)."""
-        first_col = np.fft.ifft(self.gains)
-        return circulant_matrix(first_col)
 
 
 def channel_spectrum(h, size: int) -> SpectralDecomposition:

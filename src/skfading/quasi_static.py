@@ -17,7 +17,6 @@ import numpy as np
 from .numerics import InfeasibleError, modulo_reduce, q_tail_inv
 
 __all__ = [
-    "FadingChannel",
     "TransmitterCsi",
     "QuasiStaticParams",
     "map_message",
@@ -38,27 +37,6 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class FadingChannel:
-    """True channel state for the single-path quasi-static model."""
-
-    h: float
-    sigma2: float
-    P: float
-    P_tilde: float
-    sigma_z: float
-
-    def __post_init__(self) -> None:
-        if self.sigma2 <= 0 or self.P <= 0 or self.P_tilde <= 0:
-            raise ValueError("sigma2, P and P_tilde must be positive")
-        if self.sigma_z < 0:
-            raise ValueError("sigma_z must be nonnegative")
-
-    @property
-    def snr(self) -> float:
-        return self.P / self.sigma2
 
 
 @dataclass(frozen=True)
@@ -107,8 +85,11 @@ class QuasiStaticParams:
         return self.P / self.sigma2
 
 
-def map_message(w, m: int):
-    """Map message index w in 1..m to the midpoint of its subinterval."""
+def map_message(w, m):
+    """Map message index w in 1..m to the midpoint of its subinterval.
+
+    m may be an array of alphabet sizes that broadcasts against w.
+    """
     w_arr = np.asarray(w)
     if np.any(w_arr < 1) or np.any(w_arr > m):
         raise ValueError(f"message index out of range 1..{m}")
@@ -175,7 +156,8 @@ def derive_params1(
     spacing = math.sqrt(12.0 * P_tilde)
 
     gain = csi.conservative_gain
-    if gain == 0.0:
+    g2snr = gain * gain * snr
+    if g2snr == 0.0:  # zero gain, or one whose squared SNR underflows
         return QuasiStaticParams(
             n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
             scaled_err_var=a, arg_var_bound=b, power_gain=alpha,
@@ -184,7 +166,6 @@ def derive_params1(
             rate=0.0, no_positive_rate=True,
         )
 
-    g2snr = gain * gain * snr
     # log-domain evaluation; the trajectory spans hundreds of orders of
     # magnitude at large blocklengths
     log_ratio = -math.log1p(g2snr * a / b)

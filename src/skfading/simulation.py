@@ -246,10 +246,26 @@ def realize_noise(config: TrialConfig, i: int):
 
 
 # ---------------------------------------------------------------------------
-# scheme 1 engine
+# engines: one per scheme, each running the original system or, in coupled
+# mode, its modulo-free partner on the same noise
 # ---------------------------------------------------------------------------
 
-def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
+def _original_or_partner(closed_loop, coupled: bool):
+    """Run closed_loop(None), the original system, and in coupled mode also
+    closed_loop(z_orig), the modulo-free partner fed the original's
+    quantization noise. closed_loop returns (outputs, quantization noise);
+    the partner reports the original's transmit powers."""
+    original, z_orig = closed_loop(None)
+    if not coupled:
+        del original["residual"]
+        return original
+    partner, _ = closed_loop(z_orig)
+    partner["pow_fwd"] = original["pow_fwd"]
+    partner["pow_fb"] = original["pow_fb"]
+    return partner
+
+
+def _engine_quasi_static(scenario, master_seed, indices, coupled: bool = False):
     params = scenario.derive()
     if params.no_positive_rate:
         raise InfeasibleError("scenario admits no positive rate (csi ball contains 0)")
@@ -275,87 +291,62 @@ def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
     beta, _ = qs.mmse_coefficients1(params, h)
 
     gam = params.feedback_gains
+    alpha = params.power_gain
     half = params.lattice_spacing / 2.0
     root12p = math.sqrt(12.0 * params.P)
-    eps = np.empty((t, n))
-    alias = np.zeros((t, n - 1), dtype=bool)
-    z_hist = np.zeros((t, n - 1))
+    x1 = root12p * theta
 
-    x = root12p * theta
-    pow_fwd = x * x
-    y = h * x + noise[:, 0]
-    theta_hat = y / (h * root12p)
-    eps[:, 0] = theta_hat - theta
-    x_t = qs.rx_feedback1(theta_hat, gam[0], dithers[:, 0], params)
-    y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
-    pow_fb = x_t * x_t
-    z_hist[:, 0] = z
-    for i in range(2, n + 1):
-        ii = i - 2
-        alias[:, ii] = _alias_event(gam[ii] * eps[:, i - 2] + z, half)
-        x = qs.tx_step1(y_t, gam[ii], theta, dithers[:, ii], params)
-        y = h * x + noise[:, i - 1]
-        theta_hat, _ = qs.rx_update1(theta_hat, y, z, h, beta[:, ii], params)
-        eps[:, i - 1] = theta_hat - theta
-        pow_fwd += x * x
-        if i <= n - 1:
-            x_t = qs.rx_feedback1(theta_hat, gam[i - 1], dithers[:, i - 1], params)
-            y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
+    def closed_loop(z_orig):
+        remove_modulo = z_orig is not None
+        eps = np.empty((t, n))
+        alias = np.zeros((t, n - 1), dtype=bool)
+        z_hist = np.zeros((t, n - 1))
+        residual = 0.0
+        # the two systems start from differently rounded forms of the same
+        # time-1 estimate; both forms are part of the recorded reports
+        if remove_modulo:
+            theta_hat = theta + noise[:, 0] / (h * root12p)
+        else:
+            theta_hat = (h * x1 + noise[:, 0]) / (h * root12p)
+        eps[:, 0] = theta_hat - theta
+        pow_fwd = x1 * x1
+        pow_fb = np.zeros(t)
+        for i in range(n - 1):  # feedback at time i+1, forward step at time i+2
+            if remove_modulo:
+                x_t = gam[i] * theta_hat + dithers[:, i]
+                z_hist[:, i] = z_orig[:, i]
+                y_t = x_t + z_hist[:, i]
+            else:
+                x_t = qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], params)
+                y_t, z_hist[:, i] = qs.quantize_feedback(x_t, params.sigma_z)
             pow_fb += x_t * x_t
-            z_hist[:, i - 1] = z
-    correct = qs.decode_midpoint(theta_hat, count) == w
-    original = {
-        "correct": np.atleast_1d(correct),
-        "eps": eps,
-        "alias": alias,
-        "pow_fwd": pow_fwd / n,
-        "pow_fb": pow_fb / n,
-    }
-    if not coupled:
-        return original
+            z = z_hist[:, i]
+            alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
+            if remove_modulo:
+                x = alpha * (y_t - gam[i] * theta - dithers[:, i])
+            else:
+                x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], params)
+            y = h * x + noise[:, i + 1]
+            theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta[:, i], params)
+            if remove_modulo:
+                expected = h * alpha * gam[i] * eps[:, i] + noise[:, i + 1]
+                residual = max(residual, float(np.max(np.abs(y_dot - expected))))
+            eps[:, i + 1] = theta_hat - theta
+            pow_fwd += x * x
+        correct = qs.decode_midpoint(theta_hat, count) == w
+        return {
+            "correct": np.atleast_1d(correct),
+            "eps": eps,
+            "alias": alias,
+            "pow_fwd": pow_fwd / n,
+            "pow_fb": pow_fb / n,
+            "residual": residual,
+        }, z_hist
 
-    # coupled partner: modulo functions removed, same h, noises, dithers
-    # and the same quantization-noise realizations
-    alpha = params.power_gain
-    eps_c = np.empty((t, n))
-    alias_c = np.zeros((t, n - 1), dtype=bool)
-    residual = 0.0
-    theta_hat_c = theta + noise[:, 0] / (h * root12p)
-    eps_c[:, 0] = theta_hat_c - theta
-    alias_c[:, 0] = _alias_event(gam[0] * eps_c[:, 0] + z_hist[:, 0], half)
-    x_tc = gam[0] * theta_hat_c + dithers[:, 0]
-    for i in range(2, n + 1):
-        ii = i - 2
-        z = z_hist[:, ii]
-        y_tc = x_tc + z
-        x_c = alpha * (y_tc - gam[ii] * theta - dithers[:, ii])
-        y_c = h * x_c + noise[:, i - 1]
-        y_dot = y_c - h * alpha * z
-        expected = h * alpha * gam[ii] * eps_c[:, i - 2] + noise[:, i - 1]
-        residual = max(residual, float(np.max(np.abs(y_dot - expected))))
-        theta_hat_c = theta_hat_c - beta[:, ii] * y_dot
-        eps_c[:, i - 1] = theta_hat_c - theta
-        if i <= n - 1:
-            alias_c[:, i - 1] = _alias_event(
-                gam[i - 1] * eps_c[:, i - 1] + z_hist[:, i - 1], half
-            )
-            x_tc = gam[i - 1] * theta_hat_c + dithers[:, i - 1]
-    correct_c = qs.decode_midpoint(theta_hat_c, count) == w
-    return {
-        "correct": np.atleast_1d(correct_c),
-        "eps": eps_c,
-        "alias": alias_c,
-        "pow_fwd": original["pow_fwd"],
-        "pow_fb": original["pow_fb"],
-        "residual": residual,
-    }
+    return _original_or_partner(closed_loop, coupled)
 
 
-# ---------------------------------------------------------------------------
-# scheme 2 engine
-# ---------------------------------------------------------------------------
-
-def _engine_two_path(scenario, master_seed, indices, coupled: bool):
+def _engine_two_path(scenario, master_seed, indices, coupled: bool = False):
     params = scenario.derive()
     if params.no_positive_rate:
         raise InfeasibleError("scenario admits no positive rate (csi balls contain 0)")
@@ -383,15 +374,8 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool):
     h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
     theta = qs.map_message(w, count)
 
-    sign_true = tp.sign_product(h1, h2)
-    # the pilot +-2 sigma_z passes the quantizer with zero noise, so the
-    # transmitter recovers the sign exactly; verified per trial
-    if params.sigma_z > 0:
-        pilot_rx, _ = qs.quantize_feedback(sign_true * 2.0 * params.sigma_z, params.sigma_z)
-        sign = np.where(pilot_rx >= 0, 1.0, -1.0)
-    else:
-        sign = sign_true
-    pilot_ok = sign == sign_true
+    sign = tp.pilot_sign(h1, h2, params.sigma_z)
+    pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
 
     beta, _, combined = tp.mmse_coefficients2(params, h1, h2, sign)
     gam = params.feedback_gains
@@ -405,7 +389,8 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool):
     y2 = h2 * x1 + noise[:, 1]
     init = tp.init_estimate(y1, y2, h1, h2, params.P)
 
-    def closed_loop(remove_modulo: bool):
+    def closed_loop(z_orig):
+        remove_modulo = z_orig is not None
         eps = np.zeros((t, n))
         alias = np.zeros((t, n - 1), dtype=bool)  # col i-1 holds the event at time i
         z_hist = np.zeros((t, n))
@@ -472,29 +457,15 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool):
             "pow_fwd": pow_fwd / n,
             "pow_fb": pow_fb / n,
             "pilot_ok": np.atleast_1d(pilot_ok),
-            "z_hist": z_hist,
             "residual": residual,
-        }
+        }, z_hist
 
-    z_orig = None
-    original = closed_loop(remove_modulo=False)
-    if not coupled:
-        original.pop("z_hist")
-        original.pop("residual")
-        return original
-    z_orig = original["z_hist"]
-    partner = closed_loop(remove_modulo=True)
-    partner.pop("z_hist")
-    partner["pow_fwd"] = original["pow_fwd"]
-    partner["pow_fb"] = original["pow_fb"]
-    return partner
+    return _original_or_partner(closed_loop, coupled)
 
 
-# ---------------------------------------------------------------------------
-# scheme 3 engine
-# ---------------------------------------------------------------------------
-
-def _engine_multi_path(scenario, master_seed, indices):
+def _engine_multi_path(scenario, master_seed, indices, coupled: bool = False):
+    if coupled:
+        raise ValueError("the coupled system is defined for schemes 1 and 2 only")
     plan = scenario.derive()
     m_re, m_im, _ = mp.sub_message_sizes(plan)
     t = len(indices)
@@ -516,8 +487,7 @@ def _engine_multi_path(scenario, master_seed, indices):
     noise = scale * (raw[:, 0::2] + 1j * raw[:, 1::2])
     w_re, w_im = w[:, 0::2], w[:, 1::2]
 
-    theta = (-0.5 + (2.0 * w_re - 1.0) / (2.0 * m_re)) \
-        + 1j * (-0.5 + (2.0 * w_im - 1.0) / (2.0 * m_im))
+    theta = mp.map_complex(w_re, w_im, m_re, m_im)
     live = np.flatnonzero(plan.powers > 0)
     gains = plan.gains
     powers = plan.powers
@@ -542,7 +512,7 @@ def _engine_multi_path(scenario, master_seed, indices):
         else:
             freq[:, live] = np.sqrt(powers[live] / alphas[b - 2, live]) * cur[:, live]
         time_block = np.fft.ifft(freq, axis=1) * math.sqrt(k)
-        sent = np.concatenate([time_block[:, k - num_paths + 1:], time_block], axis=1)
+        sent = mp.add_cyclic_prefix(time_block, num_paths)
         energy += np.sum(np.abs(sent) ** 2, axis=1)
         ext = np.concatenate([tail, sent], axis=1)
         received = np.zeros((t, block_len), dtype=complex)
@@ -550,8 +520,7 @@ def _engine_multi_path(scenario, master_seed, indices):
             received += taps[l] * ext[:, num_paths - 1 - l: num_paths - 1 - l + block_len]
         received += noise[:, (b - 1) * block_len: b * block_len]
         tail = sent[:, -(num_paths - 1):]
-        payload = received[:, num_paths - 1:]
-        obs_freq = np.fft.fft(payload, axis=1) / math.sqrt(k)
+        obs_freq = np.fft.fft(mp.extract_payload(received, num_paths), axis=1) / math.sqrt(k)
         obs = np.zeros((t, k), dtype=complex)
         obs[:, live] = obs_freq[:, live] / gains[live]
         if b == 1:
@@ -563,47 +532,44 @@ def _engine_multi_path(scenario, master_seed, indices):
 
     correct = np.ones(t, dtype=bool)
     for col in live:
-        got_re = qs.decode_midpoint(theta_hat[:, col].real, int(m_re[col]))
-        got_im = qs.decode_midpoint(theta_hat[:, col].imag, int(m_im[col]))
+        got_re, got_im = mp.decode_complex(theta_hat[:, col], int(m_re[col]), int(m_im[col]))
         correct &= (got_re == w_re[:, col]) & (got_im == w_im[:, col])
     return {
         "correct": correct,
         "eps": eps,
+        "alias": np.zeros((t, 0), dtype=bool),  # no modulo layer, nothing aliases
         "pow_fwd": energy / scenario.n,
         "pow_fb": np.zeros(t),
     }
+
+
+_ENGINES = {1: _engine_quasi_static, 2: _engine_two_path, 3: _engine_multi_path}
 
 
 # ---------------------------------------------------------------------------
 # public trial API
 # ---------------------------------------------------------------------------
 
-def run_trial(config: TrialConfig) -> TrialResult:
-    """Run one closed-loop trial of the configured scheme."""
+def _single_trial(config: TrialConfig, coupled: bool):
     scenario = config.scenario
-    idx = [config.trial_index]
-    if scenario.scheme_id == 1:
-        out = _engine_quasi_static(scenario, config.master_seed, idx, coupled=False)
-    elif scenario.scheme_id == 2:
-        out = _engine_two_path(scenario, config.master_seed, idx, coupled=False)
-    elif scenario.scheme_id == 3:
-        out = _engine_multi_path(scenario, config.master_seed, idx)
-        return TrialResult(
-            decoded_correctly=bool(out["correct"][0]),
-            per_iteration_epsilon=out["eps"][0],
-            aliasing_events=np.zeros(0, dtype=bool),
-            used_power_forward=float(out["pow_fwd"][0]),
-            used_power_feedback=float(out["pow_fb"][0]),
-        )
-    else:
-        raise ValueError(f"unknown scheme id {scenario.scheme_id}")
-    return TrialResult(
+    out = _ENGINES[scenario.scheme_id](
+        scenario, config.master_seed, [config.trial_index], coupled
+    )
+    fields = dict(
         decoded_correctly=bool(out["correct"][0]),
         per_iteration_epsilon=out["eps"][0],
         aliasing_events=out["alias"][0],
         used_power_forward=float(out["pow_fwd"][0]),
         used_power_feedback=float(out["pow_fb"][0]),
     )
+    if coupled:
+        return CoupledTrialResult(cancellation_residual=out["residual"], **fields)
+    return TrialResult(**fields)
+
+
+def run_trial(config: TrialConfig) -> TrialResult:
+    """Run one closed-loop trial of the configured scheme."""
+    return _single_trial(config, coupled=False)
 
 
 def coupled_mode_trial(config: TrialConfig) -> CoupledTrialResult:
@@ -613,39 +579,16 @@ def coupled_mode_trial(config: TrialConfig) -> CoupledTrialResult:
     original trial at the same key, so the linear-system identities are
     checkable per sample.
     """
-    scenario = config.scenario
-    idx = [config.trial_index]
-    if scenario.scheme_id == 1:
-        out = _engine_quasi_static(scenario, config.master_seed, idx, coupled=True)
-    elif scenario.scheme_id == 2:
-        out = _engine_two_path(scenario, config.master_seed, idx, coupled=True)
-    else:
-        raise ValueError("the coupled system is defined for schemes 1 and 2 only")
-    return CoupledTrialResult(
-        decoded_correctly=bool(out["correct"][0]),
-        per_iteration_epsilon=out["eps"][0],
-        aliasing_events=out["alias"][0],
-        used_power_forward=float(out["pow_fwd"][0]),
-        used_power_feedback=float(out["pow_fb"][0]),
-        cancellation_residual=out["residual"],
-    )
+    return _single_trial(config, coupled=True)
 
 
 def _run_batches(scenario, master_seed, trials, coupled, chunk=20_000):
     """Execute trials in index chunks and return full per-trial arrays."""
+    engine = _ENGINES[scenario.scheme_id]
     results = None
     for start in range(0, trials, chunk):
         idx = np.arange(start, min(start + chunk, trials))
-        if scenario.scheme_id == 1:
-            out = _engine_quasi_static(scenario, master_seed, idx, coupled)
-        elif scenario.scheme_id == 2:
-            out = _engine_two_path(scenario, master_seed, idx, coupled)
-        elif scenario.scheme_id == 3:
-            if coupled:
-                raise ValueError("the coupled system is defined for schemes 1 and 2 only")
-            out = _engine_multi_path(scenario, master_seed, idx)
-        else:
-            raise ValueError(f"unknown scheme id {scenario.scheme_id}")
+        out = engine(scenario, master_seed, idx, coupled)
         if results is None:
             results = {key: [] for key in out}
         for key, val in out.items():
@@ -675,12 +618,10 @@ def monte_carlo(
     out = _run_batches(scenario, master_seed, trials, coupled)
     errors = int(trials - np.count_nonzero(out["correct"]))
     lo, hi = wilson_interval(errors, trials)
-    if scenario.scheme_id == 3:
-        mean_traj = np.mean(np.abs(out["eps"]) ** 2, axis=0)
-        alias_rate = np.zeros(0)
-    else:
-        mean_traj = np.mean(out["eps"] ** 2, axis=0)
-        alias_rate = np.mean(out["alias"], axis=0)
+    # |eps|^2 squared in place: one temporary, and bit-equal to eps ** 2 on
+    # the real errors of schemes 1 and 2
+    sq = np.abs(out["eps"])
+    mean_traj = np.mean(np.square(sq, out=sq), axis=0)
     return MonteCarloReport(
         trials=trials,
         error_count=errors,
@@ -688,7 +629,7 @@ def monte_carlo(
         wilson_lo=lo,
         wilson_hi=hi,
         mean_var_trajectory=mean_traj,
-        aliasing_rate_per_iteration=alias_rate,
+        aliasing_rate_per_iteration=np.mean(out["alias"], axis=0),
         avg_forward_power=float(np.mean(out["pow_fwd"])),
         avg_feedback_power=float(np.mean(out["pow_fb"])),
     )

@@ -19,7 +19,6 @@ from .numerics import InfeasibleError, modulo_reduce, q_tail_inv
 from .quasi_static import quantize_feedback
 
 __all__ = [
-    "TwoPathChannel",
     "TransmitterCsi2",
     "TwoPathParams",
     "sign_product",
@@ -29,7 +28,6 @@ __all__ = [
     "solve_rho_star",
     "calibrate_artificial_noise",
     "derive_params2",
-    "rate_theorem2",
     "rate_tp_benchmark",
     "tx_step2",
     "rx_aux2",
@@ -37,30 +35,6 @@ __all__ = [
     "mmse_coefficients2",
     "phase_factor",
 ]
-
-
-@dataclass(frozen=True)
-class TwoPathChannel:
-    """True channel state; the second tap delays the input by one slot."""
-
-    h1: float
-    h2: float
-    sigma2: float
-    P: float
-    P_tilde: float
-    sigma_z: float
-
-    def __post_init__(self) -> None:
-        if self.h1 == 0 or self.h2 == 0:
-            raise ValueError("both path gains must be nonzero")
-        if self.sigma2 <= 0 or self.P <= 0 or self.P_tilde <= 0:
-            raise ValueError("sigma2, P and P_tilde must be positive")
-        if self.sigma_z < 0:
-            raise ValueError("sigma_z must be nonnegative")
-
-    @property
-    def snr(self) -> float:
-        return self.P / self.sigma2
 
 
 @dataclass(frozen=True)
@@ -124,20 +98,20 @@ def sign_product(h1, h2):
     return out
 
 
-def pilot_sign(truth: TwoPathChannel) -> float:
+def pilot_sign(h1, h2, sigma_z: float):
     """Sign of the path product as recovered from the feedback pilot.
 
     The receiver sends +-2*sigma_z; that amplitude is a quantizer lattice
     point, so it passes with zero quantization noise and the transmitter
     reads the sign exactly. With sigma_z = 0 the pilot amplitude
-    degenerates and the sign is conveyed as side information.
+    degenerates and the sign is conveyed as side information. Broadcasts
+    over arrays of path gains.
     """
-    s = sign_product(truth.h1, truth.h2)
-    if truth.sigma_z == 0.0:
+    s = sign_product(h1, h2)
+    if sigma_z == 0.0:
         return s
-    pilot = s * 2.0 * truth.sigma_z
-    received, _ = quantize_feedback(pilot, truth.sigma_z)
-    return 1.0 if received >= 0 else -1.0
+    received, _ = quantize_feedback(s * 2.0 * sigma_z, sigma_z)
+    return np.where(received >= 0, 1.0, -1.0)
 
 
 def combining_weight(h1, h2):
@@ -190,9 +164,12 @@ def calibrate_artificial_noise(
     """Variance of the one-shot noise that starts the ratio at rho_star.
 
     Solving rho_4^u = rho_star for the time-4 effective noise variance and
-    subtracting sigma2; clamped at zero when the trajectory already starts
-    at or past the steady point (a roundoff-only case).
+    subtracting sigma2; zero when the trajectory already starts at or past
+    the steady point (a roundoff-only case, which includes gains so small
+    that rho_star rounds to 1).
     """
+    if rho_star >= 1.0:
+        return 0.0
     gain = (H1 + H2 * math.sqrt(rho3)) ** 2
     var = gain * P * a_over_b * rho_star / (1.0 - rho_star) - sigma2
     return max(var, 0.0)
@@ -227,7 +204,7 @@ def derive_params2(
     spacing = math.sqrt(12.0 * P_tilde)
 
     g1, g2 = csi.conservative_gains
-    if g1 == 0.0 and g2 == 0.0:
+    if g1 * g1 + g2 * g2 == 0.0:  # zero gains, or squares that underflow
         return TwoPathParams(
             n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
             scaled_err_var=a, arg_var_bound=b, power_gain=alpha,
@@ -273,10 +250,6 @@ def derive_params2(
         feedback_gains=gains, err_var_conservative=err_var,
         rate=max(raw_rate, 0.0), no_positive_rate=False,
     )
-
-
-def rate_theorem2(params: TwoPathParams) -> float:
-    return params.rate
 
 
 def rate_tp_benchmark(h1: float, h2: float, snr: float, n: int, eps: float) -> float:

@@ -24,7 +24,6 @@ from skfading.multi_path import (
     variance_lemma3,
 )
 from skfading.numerics import (
-    DitherStream,
     circulant_matrix,
     modulo_reduce,
     water_fill,
@@ -37,9 +36,11 @@ from skfading.quasi_static import (
     simulate_classical_sk,
 )
 from skfading.simulation import (
+    TAG_DITHER,
     MultiPathScenario,
     QuasiStaticScenario,
     TwoPathScenario,
+    _keyed_streams,
     monte_carlo,
 )
 from skfading.two_path import (
@@ -85,9 +86,16 @@ def test_criterion_1_modulo_oracle_and_dither():
     law = float(np.max(np.abs(lhs - rhs)))
     assert law <= 1e-12
     # (iii) dithered reduction is uniform: KS at the 1% level, 1e6 samples
-    # spanning distinct deterministic inputs added to the dither
+    # spanning distinct deterministic inputs added to the dither; the
+    # dithers are the engine's own: 1000 trials' keyed streams of 1000
+    # uniforms each, shifted and scaled as the scheme-1 engine does
     d = 2.0
-    v = DitherStream(spacing=d, seed=424242).take(1_000_000)
+    v = np.empty((1000, 1000))
+    for row, gen in zip(v, _keyed_streams(424242, range(1000), TAG_DITHER)):
+        gen.random(out=row)
+    v -= 0.5
+    v *= d
+    v = v.ravel()
     offsets = 0.37 * d * np.repeat(np.arange(4), 250_000)
     shifted = modulo_reduce(v + offsets, d)
     ks = stats.kstest((shifted + d / 2) / d, "uniform")

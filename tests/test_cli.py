@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skfading.cli import (
     EXIT_BAD_CONFIG,
@@ -195,6 +198,119 @@ def test_simulate_integral_float_accepted(tmp_path):
                  "--seed", "1"]) == EXIT_OK
 
 
+SCHEME2_CONFIG = {
+    "scheme": 2, "n": 14, "eps": 1e-2, "sigma2": 1.0, "P": 10.0,
+    "P_tilde": 10.0, "sigma_z": 1e-3, "h1_hat": 0.9, "h2_hat": 0.5,
+    "distortion": 0.02,
+}
+
+
+@pytest.mark.parametrize("base,key,value", [
+    (SCHEME1_CONFIG, "P", 0.0),
+    (SCHEME1_CONFIG, "P", -1.0),
+    (SCHEME1_CONFIG, "sigma2", 0.0),
+    (SCHEME1_CONFIG, "P_tilde", 0.0),
+    (SCHEME1_CONFIG, "sigma_z", -1e-3),
+    (SCHEME1_CONFIG, "distortion", -0.1),
+    (SCHEME1_CONFIG, "eps", 0.0),
+    (SCHEME1_CONFIG, "eps", 1.0),
+    (SCHEME1_CONFIG, "eps", 1.5),
+    (SCHEME1_CONFIG, "eps", 5e-324),  # eps / (4 (n - 1)) would underflow
+    (SCHEME1_CONFIG, "n", 1),
+    (SCHEME2_CONFIG, "n", 3),
+    (SCHEME2_CONFIG, "P", 0.0),
+    ({**SCHEME3_CONFIG, "subchannels": 2}, "n", 3),  # 2 taps need n >= 4
+    (SCHEME3_CONFIG, "h_re", [0.9]),
+    (SCHEME3_CONFIG, "h_re", [0.0, 0.0]),
+    (SCHEME3_CONFIG, "sigma2", 0.0),
+    (SCHEME3_CONFIG, "eps", -1e-2),
+])
+def test_simulate_out_of_domain_values(tmp_path, capsys, base, key, value):
+    cfg = write_json(tmp_path / "c.json", dict(base, **{key: value}))
+    assert main(["simulate", "--config", cfg, "--trials", "1",
+                 "--seed", "1"]) == EXIT_BAD_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_simulate_scheme3_alphabet_beyond_double_resolution(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {
+        "scheme": 3, "n": 120, "P": 1000, "eps": 1e-2, "sigma2": 1.0,
+        "h_re": [1.0, 0.6, 0.3], "subchannels": 4,
+    })
+    assert main(["simulate", "--config", cfg, "--trials", "1",
+                 "--seed", "1"]) == EXIT_INFEASIBLE
+    assert "infeasible parameters" in capsys.readouterr().err
+
+
+# Property test of the config contract: whatever the values, a one-trial
+# simulate runs (0), rejects the config (2) or reports infeasible (3); it
+# never fails with an internal error (1). Values mix the documented domain,
+# its violations and wrong JSON types; n stays at most 64 and tap lists
+# short, so no example allocates large arrays.
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}),
+)
+NONFINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+POSITIVE = (st.floats(1e-3, 1e3), st.floats(-1e3, 0.0))
+NONNEGATIVE = (st.floats(0.0, 10.0), st.floats(-10.0, 0.0, exclude_max=True))
+GAIN = (st.floats(-3.0, 3.0), NONFINITE)
+# key -> (values in the documented domain, numbers outside it)
+CONFIG_VALUES = {
+    "n": (st.integers(2, 64), st.one_of(st.integers(-3, 1), st.floats(-3.0, 64.0))),
+    "eps": (st.floats(sys.float_info.min, 0.5), st.one_of(
+        st.floats(-1.0, sys.float_info.min, exclude_max=True), st.floats(1.0, 10.0))),
+    "sigma2": POSITIVE,
+    "P": POSITIVE,
+    "P_tilde": POSITIVE,
+    "sigma_z": NONNEGATIVE,
+    "distortion": NONNEGATIVE,
+    "noise_scale": (st.floats(0.0, 2.0), st.floats(-2.0, 0.0, exclude_max=True)),
+    "h_hat": GAIN, "h": GAIN,
+    "h1_hat": GAIN, "h2_hat": GAIN, "h1": GAIN, "h2": GAIN,
+    "h_re": (st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4),
+             st.lists(st.floats(-3.0, 3.0), max_size=1)),
+    "h_im": (st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4),
+             st.lists(st.floats(-3.0, 3.0), max_size=4)),
+    "subchannels": (st.integers(2, 64), st.one_of(st.integers(-2, 1), st.floats(-2.0, 64.0))),
+}
+SCHEME_KEYS = {
+    1: ("n", "eps", "sigma2", "P", "P_tilde", "sigma_z", "distortion", "h_hat",
+        "h", "noise_scale"),
+    2: ("n", "eps", "sigma2", "P", "P_tilde", "sigma_z", "distortion", "h1_hat",
+        "h2_hat", "h1", "h2", "noise_scale"),
+    3: ("n", "eps", "sigma2", "P", "h_re", "h_im", "subchannels", "noise_scale"),
+}
+
+
+@st.composite
+def simulate_configs(draw):
+    scheme = draw(st.sampled_from([1, 2, 3]) if draw(st.integers(0, 7))
+                  else st.one_of(st.integers(-1, 5), WRONG_TYPES))
+    keys = SCHEME_KEYS[scheme if scheme in (1, 2, 3) else 1]
+    cfg = {"scheme": scheme}
+    for key in keys:
+        valid, invalid = CONFIG_VALUES[key]
+        # per key: left out, outside the domain, non-finite, wrong type, or
+        # (most often, so that whole configs reach the engine) in the domain
+        pick = draw(st.integers(0, 63))
+        if pick > 0:
+            cfg[key] = draw([invalid, NONFINITE, WRONG_TYPES][pick - 1] if pick <= 3 else valid)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=simulate_configs())
+def test_simulate_config_contract(tmp_path_factory, cfg):
+    folder = tmp_path_factory.mktemp("contract")
+    path = write_json(folder / "c.json", cfg)
+    with np.errstate(all="ignore"):
+        code = main(["simulate", "--config", path, "--trials", "1", "--seed", "1",
+                     "--out", str(folder / "r.json")])
+    assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_INFEASIBLE), cfg
+
+
 # ---------------------------------------------------------------------------
 # rate-sweep
 # ---------------------------------------------------------------------------
@@ -321,6 +437,21 @@ def test_rate_sweep_range_form_and_bad_specs(tmp_path):
     incomplete["fixed"] = {"sigma2": 1.0, "P": 10.0}
     assert main(["rate-sweep", "--spec", write_json(tmp_path / "b3.json", incomplete),
                  "--out", str(out)]) == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("change", [
+    {"values": ["x"]},
+    {"values": {"start": 25, "stop": 100, "count": "x"}},
+    {"fixed": dict(FIG2_SPEC["fixed"], h="one")},
+])
+def test_rate_sweep_non_numeric_values(tmp_path, capsys, change):
+    # a non-numeric number is a config error, never a blank "infeasible" cell
+    spec = write_json(tmp_path / "s.json", dict(FIG2_SPEC, **change))
+    assert main(["rate-sweep", "--spec", spec,
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "infeasible" not in err
 
 
 def test_rate_sweep_snr_and_k_variables(tmp_path):

@@ -9,12 +9,10 @@ from skfading.multi_path import (
     add_cyclic_prefix,
     decode_complex,
     extract_payload,
-    join_message,
     map_complex,
     mmse_gain_mp,
     optimize_subchannel_count,
     plan_block,
-    split_message,
     sub_message_sizes,
     variance_lemma3,
 )
@@ -127,27 +125,8 @@ def test_optimize_subchannel_count_minimal_blocklength():
 
 
 # ---------------------------------------------------------------------------
-# message splitting / mapping
+# per-component messages / mapping
 # ---------------------------------------------------------------------------
-
-def test_split_identity_single_subchannel():
-    pairs = split_message(5, [8], [1])
-    assert pairs == [(5, 1)]
-    assert join_message(pairs, [8], [1]) == 5
-
-
-def test_split_join_roundtrip():
-    rng = np.random.default_rng(12)
-    m_re = [4, 1, 8]
-    m_im = [2, 1, 16]
-    total = 4 * 1 * 8 * 2 * 1 * 16
-    for w in rng.integers(1, total + 1, size=10_000):
-        pairs = split_message(int(w), m_re, m_im)
-        assert join_message(pairs, m_re, m_im) == w
-    # bijectivity on a small exhaustive case
-    seen = {tuple(map(tuple, split_message(w, [2, 3], [2, 1]))) for w in range(1, 13)}
-    assert len(seen) == 12
-
 
 def test_split_rate_bookkeeping():
     channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
@@ -304,18 +283,27 @@ def test_channel_validation():
 
 
 def test_decode_joint_roundtrip():
-    from skfading.multi_path import decode_joint
-
-    m_re, m_im = [4, 1, 8], [2, 1, 4]
+    # the message decodes when every subchannel's component pair does
+    m_re, m_im = np.array([4, 1, 8]), np.array([2, 1, 4])
     rng = np.random.default_rng(55)
-    total = 4 * 2 * 8 * 4
-    for w in rng.integers(1, total + 1, size=300):
-        pairs = split_message(int(w), m_re, m_im)
-        thetas = [map_complex(a, b, m_re[k], m_im[k])
-                  for k, (a, b) in enumerate(pairs)]
-        assert decode_joint(thetas, m_re, m_im) == w
-    # one component past its half spacing flips the overall message
-    pairs = split_message(7, m_re, m_im)
-    thetas = [map_complex(a, b, m_re[k], m_im[k]) for k, (a, b) in enumerate(pairs)]
-    thetas[0] += 1.0 / m_re[0]
-    assert decode_joint(thetas, m_re, m_im) != 7
+    w_re = rng.integers(1, m_re + 1, size=(300, 3))
+    w_im = rng.integers(1, m_im + 1, size=(300, 3))
+    thetas = map_complex(w_re, w_im, m_re, m_im)
+    for k in range(3):
+        got_re, got_im = decode_complex(thetas[:, k], int(m_re[k]), int(m_im[k]))
+        assert np.array_equal(got_re, w_re[:, k])
+        assert np.array_equal(got_im, w_im[:, k])
+    # one component past its half spacing flips that subchannel's decision
+    shifted = map_complex(2, 1, 4, 2) + 1.0 / 4
+    assert decode_complex(shifted, 4, 2) != (2, 1)
+
+
+def test_map_complex_broadcasts_like_scalar_calls():
+    m_re, m_im = np.array([4, 1, 8]), np.array([2, 1, 16])
+    rng = np.random.default_rng(8)
+    w_re = rng.integers(1, m_re + 1, size=(50, 3))
+    w_im = rng.integers(1, m_im + 1, size=(50, 3))
+    grid = map_complex(w_re, w_im, m_re, m_im)
+    for (r, k), theta in np.ndenumerate(grid):
+        assert theta == map_complex(int(w_re[r, k]), int(w_im[r, k]),
+                                    int(m_re[k]), int(m_im[k]))

@@ -5,23 +5,19 @@ import pytest
 from scipy import integrate, stats
 
 from skfading.numerics import (
-    DitherStream,
     InfeasibleError,
-    Lattice,
     SpectralDecomposition,
     channel_spectrum,
     circulant_matrix,
     dft,
-    dither_next,
     idft,
-    modulo_d,
-    modulo_distributive_check,
     modulo_reduce,
     philox_key,
     q_tail,
     q_tail_inv,
     water_fill,
 )
+from skfading.simulation import TAG_DITHER, _keyed_streams
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +62,17 @@ def modulo_brute_force(x, d):
         if dist < best_dist or (dist == best_dist and k > best_k):
             best_k, best_dist = k, dist
     return x - best_k * d
+
+
+def keyed_dithers(seed, trials, width, spacing):
+    """Dithers drawn and scaled as the scheme-1 engine draws them: one keyed
+    stream per trial, uniforms on [-spacing/2, spacing/2)."""
+    rows = np.empty((trials, width))
+    for row, gen in zip(rows, _keyed_streams(seed, range(trials), TAG_DITHER)):
+        gen.random(out=row)
+    rows -= 0.5
+    rows *= spacing
+    return rows
 
 
 def water_level_bisect(gains, noise_var, total):
@@ -148,24 +155,16 @@ def test_q_tail_roundtrip():
 # modulo lattice
 # ---------------------------------------------------------------------------
 
-def test_lattice_validation():
-    with pytest.raises(ValueError):
-        Lattice(0.0)
-    with pytest.raises(ValueError):
-        Lattice(-1.0)
-
-
 def test_modulo_lattice_points():
-    lat = Lattice(1.0)
-    assert modulo_d(0.0, lat) == 0.0
-    assert modulo_d(3.0, lat) == 0.0
+    assert modulo_reduce(0.0, 1.0) == 0.0
+    assert modulo_reduce(3.0, 1.0) == 0.0
 
 
 def test_modulo_tie_gives_lower_edge():
     # exactly halfway between lattice points -> -d/2 (half-open range)
-    assert modulo_d(1.0, Lattice(2.0)) == -1.0
-    assert modulo_d(-1.0, Lattice(2.0)) == -1.0
-    assert modulo_d(0.5, Lattice(1.0)) == -0.5
+    assert modulo_reduce(1.0, 2.0) == -1.0
+    assert modulo_reduce(-1.0, 2.0) == -1.0
+    assert modulo_reduce(0.5, 1.0) == -0.5
 
 
 def test_modulo_agrees_with_brute_force_scan():
@@ -174,7 +173,7 @@ def test_modulo_agrees_with_brute_force_scan():
     ds = rng.uniform(0.1, 5.0, 100_000)
     got = modulo_reduce(xs, 1.0)
     vec = np.array([modulo_brute_force(x, d) for x, d in zip(xs[:2000], ds[:2000])])
-    scalars = np.array([modulo_d(float(x), Lattice(float(d))) for x, d in zip(xs[:2000], ds[:2000])])
+    scalars = np.array([modulo_reduce(float(x), float(d)) for x, d in zip(xs[:2000], ds[:2000])])
     assert np.max(np.abs(vec - scalars)) <= 1e-12
     # vectorized path agrees with the scalar path on the full draw
     per_d = modulo_reduce(xs, 2.0)
@@ -195,8 +194,10 @@ def test_modulo_range_and_periodicity():
 
 
 def test_modulo_distributive_law_examples():
-    assert modulo_distributive_check(0.3, 0.7, -0.2, Lattice(1.0))
-    assert modulo_distributive_check(5.9, -3.3, 8.8, Lattice(2.0))
+    # reduce(reduce(x + d1) + d2 - x) == reduce(d1 + d2)
+    for x, d1, d2, d in [(0.3, 0.7, -0.2, 1.0), (5.9, -3.3, 8.8, 2.0)]:
+        lhs = modulo_reduce(modulo_reduce(x + d1, d) + d2 - x, d)
+        assert abs(lhs - modulo_reduce(d1 + d2, d)) <= 1e-12
 
 
 def test_modulo_distributive_law_sweep():
@@ -211,38 +212,28 @@ def test_modulo_distributive_law_sweep():
 
 
 # ---------------------------------------------------------------------------
-# dither streams
+# dithers from the keyed streams
 # ---------------------------------------------------------------------------
 
 def test_dither_determinism():
-    a = DitherStream(spacing=2.0, seed=12345)
-    b = DitherStream(spacing=2.0, seed=12345)
-    for _ in range(17):
-        dither_next(a)
-        dither_next(b)
-    assert dither_next(a) == dither_next(b)
-    assert a.position == b.position == 18
+    a = keyed_dithers(12345, 6, 18, 2.0)
+    b = keyed_dithers(12345, 6, 18, 2.0)
+    assert np.array_equal(a, b)
+    # every trial has its own stream
+    assert len({row.tobytes() for row in a}) == 6
 
 
 def test_dither_take_matches_next():
-    a = DitherStream(spacing=1.5, seed=42)
-    b = DitherStream(spacing=1.5, seed=42)
-    block = a.take(10)
-    singles = np.array([b.next() for _ in range(10)])
+    # a row filled at once holds the successive draws of the trial's stream
+    block = keyed_dithers(42, 1, 10, 1.5)[0]
+    gen = next(_keyed_streams(42, [0], TAG_DITHER))
+    singles = np.array([(gen.random() - 0.5) * 1.5 for _ in range(10)])
     assert np.array_equal(block, singles)
-
-
-def test_dither_position_seek():
-    a = DitherStream(spacing=1.0, seed=5)
-    a.take(7)
-    b = DitherStream(spacing=1.0, seed=5, position=7)
-    assert a.next() == b.next()
 
 
 def test_dither_moments():
     d = 3.0
-    stream = DitherStream(spacing=d, seed=2024)
-    vals = stream.take(1_000_000)
+    vals = keyed_dithers(2024, 1000, 1000, d).ravel()
     assert np.all(vals >= -d / 2)
     assert np.all(vals < d / 2)
     # mean within 3 sigma of the uniform-mean estimator
@@ -256,9 +247,7 @@ def test_dithered_modulo_uniform_and_moment():
     # dither makes the reduced signal uniform regardless of the input
     d = 2.0
     lat_spacing = d
-    stream = DitherStream(spacing=d, seed=31337)
-    n = 1_000_000
-    v = stream.take(n)
+    v = keyed_dithers(31337, 1000, 1000, d).ravel()
     offsets = np.array([0.0, 0.37 * d, 1000.25 * d, -3.1])
     reduced = modulo_reduce(v[None, :] + offsets[:, None], lat_spacing).ravel()
     assert reduced.var() == pytest.approx(d * d / 12.0, rel=0.01)
@@ -347,7 +336,7 @@ def test_channel_spectrum_rejects_short_size():
 
 def test_spectral_decomposition_roundtrip():
     spec = channel_spectrum([0.3, -0.7, 0.2], 6)
-    dense = spec.circulant()
+    dense = circulant_matrix(np.fft.ifft(spec.gains))
     assert np.allclose(dense[:, 0], [0.3, -0.7, 0.2, 0, 0, 0], atol=1e-12)
     assert isinstance(spec, SpectralDecomposition)
 

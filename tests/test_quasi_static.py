@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from skfading.numerics import InfeasibleError, Lattice, modulo_d
+from skfading.numerics import InfeasibleError, modulo_reduce
 from skfading.quasi_static import (
-    FadingChannel,
     TransmitterCsi,
     capacity_fd,
     classical_sk_error_var,
@@ -111,6 +110,13 @@ def test_derive_params1_zero_quantizer_simplifies():
 
 def test_derive_params1_degenerate_csi():
     params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 1.0), 50, 1e-3)
+    assert params.no_positive_rate
+    assert params.rate == 0.0
+
+
+def test_derive_params1_underflowing_gain_has_no_positive_rate():
+    # gain^2 * snr underflows to 0: the same degenerate case, not a log(0)
+    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(1e-200, 0.0), 12, 1e-2)
     assert params.no_positive_rate
     assert params.rate == 0.0
 
@@ -265,17 +271,17 @@ def test_tx_step1_bounded_by_lattice():
 def test_tx_step1_distributive_identity():
     # feeding the composed feedback reproduces alpha*M[gain*err + noise]
     params = _small_params()
-    lat = Lattice(params.lattice_spacing)
+    spacing = params.lattice_spacing
     rng = np.random.default_rng(10)
     for _ in range(200):
         theta = rng.uniform(-0.5, 0.5)
         err = rng.normal(0, 0.3)
-        v = rng.uniform(-lat.spacing / 2, lat.spacing / 2)
+        v = rng.uniform(-spacing / 2, spacing / 2)
         gamma = params.feedback_gains[4]
         x_tilde = rx_feedback1(theta + err, gamma, v, params)
         y_tilde, z = quantize_feedback(x_tilde, params.sigma_z)
         got = tx_step1(y_tilde, gamma, theta, v, params)
-        want = params.power_gain * modulo_d(gamma * err + z, lat)
+        want = params.power_gain * modulo_reduce(gamma * err + z, spacing)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -356,11 +362,3 @@ def test_classical_gain_shape():
     beta = classical_sk_gain(1.0, 3.0, 1.0, classical_sk_error_var(1.0, 3.0, 1))
     # beta = sqrt(P * var)/(P + sigma2/h^2) by definition
     assert beta == pytest.approx(math.sqrt(3.0 / 36.0) / 4.0)
-
-
-def test_fading_channel_validation():
-    with pytest.raises(ValueError):
-        FadingChannel(0.9, 0.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        FadingChannel(0.9, 1.0, 1.0, 1.0, -0.1)
-    assert FadingChannel(0.9, 1.0, 10.0, 10.0, 0.0).snr == 10.0

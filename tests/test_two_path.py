@@ -7,14 +7,12 @@ from skfading.numerics import InfeasibleError, q_tail_inv
 from skfading.quasi_static import quantize_feedback, rate_fd_baseline
 from skfading.two_path import (
     TransmitterCsi2,
-    TwoPathChannel,
     calibrate_artificial_noise,
     combining_weight,
     derive_params2,
     init_estimate,
     mmse_coefficients2,
     pilot_sign,
-    rate_theorem2,
     rate_tp_benchmark,
     rx_aux2,
     rx_feedback2,
@@ -57,10 +55,12 @@ def test_pilot_passes_quantizer_noiselessly():
         assert z == 0.0
         _, z = quantize_feedback(-2 * sz, sz)
         assert z == 0.0
-    truth = TwoPathChannel(0.9, -0.5, 1.0, 10.0, 10.0, 1e-3)
-    assert pilot_sign(truth) == -1.0
-    truth = TwoPathChannel(-0.9, -0.5, 1.0, 10.0, 10.0, 0.0)
-    assert pilot_sign(truth) == 1.0
+    assert pilot_sign(0.9, -0.5, 1e-3) == -1.0
+    assert pilot_sign(-0.9, -0.5, 0.0) == 1.0
+    # per trial over arrays of path gains
+    h1 = np.array([0.9, -0.9, 0.4, -0.2])
+    h2 = np.array([-0.5, -0.5, 0.3, 0.7])
+    assert np.array_equal(pilot_sign(h1, h2, 1e-3), sign_product(h1, h2))
 
 
 def test_combining_weight_symmetric():
@@ -165,6 +165,17 @@ def test_calibration_zero_when_already_steady():
     assert var == 0.0
 
 
+def test_tiny_conservative_gains():
+    # squares that underflow: no positive rate, not a division by zero
+    assert _params(h1_hat=1e-200, h2_hat=0.0, d=0.0).no_positive_rate
+    # rho* rounds to 1: nothing to calibrate, and no rate, but no error
+    assert calibrate_artificial_noise(0.0, 1e-30, 1.0, 1.0, 10.0, 1.0, 1.0) == 0.0
+    params = _params(h1_hat=0.0, h2_hat=1e-30, d=0.0)
+    assert params.var_ratio_star == 1.0
+    assert params.art_noise_var == 0.0
+    assert params.rate == 0.0 and not params.no_positive_rate
+
+
 def test_calibration_diverges_with_noise():
     # the time-4 ratio tends to 1 as the injected variance grows
     g1, g2, rho3, P, aob, sigma2 = 0.85, 0.45, 0.13, 10.0, 0.93, 1.0
@@ -239,7 +250,7 @@ def test_rate_approaches_benchmark_with_good_csi():
     for n in (200, 400, 1000):
         params = _params(d=1e-6, sz=1e-3, n=n, eps=1e-6)
         bench = rate_tp_benchmark(0.9, 0.5, 10.0, n, 1e-6)
-        assert rate_theorem2(params) <= bench + 1e-12
+        assert params.rate <= bench + 1e-12
         assert (bench - params.rate) / bench <= 0.02
 
 
