@@ -32,6 +32,8 @@ EXIT_INFEASIBLE = 3
 EXIT_CHECK_FAILED = 4
 
 SWEEP_VARIABLES = ("N", "D", "sigmaZ", "Ptilde", "SNR", "K")
+# a range sweep is allocated before any point is evaluated
+MAX_SWEEP_POINTS = 1_000_000
 CURVE_LABELS = (
     "capacity_fd",
     "fd_baseline",
@@ -75,6 +77,31 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+# Lowest value of each config number that has a domain, and whether that
+# value itself is allowed; eps must also stay below 1. Below the smallest
+# normal double, eps / (4 (n - 1)) underflows to 0.
+_DOMAINS = {
+    "sigma2": (0.0, False),
+    "P": (0.0, False),
+    "P_tilde": (0.0, False),
+    "sigma_z": (0.0, True),
+    "distortion": (0.0, True),
+    "eps": (sys.float_info.min, True),
+}
+
+
+def _number(cfg: dict, key: str, context: str) -> float:
+    """A required config number, checked against its domain in _DOMAINS."""
+    value = _real(_require(cfg, key, context), key)
+    low, closed = _DOMAINS.get(key, (-math.inf, True))
+    if value < low or (value == low and not closed):
+        bound = "at least" if closed else "above"
+        raise ConfigError(f"{key} must be {bound} {low:g}, got {value!r}")
+    if key == "eps" and value >= 1.0:
+        raise ConfigError(f"eps must lie in (0, 1), got {value!r}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,8 +125,10 @@ def _sweep_values(spec: dict):
         start = _real(_require(values, "start", "sweep range"), "sweep range start")
         stop = _real(_require(values, "stop", "sweep range"), "sweep range stop")
         count = _integer(_require(values, "count", "sweep range"), "sweep range count")
-        if count < 1:
-            raise ConfigError("sweep range: count must be positive")
+        if not 1 <= count <= MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweep range: count must lie in [1, {MAX_SWEEP_POINTS}], got {count}"
+            )
         points = np.linspace(start, stop, count).tolist()
     elif isinstance(values, list) and values:
         points = [_real(v, "sweep value") for v in values]
@@ -141,7 +170,7 @@ def _taps_from(cfg: dict):
 
 def _eval_curve(label: str, cfg: dict) -> float:
     def num(key):
-        return _real(_require(cfg, key, label), key)
+        return _number(cfg, key, label)
 
     snr = num("P") / num("sigma2")
     n = _integer(_require(cfg, "n", label), "n")
@@ -221,13 +250,8 @@ def _scenario_from_config(cfg: dict):
         raise ConfigError(f"unknown scheme {scheme!r} (expected 1, 2 or 3)")
     context = f"scheme {scheme} config"
 
-    def real(key, low=None, closed=False):
-        """A required number; with low, above it (at least it when closed)."""
-        value = _real(_require(cfg, key, context), key)
-        if low is not None and (value < low or (value == low and not closed)):
-            bound = "at least" if closed else "above"
-            raise ConfigError(f"{key} must be {bound} {low:g}, got {value!r}")
-        return value
+    def real(key):
+        return _number(cfg, key, context)
 
     def optional(key):
         return _real(cfg[key], key) if key in cfg else None
@@ -238,12 +262,8 @@ def _scenario_from_config(cfg: dict):
     if noise_scale is not None and noise_scale < 0:
         raise ConfigError(f"noise_scale must be nonnegative, got {noise_scale!r}")
     n = _integer(_require(cfg, "n", context), "n")
-    # below the smallest normal double, eps / (4 (n - 1)) underflows to 0
-    eps = real("eps", sys.float_info.min, closed=True)
-    if eps >= 1.0:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps!r}")
     common = dict(
-        n=n, eps=eps, sigma2=real("sigma2", 0.0), P=real("P", 0.0),
+        n=n, eps=real("eps"), sigma2=real("sigma2"), P=real("P"),
         noise_scale=1.0 if noise_scale is None else noise_scale,
     )
 
@@ -255,8 +275,8 @@ def _scenario_from_config(cfg: dict):
         check_n(2 if scheme == 1 else 4)
         # CSI distortion bound and feedback link, shared by schemes 1 and 2
         feedback = dict(
-            distortion=real("distortion", 0.0, closed=True),
-            P_tilde=real("P_tilde", 0.0), sigma_z=real("sigma_z", 0.0, closed=True),
+            distortion=real("distortion"), P_tilde=real("P_tilde"),
+            sigma_z=real("sigma_z"),
         )
     if scheme == 1:
         return QuasiStaticScenario(

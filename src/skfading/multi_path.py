@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InfeasibleError, channel_spectrum, q_tail_inv, water_fill
+from .numerics import (
+    InfeasibleError,
+    channel_spectrum,
+    q_tail_inv,
+    require_gain_snr,
+    water_fill,
+)
 from .quasi_static import decode_midpoint, map_message
 
 __all__ = [
@@ -100,7 +106,12 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
         raise ValueError("target error probability must lie in (0, 1)")
     k = subchannels
     spec = channel_spectrum(channel.taps, k)
-    power_gains = np.abs(spec.gains) ** 2
+    magnitudes = np.abs(spec.gains)
+    # no subchannel gets more than the whole block's power k * P; Python
+    # floats overflow to inf without a warning
+    peak = float(magnitudes.max())
+    require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
+    power_gains = np.square(magnitudes, out=magnitudes)
     powers, level = water_fill(power_gains, channel.sigma2, k * channel.P)
     block_len = num_paths + k - 1
     blocks = n // block_len

@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = [
     "InfeasibleError",
+    "MAX_GAIN_SNR",
+    "require_gain_snr",
     "q_tail",
     "q_tail_inv",
     "modulo_reduce",
@@ -34,6 +36,28 @@ class InfeasibleError(ValueError):
     """Requested parameters admit no valid configuration."""
 
 
+# The closed forms square gain^2 * SNR (scheme 2's rate divides its time-3
+# variance ratio, about 1 / (gain^2 * SNR), by gain^2 * SNR once more), so
+# it must stay below the square root of the largest double, with room for
+# the constant factors around it.
+MAX_GAIN_SNR = 1e150
+
+
+def require_gain_snr(gain_snr: float, scheme: str, floor: float = 0.0) -> None:
+    """Raise InfeasibleError unless floor <= gain^2 * SNR <= MAX_GAIN_SNR.
+
+    An overflowed (inf) or undefined (nan, from 0 * inf) product fails too.
+    A closed form that takes the log of the product's reciprocal passes
+    floor = 1 / MAX_GAIN_SNR.
+    """
+    if not floor <= gain_snr <= MAX_GAIN_SNR:
+        raise InfeasibleError(
+            f"{scheme}: gain^2 * SNR = {gain_snr:.3g} lies outside "
+            f"[{floor:g}, {MAX_GAIN_SNR:g}], beyond what the closed forms can "
+            "evaluate in double precision"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Gaussian tail
 # ---------------------------------------------------------------------------
@@ -51,6 +75,12 @@ def q_tail_inv(p: float) -> float:
     Values above 0.5 are handled by symmetry and yield negative results.
     Bracketing bisection refined by one Newton step; the roundtrip
     q_tail(q_tail_inv(p)) is exact to well below 1e-12.
+
+    The bisection keeps q_tail(lo) > p >= q_tail(hi) and stops as soon as
+    the midpoint rounds onto lo or hi, that is once the bracket is two
+    adjacent doubles (about 55 steps for eps-scale p). From that step on
+    every further step would reassign lo or hi its own value, so the
+    result is bit-equal to running all 120 steps, which stays the cap.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"q_tail_inv requires p in (0, 1), got {p!r}")
@@ -63,6 +93,8 @@ def q_tail_inv(p: float) -> float:
         lo, hi = hi, 2.0 * hi
     for _ in range(120):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if q_tail(mid) > p:
             lo = mid
         else:
@@ -178,8 +210,12 @@ def water_fill(gains, noise_var: float, total_power: float):
 
     gains are the channel power gains ||H_k||^2; returns (powers, level)
     with powers_k = max(level - noise_var/gains_k, 0) and
-    sum(powers) == total_power. The level is found exactly by an
-    active-set sweep over the sorted noise thresholds.
+    sum(powers) == total_power. With the noise thresholds t sorted
+    ascending, the level is the first candidate (total_power + t_1 + ...
+    + t_m) / m that lies in [t_m, t_{m+1}] (t_{m+1} = +inf past the end):
+    one vectorised selection over all m, the same float operations as an
+    active-set sweep, so powers and level are the sweep's to the bit
+    (Palomar and Fonollosa, IEEE TSP 2005).
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -197,17 +233,15 @@ def water_fill(gains, noise_var: float, total_power: float):
     thresholds = noise_var / g[usable]
     order = np.argsort(thresholds)
     tsorted = thresholds[order]
-    csum = np.cumsum(tsorted)
-    level = None
-    active = usable.size
-    for m in range(1, usable.size + 1):
-        candidate = (total_power + csum[m - 1]) / m
-        if candidate >= tsorted[m - 1] and (m == usable.size or candidate <= tsorted[m]):
-            level = candidate
-            active = m
-            break
-    if level is None:  # numerically impossible; the sweep always brackets
-        level = (total_power + csum[-1]) / usable.size
+    # built in place: the out-of-place form raised a rate sweep's peak RSS by ~1 MB
+    candidates = np.cumsum(tsorted)
+    candidates += total_power
+    candidates /= np.arange(1, usable.size + 1)
+    fits = candidates >= tsorted
+    fits[:-1] &= candidates[:-1] <= tsorted[1:]
+    # none fitting is numerically impossible; all channels are then active
+    active = int(np.argmax(fits)) + 1 if fits.any() else usable.size
+    level = candidates[active - 1]
     powers = np.zeros_like(g)
     chosen = usable[order[:active]]
     powers[chosen] = level - tsorted[:active]

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InfeasibleError, modulo_reduce, q_tail_inv
+from .numerics import (
+    MAX_GAIN_SNR,
+    InfeasibleError,
+    modulo_reduce,
+    q_tail_inv,
+    require_gain_snr,
+)
 
 __all__ = [
     "TransmitterCsi",
@@ -143,6 +149,10 @@ def derive_params1(
         raise ValueError("target error probability must lie in (0, 1)")
     if sigma2 <= 0 or P <= 0 or P_tilde <= 0 or sigma_z < 0:
         raise ValueError("invalid channel budget parameters")
+    if not math.isfinite(12.0 * P_tilde):
+        raise InfeasibleError(
+            f"P_tilde={P_tilde:.4g} overflows the feedback lattice spacing sqrt(12*P_tilde)"
+        )
     root3p = math.sqrt(3.0 * P_tilde)
     if root3p <= sigma_z:
         raise InfeasibleError(
@@ -165,6 +175,7 @@ def derive_params1(
             feedback_gains=np.zeros(0), err_var_conservative=np.zeros(0),
             rate=0.0, no_positive_rate=True,
         )
+    require_gain_snr(g2snr, "scheme 1")
 
     # log-domain evaluation; the trajectory spans hundreds of orders of
     # magnitude at large blocklengths
@@ -193,13 +204,16 @@ def rate_fd_baseline(h: float, snr: float, n: int, eps: float) -> float:
         raise ValueError("baseline rate needs a nonzero fading coefficient")
     l_factor = 4.0 * q_tail_inv(eps / 2.0) ** 2
     h2snr = h * h * snr
+    require_gain_snr(h2snr, "fd baseline", floor=1.0 / MAX_GAIN_SNR)
     return (n - 1) / (2.0 * n) * math.log2(1.0 + h2snr) \
         - 1.0 / (2.0 * n) * math.log2(l_factor / (12.0 * h2snr))
 
 
 def capacity_fd(h: float, snr: float) -> float:
     """Asymptotic limit of the perfect-CSI feedback rate."""
-    return 0.5 * math.log2(1.0 + h * h * snr)
+    h2snr = h * h * snr
+    require_gain_snr(h2snr, "capacity")
+    return 0.5 * math.log2(1.0 + h2snr)
 
 
 def quantize_feedback(x, sigma_z: float):

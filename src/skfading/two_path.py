@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InfeasibleError, modulo_reduce, q_tail_inv
+from .numerics import (
+    MAX_GAIN_SNR,
+    InfeasibleError,
+    modulo_reduce,
+    q_tail_inv,
+    require_gain_snr,
+)
 from .quasi_static import quantize_feedback
 
 __all__ = [
@@ -191,6 +197,10 @@ def derive_params2(
         raise ValueError("target error probability must lie in (0, 1)")
     if sigma2 <= 0 or P <= 0 or P_tilde <= 0 or sigma_z < 0:
         raise ValueError("invalid channel budget parameters")
+    if not math.isfinite(12.0 * P_tilde):
+        raise InfeasibleError(
+            f"P_tilde={P_tilde:.4g} overflows the feedback lattice spacing sqrt(12*P_tilde)"
+        )
     root3p = math.sqrt(3.0 * P_tilde)
     if root3p <= sigma_z:
         raise InfeasibleError(
@@ -214,6 +224,8 @@ def derive_params2(
             feedback_gains=np.zeros(0), err_var_conservative=np.zeros(0),
             rate=0.0, no_positive_rate=True,
         )
+    # the steady-state gain (g1 + g2 sqrt(rho_star))^2 is at most (g1 + g2)^2
+    require_gain_snr((g1 + g2) * (g1 + g2) * snr, "scheme 2")
 
     c = snr * a / b
     rho3 = 1.0 / (1.0 + g1 * g1 * c)
@@ -262,6 +274,8 @@ def rate_tp_benchmark(h1: float, h2: float, snr: float, n: int, eps: float) -> f
         raise ValueError("benchmark rate needs two nonzero paths")
     if n < 4:
         raise ValueError("blocklength must be at least 4")
+    require_gain_snr((abs(h1) + abs(h2)) * (abs(h1) + abs(h2)) * snr, "tp benchmark",
+                     floor=1.0 / MAX_GAIN_SNR)
     rho3 = 1.0 / (1.0 + h1 * h1 * snr)
     rho_star = solve_rho_star(abs(h1), abs(h2), snr, 1.0)
     l_factor = 4.0 * q_tail_inv(eps / 2.0) ** 2

@@ -242,6 +242,25 @@ def test_simulate_scheme3_alphabet_beyond_double_resolution(tmp_path, capsys):
     assert "infeasible parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base,change", [
+    # |H_k|^2 overflows: water_fill used to reject the infinite gain
+    (SCHEME3_CONFIG, {"h_re": [1e238, 0.5, 0.3], "subchannels": 4}),
+    (SCHEME3_CONFIG, {"P": 1.7e308}),  # the block power K * P overflows
+    (SCHEME1_CONFIG, {"P": 1.7e308}),  # used to be a math domain error
+    (SCHEME1_CONFIG, {"h_hat": 1e181, "h": 1e181, "sigma2": 1e-9}),
+    (SCHEME1_CONFIG, {"P_tilde": 1e308}),  # sqrt(12 * P_tilde) overflows
+    (SCHEME2_CONFIG, {"h1_hat": 1e100}),  # its time-3 ratio term underflowed
+    (SCHEME2_CONFIG, {"h2_hat": 1e160}),
+    (SCHEME2_CONFIG, {"P": 1e300, "sigma2": 1e-9}),
+    (SCHEME2_CONFIG, {"P_tilde": 1.7e308}),
+])
+def test_simulate_extreme_magnitudes_are_infeasible(tmp_path, capsys, base, change):
+    cfg = write_json(tmp_path / "c.json", dict(base, **change))
+    assert main(["simulate", "--config", cfg, "--trials", "1",
+                 "--seed", "1"]) == EXIT_INFEASIBLE
+    assert "infeasible parameters" in capsys.readouterr().err
+
+
 # Property test of the config contract: whatever the values, a one-trial
 # simulate runs (0), rejects the config (2) or reports infeasible (3); it
 # never fails with an internal error (1). Values mix the documented domain,
@@ -452,6 +471,71 @@ def test_rate_sweep_non_numeric_values(tmp_path, capsys, change):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "infeasible" not in err
+
+
+FIXED_N100 = dict(FIG2_SPEC["fixed"], n=100)
+
+
+@pytest.mark.parametrize("change", [
+    {"fixed": dict(FIG2_SPEC["fixed"], sigma2=0.0)},  # used to divide by zero
+    {"fixed": dict(FIG2_SPEC["fixed"], sigma2=-1.0)},
+    {"fixed": dict(FIG2_SPEC["fixed"], eps=2.0)},
+    {"fixed": dict(FIG2_SPEC["fixed"], eps=0.0)},
+    {"fixed": dict(FIG2_SPEC["fixed"], eps=5e-324)},
+    {"fixed": dict(FIG2_SPEC["fixed"], P=-10.0)},
+    {"fixed": dict(FIG2_SPEC["fixed"], P_tilde=0.0)},
+    {"fixed": dict(FIG2_SPEC["fixed"], sigma_z=-1e-3)},
+    {"fixed": dict(FIG2_SPEC["fixed"], distortion=-0.1)},
+    # the same domains when the number comes from the sweep variable
+    {"variable": "D", "values": [0.1, -0.1], "fixed": FIXED_N100},
+    {"variable": "sigmaZ", "values": [-1.0], "fixed": FIXED_N100},
+    {"variable": "Ptilde", "values": {"start": 0.0, "stop": 10.0, "count": 3},
+     "fixed": FIXED_N100},
+    {"variable": "SNR", "values": [0.0, 10.0], "fixed": FIXED_N100},
+])
+def test_rate_sweep_out_of_domain_numbers(tmp_path, capsys, change):
+    # a number outside its domain is a config error, not a blank cell
+    spec = write_json(tmp_path / "s.json", dict(FIG2_SPEC, **change))
+    assert main(["rate-sweep", "--spec", spec,
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "missing required key" not in err
+    assert "infeasible" not in err
+
+
+@pytest.mark.parametrize("count", [1e12, 10**6 + 1, 2**70])
+def test_rate_sweep_huge_range_count(tmp_path, capsys, count):
+    # rejected before the range is allocated (1e12 points would be 7.3 TiB)
+    spec = dict(FIG2_SPEC, values={"start": 1.0, "stop": 2.0, "count": count})
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+    assert "count must lie in [1, 1000000]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("h", 1e-300), ("h", 1e160), ("h1", 1e160), ("h2", 1e238),
+    ("h_hat", 1e181), ("h1_hat", 1e100), ("P", 1.7e308), ("P_tilde", 1.7e308),
+    ("h_re", [1e238, 0.5, 0.3]),
+    ("h_re", [1e150, 1e150]),  # finite |H_k|^2, overflowing SNR: "inf" before
+])
+def test_rate_sweep_extreme_magnitudes_leave_blank_cells(tmp_path, capsys, key, value):
+    spec = {
+        "variable": "N", "values": [25, 60],
+        "curves": ["capacity_fd", "fd_baseline", "theorem1", "theorem2",
+                   "tp_benchmark", "theorem3"],
+        "fixed": {"sigma2": 1.0, "P": 10.0, "P_tilde": 10.0, "sigma_z": 1e-3,
+                  "eps": 1e-6, "h": 0.9, "h_hat": 0.9, "distortion": 0.05,
+                  "h1": 0.9, "h2": 0.5, "h1_hat": 0.9, "h2_hat": 0.5,
+                  "h_re": [1.0, 0.5, 0.3], key: value},
+    }
+    out = tmp_path / "r.csv"
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                 "--out", str(out)]) == EXIT_OK
+    cells = [c for row in out.read_text().splitlines()[1:] for c in row.split(",")[1:]]
+    assert "" in cells  # the cells the value reaches are infeasible
+    assert all(c == "" or math.isfinite(float(c)) for c in cells)
+    assert "infeasible" in capsys.readouterr().err
 
 
 def test_rate_sweep_snr_and_k_variables(tmp_path):

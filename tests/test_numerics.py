@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from skfading.numerics import (
+    MAX_GAIN_SNR,
     InfeasibleError,
     SpectralDecomposition,
     channel_spectrum,
@@ -15,6 +16,7 @@ from skfading.numerics import (
     philox_key,
     q_tail,
     q_tail_inv,
+    require_gain_snr,
     water_fill,
 )
 from skfading.simulation import TAG_DITHER, _keyed_streams
@@ -391,3 +393,22 @@ def test_water_fill_input_validation():
         water_fill([1.0], 1.0, 0.0)
     with pytest.raises(ValueError):
         water_fill([-1.0], 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# gain^2 * SNR range
+# ---------------------------------------------------------------------------
+
+def test_require_gain_snr_bounds():
+    for ok in (0.0, 1e-300, 1.0, MAX_GAIN_SNR):
+        require_gain_snr(ok, "test")
+    # its square and the constants around it stay finite doubles
+    assert math.isfinite(1e3 * MAX_GAIN_SNR * MAX_GAIN_SNR)
+    for bad in (math.nextafter(MAX_GAIN_SNR, math.inf), 1e300, math.inf, math.nan):
+        with pytest.raises(InfeasibleError, match="test: gain"):
+            require_gain_snr(bad, "test")
+    # a closed form that takes the log of the reciprocal needs a floor
+    require_gain_snr(1.0 / MAX_GAIN_SNR, "test", floor=1.0 / MAX_GAIN_SNR)
+    for bad in (0.0, 1e-200, math.nan):
+        with pytest.raises(InfeasibleError, match="outside"):
+            require_gain_snr(bad, "test", floor=1.0 / MAX_GAIN_SNR)

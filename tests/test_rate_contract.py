@@ -1,0 +1,195 @@
+"""The rate-layer contract: which bits every ``rate-sweep`` cell prints.
+
+The CSV digests below were recorded with the original rate layer, whose
+``water_fill`` found the water level by a Python active-set loop and whose
+``q_tail_inv`` always ran 120 bisection steps. Any speed-up of the rate
+layer must reproduce them byte for byte. The two original loops are kept
+here as oracles, and the current functions must agree with them bit for
+bit, not only to a tolerance.
+"""
+
+import hashlib
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from skfading.cli import EXIT_OK, main
+from skfading.numerics import q_tail, q_tail_inv, water_fill
+
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# the fixed numbers and curves of the benchmark's rate_sweep workload
+BENCH_FIXED = {
+    "sigma2": 1.0, "P_tilde": 10.0, "sigma_z": 1e-3, "eps": 1e-6,
+    "h": 0.9, "h_hat": 0.9, "distortion": 0.05,
+    "h1": 0.9, "h2": 0.5, "h1_hat": 0.9, "h2_hat": 0.5,
+    "h_re": [1.0, 0.5, 0.3],
+}
+BENCH_CURVES = ["theorem1", "theorem2", "fd_baseline", "tp_benchmark", "theorem3"]
+BENCH_N = [25, 220, 415, 610, 805, 1000]
+
+SWEEP_CASES = {
+    "bench_P9.3": {"variable": "N", "values": BENCH_N, "curves": BENCH_CURVES,
+                   "fixed": dict(BENCH_FIXED, P=9.3)},
+    "bench_P10.85": {"variable": "N", "values": BENCH_N, "curves": BENCH_CURVES,
+                     "fixed": dict(BENCH_FIXED, P=10.85)},
+    # every admissible K of a 3-tap channel at n = 200
+    "k_sweep": {"variable": "K", "values": {"start": 3, "stop": 198, "count": 196},
+                "curves": ["theorem3", "theorem3_real_dim"],
+                "fixed": {"n": 200, "eps": 1e-6, "sigma2": 1.0, "P": 10.0,
+                          "h_re": [1.0, 0.5, 0.3]}},
+    # taps [1, 1]: the DFT gain at K/2 is exactly 0 for K = 2, 4, 10, ...
+    "zero_spectrum": {"variable": "K", "values": {"start": 2, "stop": 60, "count": 30},
+                      "curves": ["theorem3", "theorem3_real_dim"],
+                      "fixed": {"n": 120, "eps": 1e-3, "sigma2": 1.0, "P": 10.0,
+                                "h_re": [1.0, 1.0]}},
+    # low SNR over a deep fade: water-filling leaves subchannels dark
+    "deep_fade": {"variable": "N", "values": [40, 120, 300, 600],
+                  "curves": ["theorem3", "theorem3_real_dim"],
+                  "fixed": {"eps": 1e-3, "sigma2": 1.0, "P": 0.05,
+                            "h_re": [1.0, 0.95]}},
+}
+
+SWEEP_DIGESTS = {
+    "bench_P9.3":
+        "2499f7f8ac5ab5a338e4486fbae49bfaf6cd23ad072bbf3cea61eb135db730b0",
+    "bench_P10.85":
+        "e00efe94dd7a77c484483bf826ed804f5c86527ca539bca4c8d704be2b0cb9c6",
+    "k_sweep":
+        "ce05819432d53f71ed5024fc227e0c69a6dcabcc46432fa6200c99f990f89a3c",
+    "zero_spectrum":
+        "a24486e1188e31e550f193ec959f2a28f4d6c638657e3e33a4a4e49cfd79366e",
+    "deep_fade":
+        "f2935e2a7123b3ac0f41b25bc1486aca2e8444b48f8d0ab3c445e7cb1ead6729",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_rate_sweep_digest(tmp_path, capsys, case):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SWEEP_CASES[case]))
+    out = tmp_path / "rates.csv"
+    assert main(["rate-sweep", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# the original loops, kept as oracles
+# ---------------------------------------------------------------------------
+
+def water_fill_loop(gains, noise_var, total_power):
+    """Active-set sweep over the sorted noise thresholds, one m at a time."""
+    g = np.asarray(gains, dtype=float)
+    usable = np.flatnonzero(g > 0)
+    thresholds = noise_var / g[usable]
+    order = np.argsort(thresholds)
+    tsorted = thresholds[order]
+    csum = np.cumsum(tsorted)
+    level = None
+    active = usable.size
+    for m in range(1, usable.size + 1):
+        candidate = (total_power + csum[m - 1]) / m
+        if candidate >= tsorted[m - 1] and (m == usable.size or candidate <= tsorted[m]):
+            level = candidate
+            active = m
+            break
+    if level is None:
+        level = (total_power + csum[-1]) / usable.size
+    powers = np.zeros_like(g)
+    powers[usable[order[:active]]] = level - tsorted[:active]
+    return powers, float(level)
+
+
+def q_tail_inv_loop(p):
+    """Bracketing bisection of a fixed 120 steps, then one Newton step."""
+    if p == 0.5:
+        return 0.0
+    if p > 0.5:
+        return -q_tail_inv_loop(1.0 - p)
+    lo, hi = 0.0, 8.0
+    while q_tail(hi) > p:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if q_tail(mid) > p:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    density = math.exp(-0.5 * x * x) / _SQRT2PI
+    if density > 0.0:
+        x += (q_tail(x) - p) / density
+    return x
+
+
+def same_bits(a, b):
+    """Bit equality of float arrays (so -0.0 and 0.0 differ)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_gains(rng):
+    """Gains with zeros, exact ties and spreads over many decades."""
+    size = int(rng.integers(1, 60))
+    kind = rng.integers(4)
+    if kind == 0:
+        g = rng.exponential(1.0, size)
+    elif kind == 1:
+        g = 10.0 ** rng.uniform(-8, 8, size)
+    elif kind == 2:  # few distinct values: many ties
+        g = rng.choice([0.25, 0.5, 1.0, 3.0], size)
+    else:  # the power gains of a random 2..4-tap channel
+        taps = rng.standard_normal(int(rng.integers(2, 5)))
+        g = np.abs(np.fft.fft(taps, n=max(size, taps.size))) ** 2
+    g[rng.random(g.size) < 0.2] = 0.0
+    if not np.any(g > 0):
+        g[0] = 1.0
+    return g
+
+
+def test_water_fill_bit_equal_to_loop():
+    rng = np.random.default_rng(20240)
+    for _ in range(3000):
+        g = random_gains(rng)
+        noise = float(10.0 ** rng.uniform(-3, 2))
+        total = float(10.0 ** rng.uniform(-4, 4))
+        powers, level = water_fill(g, noise, total)
+        ref_powers, ref_level = water_fill_loop(g, noise, total)
+        assert same_bits(powers, ref_powers)
+        assert same_bits(level, ref_level)
+
+
+def test_water_fill_bit_equal_on_exact_spectral_zeros():
+    for k in range(2, 41):
+        g = np.abs(np.fft.fft([1.0, 1.0], n=k)) ** 2
+        for total in (1e-3, 0.5, 10.0 * k, 1e6):
+            powers, level = water_fill(g, 1.0, total)
+            ref_powers, ref_level = water_fill_loop(g, 1.0, total)
+            assert same_bits(powers, ref_powers)
+            assert same_bits(level, ref_level)
+
+
+def q_grid():
+    """p from 1e-300 to 1 - 1e-16, plus the union-bound grid eps / (4k)."""
+    rng = np.random.default_rng(7)
+    ps = list(10.0 ** rng.uniform(-300, 0, 3000))
+    ps += list(10.0 ** -np.arange(1, 301))
+    ps += [1.0 - 10.0 ** -e for e in range(1, 17)]
+    ps += list(rng.uniform(0.0, 1.0, 1000))
+    # next to 0.5 the root is ~1e-16, the longest bisection (~110 steps);
+    # below the normal range the bracket doubles up to 64
+    ps += [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+           5e-324, sys.float_info.min]
+    for eps in (1e-2, 1e-3, 1e-6):
+        ps += [eps / (4.0 * k) for k in range(1, 1001)]
+    return [p for p in ps if 0.0 < p < 1.0]
+
+
+def test_q_tail_inv_bit_equal_to_loop():
+    for p in q_grid():
+        assert same_bits(q_tail_inv(p), q_tail_inv_loop(p)), p
