@@ -34,12 +34,9 @@ from .simulation import (
     MonteCarloReport,
     MultiPathScenario,
     QuasiStaticScenario,
-    TrialConfig,
-    TrialResult,
     TwoPathScenario,
-    coupled_mode_trial,
     monte_carlo,
-    run_trial,
+    run_trials,
 )
 from .two_path import (
     TransmitterCsi2,
@@ -60,13 +57,10 @@ __all__ = [
     "SpectralDecomposition",
     "TransmitterCsi",
     "TransmitterCsi2",
-    "TrialConfig",
-    "TrialResult",
     "TwoPathParams",
     "TwoPathScenario",
     "capacity_fd",
     "channel_spectrum",
-    "coupled_mode_trial",
     "derive_params1",
     "derive_params2",
     "dft",
@@ -78,7 +72,7 @@ __all__ = [
     "q_tail_inv",
     "rate_fd_baseline",
     "rate_tp_benchmark",
-    "run_trial",
+    "run_trials",
     "solve_rho_star",
     "water_fill",
 ]

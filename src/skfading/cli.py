@@ -102,10 +102,19 @@ def _number(cfg: dict, key: str, context: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """Parse a JSON float; NaN, Infinity and overflowing literals such as
+    1e400 are config errors, so no report can echo them back."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text} is not a finite JSON number")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except FileNotFoundError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -320,6 +329,12 @@ def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path
         "avg_fb_power": report.avg_feedback_power,
         "config_echo": cfg,
     }
+    for key, value in payload.items():
+        # NaN and Infinity are not JSON: a non-finite result means the
+        # scenario left the range the closed loop can represent (the echoed
+        # config is finite since _load_json)
+        if key != "config_echo" and not np.all(np.isfinite(value)):
+            raise InfeasibleError(f"report field '{key}' is not finite ({value!r})")
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

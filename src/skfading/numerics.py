@@ -154,19 +154,19 @@ def philox_key(seed: int, index: int = 0, tag: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 def dft(x) -> np.ndarray:
-    """Normalized (unitary) DFT: y_k = K^{-1/2} sum_n e^{-2pi j nk/K} x_n."""
+    """Unitary DFT along the last axis: y_k = K^{-1/2} sum_n e^{-2pi j nk/K} x_n."""
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         raise ValueError("dft requires a nonempty input")
-    return np.fft.fft(x) / math.sqrt(x.size)
+    return np.fft.fft(x) / math.sqrt(x.shape[-1])
 
 
 def idft(x) -> np.ndarray:
-    """Inverse of dft (also unitary)."""
+    """Inverse of dft (also unitary), along the last axis."""
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         raise ValueError("idft requires a nonempty input")
-    return np.fft.ifft(x) * math.sqrt(x.size)
+    return np.fft.ifft(x) * math.sqrt(x.shape[-1])
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,7 @@ from .numerics import (
     modulo_reduce,
     water_fill,
 )
-from .simulation import (
-    QuasiStaticScenario,
-    TrialConfig,
-    TwoPathScenario,
-    coupled_mode_trial,
-)
+from .simulation import QuasiStaticScenario, TwoPathScenario, run_trials
 
 __all__ = ["CheckResult", "run_selfcheck"]
 
@@ -93,9 +88,9 @@ def _check_spectrum_diagonalization() -> CheckResult:
     return CheckResult("circulant diagonalization", resid, 1e-9)
 
 
-def _check_rho_star(perturbation: float = 0.0) -> CheckResult:
+def _check_rho_star() -> CheckResult:
     g1, g2, c = 0.85, 0.45, 9.3
-    rho = tp.solve_rho_star(g1, g2, c, 1.0) + perturbation
+    rho = tp.solve_rho_star(g1, g2, c, 1.0)
     resid = abs(rho - 1.0 / (1.0 + (g1 + g2 * math.sqrt(rho)) ** 2 * c))
     return CheckResult("variance-ratio fixed point", resid, 1e-10)
 
@@ -143,22 +138,21 @@ def _check_coupled_cancellation() -> CheckResult:
         h1_hat=0.9, h2_hat=-0.5, distortion=0.0, sigma2=1.0, P=2.0,
         P_tilde=10.0, sigma_z=1e-3, n=10, eps=1e-2, h1=0.9, h2=-0.5,
     )
-    worst = 0.0
-    for k in range(100):
-        worst = max(worst, coupled_mode_trial(TrialConfig(sc1, 77, k)).cancellation_residual)
-        worst = max(worst, coupled_mode_trial(TrialConfig(sc2, 78, k)).cancellation_residual)
+    worst = max(
+        run_trials(sc1, 77, range(100), coupled=True)["residual"],
+        run_trials(sc2, 78, range(100), coupled=True)["residual"],
+    )
     return CheckResult("coupled-system noise cancellation", worst, 1e-12)
 
 
-def run_selfcheck(rho_star_perturbation: float = 0.0):
-    """Run every check; the perturbation knob exists so tests can verify
-    the fixed-point residual check actually has teeth."""
+def run_selfcheck():
+    """Run every check."""
     return [
         _check_modulo_oracle(),
         _check_modulo_distributive(),
         _check_dft_roundtrip(),
         _check_spectrum_diagonalization(),
-        _check_rho_star(rho_star_perturbation),
+        _check_rho_star(),
         _check_water_fill(),
         _check_combining_weight(),
         _check_coupled_cancellation(),

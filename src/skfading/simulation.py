@@ -14,9 +14,10 @@ would. The scheme-3 messages of a trial come from one integers() call with
 per-component bounds, which consumes the stream like the per-component
 scalar draws it stands for.
 
-The per-trial state machines are expressed with array-broadcasting step
-functions, so one code path serves both single-trial inspection and
-batches of 10^5 trials run in lockstep.
+run_trials, the one entry point to the closed loop, runs any set of trial
+indices in lockstep through the scheme's engine. monte_carlo folds fixed
+chunks of it into running totals, so its memory is one chunk's arrays plus
+16 bytes per trial (the two power vectors, which are averaged whole).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from numpy.random import Generator, Philox
 from . import multi_path as mp
 from . import quasi_static as qs
 from . import two_path as tp
-from .numerics import InfeasibleError, philox_key
+from .numerics import InfeasibleError, dft, idft, philox_key
 
 __all__ = [
     "TAG_NOISE",
@@ -40,14 +41,9 @@ __all__ = [
     "QuasiStaticScenario",
     "TwoPathScenario",
     "MultiPathScenario",
-    "TrialConfig",
-    "TrialResult",
-    "CoupledTrialResult",
     "MonteCarloReport",
     "wilson_interval",
-    "realize_noise",
-    "run_trial",
-    "coupled_mode_trial",
+    "run_trials",
     "monte_carlo",
 ]
 
@@ -57,6 +53,7 @@ TAG_ENV = 3
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MASK64 = (1 << 64) - 1
+_CHUNK = 20_000  # trials per run_trials call in monte_carlo
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +135,6 @@ class MultiPathScenario:
 Scenario = Union[QuasiStaticScenario, TwoPathScenario, MultiPathScenario]
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    scenario: Scenario
-    master_seed: int
-    trial_index: int = 0
-
-
-@dataclass
-class TrialResult:
-    decoded_correctly: bool
-    per_iteration_epsilon: np.ndarray
-    aliasing_events: np.ndarray
-    used_power_forward: float
-    used_power_feedback: float
-
-
-@dataclass
-class CoupledTrialResult(TrialResult):
-    cancellation_residual: float = 0.0
-
-
 @dataclass
 class MonteCarloReport:
     trials: int
@@ -226,25 +202,6 @@ def _keyed_streams(master_seed: int, indices, tag: int):
         yield gen
 
 
-def realize_noise(config: TrialConfig, i: int):
-    """Forward noise at time i (1-based), keyed by (seed, trial, i).
-
-    Schemes 1-2 use one real normal per time step; scheme 3 consumes two
-    per step for the circularly symmetric complex noise with independent
-    real/imaginary parts of variance sigma2/2 each.
-    """
-    scenario = config.scenario
-    if not (1 <= i <= scenario.n):
-        raise ValueError(f"time index {i} outside 1..{scenario.n}")
-    gen = next(_keyed_streams(config.master_seed, [config.trial_index], TAG_NOISE))
-    if scenario.scheme_id == 3:
-        draws = gen.standard_normal(2 * i)
-        scale = scenario.noise_scale * math.sqrt(scenario.sigma2 / 2.0)
-        return complex(scale * draws[2 * i - 2], scale * draws[2 * i - 1])
-    draws = gen.standard_normal(i)
-    return scenario.noise_scale * math.sqrt(scenario.sigma2) * draws[i - 1]
-
-
 # ---------------------------------------------------------------------------
 # engines: one per scheme, each running the original system or, in coupled
 # mode, its modulo-free partner on the same noise
@@ -265,7 +222,7 @@ def _original_or_partner(closed_loop, coupled: bool):
     return partner
 
 
-def _engine_quasi_static(scenario, master_seed, indices, coupled: bool = False):
+def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
     params = scenario.derive()
     if params.no_positive_rate:
         raise InfeasibleError("scenario admits no positive rate (csi ball contains 0)")
@@ -346,7 +303,7 @@ def _engine_quasi_static(scenario, master_seed, indices, coupled: bool = False):
     return _original_or_partner(closed_loop, coupled)
 
 
-def _engine_two_path(scenario, master_seed, indices, coupled: bool = False):
+def _engine_two_path(scenario, master_seed, indices, coupled: bool):
     params = scenario.derive()
     if params.no_positive_rate:
         raise InfeasibleError("scenario admits no positive rate (csi balls contain 0)")
@@ -463,7 +420,7 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool = False):
     return _original_or_partner(closed_loop, coupled)
 
 
-def _engine_multi_path(scenario, master_seed, indices, coupled: bool = False):
+def _engine_multi_path(scenario, master_seed, indices, coupled: bool):
     if coupled:
         raise ValueError("the coupled system is defined for schemes 1 and 2 only")
     plan = scenario.derive()
@@ -511,7 +468,7 @@ def _engine_multi_path(scenario, master_seed, indices, coupled: bool = False):
             freq[:, live] = np.sqrt(6.0 * powers[live]) * theta[:, live]
         else:
             freq[:, live] = np.sqrt(powers[live] / alphas[b - 2, live]) * cur[:, live]
-        time_block = np.fft.ifft(freq, axis=1) * math.sqrt(k)
+        time_block = idft(freq)
         sent = mp.add_cyclic_prefix(time_block, num_paths)
         energy += np.sum(np.abs(sent) ** 2, axis=1)
         ext = np.concatenate([tail, sent], axis=1)
@@ -520,7 +477,7 @@ def _engine_multi_path(scenario, master_seed, indices, coupled: bool = False):
             received += taps[l] * ext[:, num_paths - 1 - l: num_paths - 1 - l + block_len]
         received += noise[:, (b - 1) * block_len: b * block_len]
         tail = sent[:, -(num_paths - 1):]
-        obs_freq = np.fft.fft(mp.extract_payload(received, num_paths), axis=1) / math.sqrt(k)
+        obs_freq = dft(mp.extract_payload(received, num_paths))
         obs = np.zeros((t, k), dtype=complex)
         obs[:, live] = obs_freq[:, live] / gains[live]
         if b == 1:
@@ -550,58 +507,18 @@ _ENGINES = {1: _engine_quasi_static, 2: _engine_two_path, 3: _engine_multi_path}
 # public trial API
 # ---------------------------------------------------------------------------
 
-def _single_trial(config: TrialConfig, coupled: bool):
-    scenario = config.scenario
-    out = _ENGINES[scenario.scheme_id](
-        scenario, config.master_seed, [config.trial_index], coupled
-    )
-    fields = dict(
-        decoded_correctly=bool(out["correct"][0]),
-        per_iteration_epsilon=out["eps"][0],
-        aliasing_events=out["alias"][0],
-        used_power_forward=float(out["pow_fwd"][0]),
-        used_power_feedback=float(out["pow_fb"][0]),
-    )
-    if coupled:
-        return CoupledTrialResult(cancellation_residual=out["residual"], **fields)
-    return TrialResult(**fields)
+def run_trials(scenario: Scenario, master_seed: int, indices, coupled: bool = False) -> dict:
+    """Run the closed loop of the scenario's scheme on the given trials.
 
-
-def run_trial(config: TrialConfig) -> TrialResult:
-    """Run one closed-loop trial of the configured scheme."""
-    return _single_trial(config, coupled=False)
-
-
-def coupled_mode_trial(config: TrialConfig) -> CoupledTrialResult:
-    """Run the coupled-system partner of a trial (schemes 1 and 2 only).
-
-    Shares the noise, dither and quantization-noise realizations with the
-    original trial at the same key, so the linear-system identities are
-    checkable per sample.
+    Returns per-trial arrays, row r for indices[r]: "correct" (decoded
+    message equals the sent one), "eps" (estimation error per iteration),
+    "alias" (modulo-aliasing events per iteration), "pow_fwd" and
+    "pow_fb" (average transmit powers); scheme 2 adds "pilot_ok". With
+    coupled=True (schemes 1 and 2) the loop is the modulo-free partner on
+    the original's noise, and "residual" holds its largest noise-cancellation
+    error over the batch.
     """
-    return _single_trial(config, coupled=True)
-
-
-def _run_batches(scenario, master_seed, trials, coupled, chunk=20_000):
-    """Execute trials in index chunks and return full per-trial arrays."""
-    engine = _ENGINES[scenario.scheme_id]
-    results = None
-    for start in range(0, trials, chunk):
-        idx = np.arange(start, min(start + chunk, trials))
-        out = engine(scenario, master_seed, idx, coupled)
-        if results is None:
-            results = {key: [] for key in out}
-        for key, val in out.items():
-            results[key].append(val)
-    merged = {}
-    for key, parts in results.items():
-        if key == "residual":
-            merged[key] = max(parts)
-        elif np.ndim(parts[0]) == 0:
-            merged[key] = parts[0]
-        else:
-            merged[key] = np.concatenate(parts, axis=0)
-    return merged
+    return _ENGINES[scenario.scheme_id](scenario, master_seed, indices, coupled)
 
 
 def monte_carlo(
@@ -615,21 +532,34 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    out = _run_batches(scenario, master_seed, trials, coupled)
-    errors = int(trials - np.count_nonzero(out["correct"]))
+    correct, alias, sq_sum = 0, 0, 0.0
+    pow_fwd, pow_fb = [], []
+    for start in range(0, trials, _CHUNK):
+        idx = range(start, min(start + _CHUNK, trials))
+        out = run_trials(scenario, master_seed, idx, coupled)
+        correct += np.count_nonzero(out["correct"])
+        # |eps|^2 squared in place (bit-equal to eps ** 2 on the real errors
+        # of schemes 1 and 2); the running sum (0.0 at first, which leaves
+        # squares unchanged) joins the chunk's first row, so trials are summed
+        # in index order as one axis-0 sum over all would
+        sq = np.abs(out["eps"])
+        np.square(sq, out=sq)
+        sq[0] += sq_sum
+        sq_sum = np.sum(sq, axis=0)
+        alias += np.count_nonzero(out["alias"], axis=0)
+        pow_fwd.append(out["pow_fwd"])
+        pow_fb.append(out["pow_fb"])
+        del out, sq
+    errors = int(trials - correct)
     lo, hi = wilson_interval(errors, trials)
-    # |eps|^2 squared in place: one temporary, and bit-equal to eps ** 2 on
-    # the real errors of schemes 1 and 2
-    sq = np.abs(out["eps"])
-    mean_traj = np.mean(np.square(sq, out=sq), axis=0)
     return MonteCarloReport(
         trials=trials,
         error_count=errors,
         dep_estimate=errors / trials,
         wilson_lo=lo,
         wilson_hi=hi,
-        mean_var_trajectory=mean_traj,
-        aliasing_rate_per_iteration=np.mean(out["alias"], axis=0),
-        avg_forward_power=float(np.mean(out["pow_fwd"])),
-        avg_feedback_power=float(np.mean(out["pow_fb"])),
+        mean_var_trajectory=sq_sum / trials,
+        aliasing_rate_per_iteration=alias / trials,
+        avg_forward_power=float(np.mean(np.concatenate(pow_fwd))),
+        avg_feedback_power=float(np.mean(np.concatenate(pow_fb))),
     )

@@ -138,6 +138,11 @@ def solve_rho_star(H1: float, H2: float, snr: float, a_over_b: float = 1.0) -> f
     Solves rho = 1/(1 + (H1 + H2 sqrt(rho))^2 * snr * a_over_b) on
     [rho_4, 1) by bisection; the bracket is guaranteed because the map is
     below the identity at 1 and above it at rho_4.
+
+    It keeps lo < f(lo) and f(hi) <= hi and stops once the midpoint rounds
+    onto lo or hi, where every further step would be a no-op; the 1100-step
+    cap reaches down to the smallest subnormal, so rho_star ~ 1/(gain^2 snr)
+    is resolved at any admissible gain^2 snr.
     """
     if H1 < 0 or H2 < 0:
         raise ValueError("conservative gains are nonnegative by construction")
@@ -149,8 +154,10 @@ def solve_rho_star(H1: float, H2: float, snr: float, a_over_b: float = 1.0) -> f
     rho3 = 1.0 / (1.0 + H1 * H1 * c)
     lo = 1.0 / (1.0 + (H1 + H2 * math.sqrt(rho3)) ** 2 * c)  # rho_4
     hi = 1.0
-    for _ in range(200):
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if mid < 1.0 / (1.0 + (H1 + H2 * math.sqrt(mid)) ** 2 * c):
             lo = mid
         else:

@@ -185,9 +185,9 @@ def test_criterion_4_coupled_identity():
         sigma_z=1e-3, n=12, eps=1e-2, h=0.9,
     )
     trials = 100_000
-    from skfading.simulation import _run_batches
+    from skfading.simulation import run_trials
 
-    out = _run_batches(sc, 271828, trials, coupled=True)
+    out = run_trials(sc, 271828, np.arange(trials), coupled=True)
     residual = out["residual"]
     assert residual <= 1e-12
     params = sc.derive()
@@ -340,9 +340,9 @@ def test_criterion_7_two_path_desk_dep():
         P_tilde=10.0, sigma_z=1e-3, n=30, eps=1e-2,
     )
     trials = 10_000
-    from skfading.simulation import _run_batches, wilson_interval
+    from skfading.simulation import run_trials, wilson_interval
 
-    out = _run_batches(sc, 141421, trials, coupled=False)
+    out = run_trials(sc, 141421, np.arange(trials))
     errors = int(trials - np.count_nonzero(out["correct"]))
     _, hi = wilson_interval(errors, trials)
     assert hi <= 1.5 * sc.eps

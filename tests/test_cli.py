@@ -261,6 +261,35 @@ def test_simulate_extreme_magnitudes_are_infeasible(tmp_path, capsys, base, chan
     assert "infeasible parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change,trials,field", [
+    # true gain far outside the CSI ball: the MMSE gains overflow
+    ({"h_hat": 0.9, "h": 1e150}, 3, "avg_fwd_power"),
+    # gain^2 * SNR subnormal: the designed variances overflow
+    ({"h_hat": 1e-160, "h": 1e-160, "sigma2": 1e-9}, 3, "avg_fwd_power"),
+    # the feedback power sum overflows
+    ({"P_tilde": 1.4e307}, 100, "avg_fb_power"),
+])
+def test_simulate_non_finite_report_is_infeasible(tmp_path, capsys, change, trials, field):
+    cfg = write_json(tmp_path / "c.json", dict(SCHEME1_CONFIG, **change))
+    out = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        code = main(["simulate", "--config", cfg, "--trials", str(trials),
+                     "--seed", "1", "--out", str(out)])
+    assert code == EXIT_INFEASIBLE
+    assert f"report field '{field}' is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+def test_simulate_rejects_non_finite_literals(tmp_path, capsys, literal):
+    # an unused key would otherwise be echoed back as NaN or Infinity
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SCHEME1_CONFIG)[:-1] + f', "note": {literal}}}')
+    assert main(["simulate", "--config", str(cfg), "--trials", "1",
+                 "--seed", "1"]) == EXIT_BAD_CONFIG
+    assert f"{literal} is not a finite JSON number" in capsys.readouterr().err
+
+
 # Property test of the config contract: whatever the values, a one-trial
 # simulate runs (0), rejects the config (2) or reports infeasible (3); it
 # never fails with an internal error (1). Values mix the documented domain,
@@ -581,8 +610,12 @@ def test_selfcheck_passes(capsys):
     assert out.count("residual") >= 8
 
 
-def test_selfcheck_detects_perturbed_fixed_point():
-    results = run_selfcheck(rho_star_perturbation=1e-3)
+def test_selfcheck_detects_perturbed_fixed_point(monkeypatch):
+    import skfading.two_path as tp
+
+    solve = tp.solve_rho_star
+    monkeypatch.setattr(tp, "solve_rho_star", lambda *args: solve(*args) + 1e-3)
+    results = run_selfcheck()
     by_name = {r.name: r for r in results}
     assert not by_name["variance-ratio fixed point"].passed
     assert all(r.passed for name, r in by_name.items()

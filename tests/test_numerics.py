@@ -289,6 +289,14 @@ def test_dft_roundtrip_and_parseval(k):
     assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
 
 
+def test_dft_acts_on_the_last_axis():
+    # a (trials, K) batch transforms row by row, bit for bit
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    assert np.array_equal(dft(x), np.array([dft(row) for row in x]))
+    assert np.array_equal(idft(x), np.array([idft(row) for row in x]))
+
+
 def test_dft_empty_rejected():
     with pytest.raises(ValueError):
         dft([])

@@ -7,17 +7,12 @@ from skfading.numerics import InfeasibleError
 from skfading.quasi_static import message_size
 from skfading.simulation import (
     TAG_NOISE,
-    CoupledTrialResult,
-    MonteCarloReport,
     MultiPathScenario,
     QuasiStaticScenario,
-    TrialConfig,
     TwoPathScenario,
     _keyed_streams,
-    coupled_mode_trial,
     monte_carlo,
-    realize_noise,
-    run_trial,
+    run_trials,
     wilson_interval,
 )
 from skfading.two_path import mmse_coefficients2
@@ -54,29 +49,18 @@ def normal_rows(master_seed, indices, count):
 # ---------------------------------------------------------------------------
 
 def test_run_trial_deterministic():
-    cfg = TrialConfig(SC1, master_seed=7, trial_index=3)
-    a = run_trial(cfg)
-    b = run_trial(cfg)
-    assert a.decoded_correctly == b.decoded_correctly
-    assert np.array_equal(a.per_iteration_epsilon, b.per_iteration_epsilon)
-    assert np.array_equal(a.aliasing_events, b.aliasing_events)
-    assert a.used_power_forward == b.used_power_forward
+    a = run_trials(SC1, 7, [3])
+    b = run_trials(SC1, 7, [3])
+    for key in ("correct", "eps", "alias", "pow_fwd"):
+        assert np.array_equal(a[key], b[key])
 
 
 def test_trials_differ_across_indices_and_seeds():
-    a = run_trial(TrialConfig(SC1, 7, 0)).per_iteration_epsilon
-    b = run_trial(TrialConfig(SC1, 7, 1)).per_iteration_epsilon
-    c = run_trial(TrialConfig(SC1, 8, 0)).per_iteration_epsilon
+    a = run_trials(SC1, 7, [0])["eps"][0]
+    b = run_trials(SC1, 7, [1])["eps"][0]
+    c = run_trials(SC1, 8, [0])["eps"][0]
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_realize_noise_keyed_and_consistent():
-    cfg = TrialConfig(SC1, master_seed=11, trial_index=5)
-    assert realize_noise(cfg, 3) == realize_noise(cfg, 3)
-    assert realize_noise(cfg, 3) != realize_noise(cfg, 4)
-    other = TrialConfig(SC1, master_seed=11, trial_index=6)
-    assert realize_noise(cfg, 3) != realize_noise(other, 3)
 
 
 def test_realize_noise_statistics():
@@ -84,15 +68,6 @@ def test_realize_noise_statistics():
     draws = normal_rows(123, range(10_000), 100)
     assert draws.var() == pytest.approx(1.0, rel=0.01)
     assert abs(draws.mean()) < 3.5 / math.sqrt(draws.size)
-
-
-def test_realize_noise_complex_split():
-    cfg = TrialConfig(SC3, master_seed=2, trial_index=0)
-    val = realize_noise(cfg, 4)
-    assert isinstance(val, complex)
-    raw = normal_rows(2, [0], 8)[0]
-    scale = math.sqrt(SC3.sigma2 / 2.0)
-    assert val == complex(scale * raw[6], scale * raw[7])
 
 
 def test_scheme3_noise_components_independent():
@@ -113,8 +88,7 @@ def test_noiseless_loop_scheme1():
         h_hat=0.9, distortion=0.0, sigma2=1.0, P=10.0, P_tilde=10.0,
         sigma_z=0.0, n=12, eps=1e-2, h=0.9, noise_scale=0.0,
     )
-    for k in range(20):
-        assert run_trial(TrialConfig(sc, 5, k)).decoded_correctly
+    assert np.all(run_trials(sc, 5, range(20))["correct"])
 
 
 def test_noiseless_loop_scheme2():
@@ -123,8 +97,7 @@ def test_noiseless_loop_scheme2():
         P_tilde=10.0, sigma_z=0.0, n=14, eps=1e-2, h1=0.8, h2=-0.6,
         noise_scale=0.0,
     )
-    for k in range(20):
-        assert run_trial(TrialConfig(sc, 5, k)).decoded_correctly
+    assert np.all(run_trials(sc, 5, range(20))["correct"])
 
 
 def test_noiseless_loop_scheme3():
@@ -132,11 +105,10 @@ def test_noiseless_loop_scheme3():
         h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24, eps=1e-2, subchannels=3,
         noise_scale=0.0,
     )
-    for k in range(20):
-        res = run_trial(TrialConfig(sc, 5, k))
-        assert res.decoded_correctly
-        # exact recovery already after block 1
-        assert np.max(np.abs(res.per_iteration_epsilon[0])) <= 1e-10
+    out = run_trials(sc, 5, range(20))
+    assert np.all(out["correct"])
+    # exact recovery already after block 1
+    assert np.max(np.abs(out["eps"][:, 0])) <= 1e-10
 
 
 def test_sigma2_zero_rejected():
@@ -179,12 +151,12 @@ def test_wilson_width_scaling():
 def test_monte_carlo_matches_individual_trials():
     trials = 40
     report = monte_carlo(SC1, trials, master_seed=99)
-    singles = [run_trial(TrialConfig(SC1, 99, ix)) for ix in np.random.default_rng(0).permutation(trials)]
-    errors = sum(not s.decoded_correctly for s in singles)
+    singles = [run_trials(SC1, 99, [ix]) for ix in np.random.default_rng(0).permutation(trials)]
+    errors = sum(not s["correct"][0] for s in singles)
     assert report.error_count == errors
     assert report.trials == trials
     assert report.dep_estimate == errors / trials
-    mean_pow = np.mean([s.used_power_forward for s in singles])
+    mean_pow = np.mean([s["pow_fwd"][0] for s in singles])
     assert report.avg_forward_power == pytest.approx(mean_pow, rel=1e-12)
 
 
@@ -199,12 +171,11 @@ def test_monte_carlo_deterministic():
 
 
 def test_monte_carlo_chunking_invariant():
-    from skfading.simulation import _run_batches
-
-    full = _run_batches(SC1, 3, 50, coupled=False, chunk=50)
-    split = _run_batches(SC1, 3, 50, coupled=False, chunk=7)
-    assert np.array_equal(full["correct"], split["correct"])
-    assert np.array_equal(full["eps"], split["eps"])
+    full = run_trials(SC1, 3, np.arange(50))
+    parts = [run_trials(SC1, 3, np.arange(start, min(start + 7, 50)))
+             for start in range(0, 50, 7)]
+    for key in ("correct", "eps"):
+        assert np.array_equal(full[key], np.concatenate([p[key] for p in parts]))
 
 
 def test_monte_carlo_infeasible_scenario():
@@ -260,9 +231,9 @@ def test_scheme1_ball_mode_draws_h():
         h_hat=0.9, distortion=0.05, sigma2=1.0, P=10.0, P_tilde=10.0,
         sigma_z=1e-3, n=12, eps=1e-2,
     )
-    a = run_trial(TrialConfig(sc, 1, 0))
-    b = run_trial(TrialConfig(sc, 1, 1))
-    assert not np.array_equal(a.per_iteration_epsilon, b.per_iteration_epsilon)
+    a = run_trials(sc, 1, [0])["eps"][0]
+    b = run_trials(sc, 1, [1])["eps"][0]
+    assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +241,13 @@ def test_scheme1_ball_mode_draws_h():
 # ---------------------------------------------------------------------------
 
 def test_coupled_cancellation_scheme1():
-    res = coupled_mode_trial(TrialConfig(SC1_SOFT, 41, 2))
-    assert isinstance(res, CoupledTrialResult)
-    assert res.cancellation_residual <= 1e-12
+    res = run_trials(SC1_SOFT, 41, [2], coupled=True)
+    assert res["residual"] <= 1e-12
 
 
 def test_coupled_cancellation_scheme2():
-    res = coupled_mode_trial(TrialConfig(SC2_SOFT, 43, 2))
-    assert res.cancellation_residual <= 1e-12
+    res = run_trials(SC2_SOFT, 43, [2], coupled=True)
+    assert res["residual"] <= 1e-12
 
 
 def test_coupled_variance_matches_closed_form_scheme1():
@@ -307,7 +277,7 @@ def test_coupled_variance_ratio_hits_steady_state():
 
 def test_coupled_rejects_scheme3():
     with pytest.raises(ValueError):
-        coupled_mode_trial(TrialConfig(SC3, 1, 0))
+        run_trials(SC3, 1, [0], coupled=True)
 
 
 def test_coupled_bounds_original_errors():
@@ -329,9 +299,7 @@ def test_scheme2_pilot_always_recovered():
         h1_hat=0.9, h2_hat=0.5, distortion=0.05, sigma2=1.0, P=10.0,
         P_tilde=10.0, sigma_z=1e-3, n=14, eps=1e-2,
     )
-    from skfading.simulation import _engine_two_path
-
-    out = _engine_two_path(sc, 67, np.arange(5000), coupled=False)
+    out = run_trials(sc, 67, np.arange(5000))
     assert np.all(out["pilot_ok"])
 
 
@@ -380,10 +348,9 @@ def test_scheme3_variances_match_lemma():
 def test_scheme3_component_variances_split_evenly():
     # circular symmetry: each component carries half the error mass
     from skfading.multi_path import variance_lemma3
-    from skfading.simulation import _engine_multi_path
 
     plan = SC3.derive()
-    out = _engine_multi_path(SC3, 91, np.arange(30_000))
+    out = run_trials(SC3, 91, np.arange(30_000))
     live = np.flatnonzero(plan.powers > 0)
     for col in live:
         for b in (1, plan.blocks):
@@ -413,9 +380,7 @@ def test_scheme3_dft_noise_whiteness():
 
 def test_scheme3_subchannel_cross_independence():
     plan = SC3.derive()
-    from skfading.simulation import _engine_multi_path
-
-    out = _engine_multi_path(SC3, 103, np.arange(30_000))
+    out = run_trials(SC3, 103, np.arange(30_000))
     eps1 = out["eps"][:, 0, :]  # first-block errors across subchannels
     live = np.flatnonzero(plan.powers > 0)
     for a in live:

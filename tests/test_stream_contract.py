@@ -20,6 +20,7 @@ from skfading.simulation import (
     TAG_DITHER,
     TAG_ENV,
     TAG_NOISE,
+    MultiPathScenario,
     QuasiStaticScenario,
     TwoPathScenario,
     _keyed_streams,
@@ -75,8 +76,40 @@ COUPLED_DIGESTS = {
 }
 
 
+# 45 001 trials span three 20 000-trial chunks, the last one a single
+# trial, so these pin how monte_carlo folds its chunks into one report;
+# recorded with an implementation that concatenated every chunk's full
+# per-trial arrays and reduced them once
+MULTI_CHUNK_CASES = {
+    "scheme1": (COUPLED_CASES["scheme1"], False),
+    "scheme1_coupled": (COUPLED_CASES["scheme1"], True),
+    "scheme2": (COUPLED_CASES["scheme2"], False),
+    "scheme2_coupled": (COUPLED_CASES["scheme2"], True),
+    "scheme3": (MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24,
+                                  eps=1e-2, subchannels=3), False),
+}
+
+MULTI_CHUNK_DIGESTS = {
+    "scheme1": "867e90df332b0d0b310963ab878b08f9e112b4c46e3cb5edc5a42c61d339faf2",
+    "scheme1_coupled":
+        "0e62966b112bc56aaa792d7aba334d045397dc96963a5eef97ab77e18588c096",
+    "scheme2": "987d3b259ae102af73d3765e1c3cc004b1b050cf292d789270a69d972ec9afb5",
+    "scheme2_coupled":
+        "7b9750699021f173024588edad2a50e6238f593b025917c980306255a422f9b8",
+    "scheme3": "e3d59354736fb5561a6091a58e8d9fdc809bfafdd99989235169feb25246973d",
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def report_digest(report) -> str:
+    fields = {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in vars(report).items()
+    }
+    return sha256(json.dumps(fields, sort_keys=True).encode())
 
 
 @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
@@ -92,12 +125,14 @@ def test_simulate_report_digest(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(COUPLED_CASES))
 def test_coupled_monte_carlo_digest(case):
     report = monte_carlo(COUPLED_CASES[case], 300, master_seed=2024, coupled=True)
-    fields = {
-        key: value.tolist() if isinstance(value, np.ndarray) else value
-        for key, value in vars(report).items()
-    }
-    text = json.dumps(fields, sort_keys=True)
-    assert sha256(text.encode()) == COUPLED_DIGESTS[case]
+    assert report_digest(report) == COUPLED_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_CHUNK_CASES))
+def test_multi_chunk_monte_carlo_digest(case):
+    scenario, coupled = MULTI_CHUNK_CASES[case]
+    report = monte_carlo(scenario, 45_001, master_seed=2024, coupled=coupled)
+    assert report_digest(report) == MULTI_CHUNK_DIGESTS[case]
 
 
 def fresh(seed, index, tag):

@@ -120,6 +120,20 @@ def test_rho_star_residual_and_bracket():
         assert rho3 >= rho4
 
 
+@pytest.mark.parametrize("h1_hat", [1e25, 1e35, 1e60, 1e74])
+def test_rho_star_resolved_at_huge_gain_snr(h1_hat):
+    # rho_star is about 1/(gain^2 * snr), far below the 2^-200 that a
+    # fixed 200-step bisection from 1 can reach; nothing is left to
+    # calibrate, so no artificial noise may be injected
+    params = _params(h1_hat=h1_hat, d=0.0)
+    g1, g2 = TransmitterCsi2(h1_hat, 0.5, 0.0).conservative_gains
+    c = params.P / params.sigma2 * params.scaled_err_var / params.arg_var_bound
+    rho = params.var_ratio_star
+    fixed = 1.0 / (1.0 + (g1 + g2 * math.sqrt(rho)) ** 2 * c)
+    assert rho == pytest.approx(fixed, rel=1e-12)
+    assert params.art_noise_var <= 1e-12
+
+
 def test_rho_star_degenerate():
     with pytest.raises(InfeasibleError):
         solve_rho_star(0.0, 0.0, 10.0, 1.0)
