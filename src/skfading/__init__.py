@@ -15,7 +15,6 @@ from .multi_path import (
 )
 from .numerics import (
     InfeasibleError,
-    SpectralDecomposition,
     channel_spectrum,
     dft,
     idft,
@@ -54,7 +53,6 @@ __all__ = [
     "MultiPathScenario",
     "QuasiStaticParams",
     "QuasiStaticScenario",
-    "SpectralDecomposition",
     "TransmitterCsi",
     "TransmitterCsi2",
     "TwoPathParams",

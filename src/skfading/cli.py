@@ -31,7 +31,17 @@ EXIT_BAD_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_CHECK_FAILED = 4
 
-SWEEP_VARIABLES = ("N", "D", "sigmaZ", "Ptilde", "SNR", "K")
+# sweep variable -> (config key it sets, whether the value is rounded to an
+# integer); an SNR value sets P = SNR * sigma2
+_SWEEP_KEYS = {
+    "N": ("n", True),
+    "D": ("distortion", False),
+    "sigmaZ": ("sigma_z", False),
+    "Ptilde": ("P_tilde", False),
+    "SNR": ("P", False),
+    "K": ("subchannels", True),
+}
+SWEEP_VARIABLES = tuple(_SWEEP_KEYS)
 # a range sweep is allocated before any point is evaluated
 MAX_SWEEP_POINTS = 1_000_000
 CURVE_LABELS = (
@@ -148,21 +158,10 @@ def _sweep_values(spec: dict):
 
 def _apply_variable(fixed: dict, variable: str, x: float) -> dict:
     cfg = dict(fixed)
-    if variable == "N":
-        cfg["n"] = int(round(x))
-    elif variable == "D":
-        cfg["distortion"] = x
-    elif variable == "sigmaZ":
-        cfg["sigma_z"] = x
-    elif variable == "Ptilde":
-        cfg["P_tilde"] = x
-    elif variable == "SNR":
-        sigma2 = _require(cfg, "sigma2", "SNR sweep")
-        cfg["P"] = x * _real(sigma2, "sigma2")
-    elif variable == "K":
-        cfg["subchannels"] = int(round(x))
-    else:
-        raise ConfigError(f"unknown sweep variable '{variable}'")
+    key, integral = _SWEEP_KEYS[variable]
+    if variable == "SNR":
+        x = x * _real(_require(cfg, "sigma2", "SNR sweep"), "sigma2")
+    cfg[key] = int(round(x)) if integral else x
     return cfg
 
 
@@ -317,7 +316,11 @@ def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     scenario = _scenario_from_config(cfg)
-    report = monte_carlo(scenario, trials, seed)
+    # an out-of-range scenario overflows somewhere in the closed loop; the
+    # finiteness check below turns that into exit 3, so numpy's floating
+    # point warnings would only repeat it on stderr
+    with np.errstate(all="ignore"):
+        report = monte_carlo(scenario, trials, seed)
     payload = {
         "trials": report.trials,
         "errors": report.error_count,

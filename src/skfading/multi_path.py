@@ -10,7 +10,6 @@ subchannel real/imaginary components.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +104,8 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
     if not (0.0 < eps < 1.0):
         raise ValueError("target error probability must lie in (0, 1)")
     k = subchannels
-    spec = channel_spectrum(channel.taps, k)
-    magnitudes = np.abs(spec.gains)
+    gains = channel_spectrum(channel.taps, k)
+    magnitudes = np.abs(gains)
     # no subchannel gets more than the whole block's power k * P; Python
     # floats overflow to inf without a warning
     peak = float(magnitudes.max())
@@ -125,7 +124,7 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
     half[active] = np.maximum(raw, 0.0)
     return BlockPlan(
         n=n, eps=eps, num_paths=num_paths, subchannels=k, block_len=block_len,
-        blocks=blocks, gains=spec.gains, powers=powers, water_level=level,
+        blocks=blocks, gains=gains, powers=powers, water_level=level,
         union_margin=margin, sub_rate_half=half, rate=float(2.0 * half.sum()),
         sigma2=channel.sigma2, P=channel.P,
     )

@@ -8,7 +8,6 @@ and water-filling power allocation. Everything here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "philox_key",
     "dft",
     "idft",
-    "SpectralDecomposition",
     "channel_spectrum",
     "circulant_matrix",
     "water_fill",
@@ -169,28 +167,19 @@ def idft(x) -> np.ndarray:
     return np.fft.ifft(x) * math.sqrt(x.shape[-1])
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Diagonalization data of a circulant channel matrix.
+def channel_spectrum(h, size: int) -> np.ndarray:
+    """Eigenvalues of the K x K circulant built from taps h (zero padded).
 
-    ``gains`` are the unnormalized DFT of the zero-padded impulse response,
-    i.e. the eigenvalues of the circulant matrix under the unitary DFT pair
-    above.
+    They are the unnormalized DFT of the zero-padded impulse response, the
+    diagonal of the circulant under the unitary DFT pair above.
     """
-
-    size: int
-    gains: np.ndarray
-
-
-def channel_spectrum(h, size: int) -> SpectralDecomposition:
-    """Eigenvalues of the K x K circulant built from taps h (zero padded)."""
     h = np.asarray(h, dtype=complex)
     if h.size < 1:
         raise ValueError("channel_spectrum requires at least one tap")
     if size < h.size:
         raise ValueError(f"size {size} is smaller than the tap count {h.size}")
     padded = np.concatenate([h, np.zeros(size - h.size, dtype=complex)])
-    return SpectralDecomposition(size=size, gains=np.fft.fft(padded))
+    return np.fft.fft(padded)
 
 
 def circulant_matrix(first_col) -> np.ndarray:

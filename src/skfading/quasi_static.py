@@ -1,10 +1,11 @@
 """Feedback iteration for the quasi-static fading channel.
 
-Covers the classical perfect-CSI estimate-and-forward iteration and its
-modulo-lattice variant for imperfect transmitter CSI with quantized
-feedback: message mapping, parameter derivation, transmitter/receiver step
-functions and nearest-midpoint decoding. Step functions broadcast over
-numpy arrays so many trials can run in lockstep.
+The modulo-lattice estimate-and-forward scheme for imperfect transmitter
+CSI with quantized feedback: message mapping, the feedback-link budget
+that the two-path scheme shares, parameter derivation,
+transmitter/receiver step functions, the perfect-CSI baseline rates and
+nearest-midpoint decoding. Step functions broadcast over numpy arrays so
+many trials can run in lockstep.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "map_message",
     "decode_midpoint",
     "message_size",
+    "feedback_budget",
     "derive_params1",
     "rate_fd_baseline",
     "capacity_fd",
@@ -36,14 +38,7 @@ __all__ = [
     "rx_update1",
     "rx_feedback1",
     "mmse_coefficients1",
-    "classical_sk_error_var",
-    "classical_sk_gain",
-    "classical_sk_update",
-    "simulate_classical_sk",
 ]
-
-LOG2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class TransmitterCsi:
@@ -86,10 +81,6 @@ class QuasiStaticParams:
     rate: float
     no_positive_rate: bool
 
-    @property
-    def snr(self) -> float:
-        return self.P / self.sigma2
-
 
 def map_message(w, m):
     """Map message index w in 1..m to the midpoint of its subinterval.
@@ -106,10 +97,11 @@ def map_message(w, m):
 
 
 def decode_midpoint(theta_hat, m: int):
-    """Nearest midpoint decision; inverse of map_message on clean input."""
-    u = (np.asarray(theta_hat) + 0.5) * m
-    w = np.floor(u).astype(np.int64) + 1
-    w = np.clip(w, 1, m)
+    """Nearest midpoint decision; inverse of map_message on clean input.
+    A NaN or infinite estimate decodes to 0, which matches no message."""
+    k = np.floor((np.asarray(theta_hat) + 0.5) * m)
+    # clipped before the integer cast, which would be undefined off range
+    w = np.where(np.isfinite(k), np.clip(k, 0, m - 1) + 1, 0).astype(np.int64)
     if w.ndim == 0:
         return int(w)
     return w
@@ -126,6 +118,33 @@ def message_size(n: int, rate: float) -> int:
             "midpoint resolution; reduce n or the rate for simulation"
         )
     return max(int(math.floor(2.0 ** bits)), 2)
+
+
+def feedback_budget(sigma2: float, P: float, P_tilde: float, sigma_z: float,
+                    iterations: int, eps: float):
+    """Budget of the modulo-lattice feedback link of schemes 1 and 2, used
+    `iterations` times with aliasing probability eps / (4 iterations) each.
+
+    Returns (a, b, alpha, spacing), the QuasiStaticParams fields
+    scaled_err_var, arg_var_bound, power_gain and lattice_spacing.
+    """
+    if not (0.0 < eps < 1.0):
+        raise ValueError("target error probability must lie in (0, 1)")
+    if sigma2 <= 0 or P <= 0 or P_tilde <= 0 or sigma_z < 0:
+        raise ValueError("invalid channel budget parameters")
+    if not math.isfinite(12.0 * P_tilde):
+        raise InfeasibleError(
+            f"P_tilde={P_tilde:.4g} overflows the feedback lattice spacing sqrt(12*P_tilde)"
+        )
+    root3p = math.sqrt(3.0 * P_tilde)
+    if root3p <= sigma_z:
+        raise InfeasibleError(
+            f"feedback lattice too small: sqrt(3*P_tilde)={root3p:.4g} "
+            f"must exceed the quantizer fineness sigma_z={sigma_z:.4g}"
+        )
+    a = ((root3p - sigma_z) / q_tail_inv(eps / (4.0 * iterations))) ** 2
+    b = (math.sqrt(a) + sigma_z) ** 2 + 1.5 * P_tilde * eps
+    return a, b, math.sqrt(P / b), math.sqrt(12.0 * P_tilde)
 
 
 def derive_params1(
@@ -145,34 +164,16 @@ def derive_params1(
     """
     if n < 2:
         raise ValueError("blocklength must be at least 2")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("target error probability must lie in (0, 1)")
-    if sigma2 <= 0 or P <= 0 or P_tilde <= 0 or sigma_z < 0:
-        raise ValueError("invalid channel budget parameters")
-    if not math.isfinite(12.0 * P_tilde):
-        raise InfeasibleError(
-            f"P_tilde={P_tilde:.4g} overflows the feedback lattice spacing sqrt(12*P_tilde)"
-        )
-    root3p = math.sqrt(3.0 * P_tilde)
-    if root3p <= sigma_z:
-        raise InfeasibleError(
-            f"feedback lattice too small: sqrt(3*P_tilde)={root3p:.4g} "
-            f"must exceed the quantizer fineness sigma_z={sigma_z:.4g}"
-        )
+    a, b, alpha, spacing = feedback_budget(sigma2, P, P_tilde, sigma_z, n - 1, eps)
+    common = dict(n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
+                  scaled_err_var=a, arg_var_bound=b, power_gain=alpha, lattice_spacing=spacing)
     snr = P / sigma2
-    a = ((root3p - sigma_z) / q_tail_inv(eps / (4.0 * (n - 1)))) ** 2
-    b = (math.sqrt(a) + sigma_z) ** 2 + 1.5 * P_tilde * eps
-    alpha = math.sqrt(P / b)
-    spacing = math.sqrt(12.0 * P_tilde)
 
     gain = csi.conservative_gain
     g2snr = gain * gain * snr
     if g2snr == 0.0:  # zero gain, or one whose squared SNR underflows
         return QuasiStaticParams(
-            n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
-            scaled_err_var=a, arg_var_bound=b, power_gain=alpha,
-            lattice_spacing=spacing,
-            feedback_gains=np.zeros(0), err_var_conservative=np.zeros(0),
+            **common, feedback_gains=np.zeros(0), err_var_conservative=np.zeros(0),
             rate=0.0, no_positive_rate=True,
         )
     require_gain_snr(g2snr, "scheme 1")
@@ -190,10 +191,7 @@ def derive_params1(
     raw_rate = (n - 1) / (2.0 * n) * math.log2(1.0 + g2snr * a / b) \
         - 1.0 / (2.0 * n) * math.log2(l_factor / (12.0 * g2snr))
     return QuasiStaticParams(
-        n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
-        scaled_err_var=a, arg_var_bound=b, power_gain=alpha,
-        lattice_spacing=spacing,
-        feedback_gains=gains, err_var_conservative=err_var,
+        **common, feedback_gains=gains, err_var_conservative=err_var,
         rate=max(raw_rate, 0.0), no_positive_rate=False,
     )
 
@@ -285,48 +283,3 @@ def mmse_coefficients1(params: QuasiStaticParams, h):
     if h.ndim == 0:
         return beta.reshape(n - 1), err_var.reshape(n)
     return beta, err_var
-
-
-# ---------------------------------------------------------------------------
-# classical perfect-CSI iteration
-# ---------------------------------------------------------------------------
-
-def classical_sk_error_var(h: float, snr: float, i: int) -> float:
-    """Error variance after i iterations of the perfect-CSI scheme."""
-    if i < 1:
-        raise ValueError("iteration index starts at 1")
-    h2snr = h * h * snr
-    return 1.0 / (12.0 * h2snr * (1.0 + h2snr) ** (i - 1))
-
-
-def classical_sk_gain(h: float, P: float, sigma2: float, err_var):
-    """MMSE coefficient for estimating the previous error from Y/h."""
-    return np.sqrt(P * np.asarray(err_var)) / (P + sigma2 / (h * h))
-
-
-def classical_sk_update(theta_hat, y, h, beta):
-    """One estimate refinement of the perfect-CSI scheme."""
-    return theta_hat - beta * y / h
-
-
-def simulate_classical_sk(
-    h: float, sigma2: float, P: float, n: int, trials: int, seed: int
-) -> np.ndarray:
-    """Vectorized Monte Carlo of the classical scheme.
-
-    Returns the (trials, n) matrix of estimation errors; the message drops
-    out of the error recursion, so trials start directly from the first
-    normalized observation.
-    """
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, math.sqrt(sigma2), size=(trials, n))
-    snr = P / sigma2
-    eps = np.empty((trials, n))
-    eps[:, 0] = noise[:, 0] / (h * math.sqrt(12.0 * P))
-    for i in range(2, n + 1):
-        prev_var = classical_sk_error_var(h, snr, i - 1)
-        beta = classical_sk_gain(h, P, sigma2, prev_var)
-        x = math.sqrt(P / prev_var) * eps[:, i - 2]
-        y = h * x + noise[:, i - 1]
-        eps[:, i - 1] = classical_sk_update(eps[:, i - 2], y, h, beta)
-    return eps

@@ -222,6 +222,26 @@ def _original_or_partner(closed_loop, coupled: bool):
     return partner
 
 
+def _feedback_link(params, z_orig):
+    """The feedback link of schemes 1 and 2, chosen once per closed loop.
+
+    link(theta_hat, gain, dither, col) returns the sent symbol, the received
+    one and the quantization noise of feedback column col. The original
+    system (z_orig None) quantizes the dithered modulo symbol; the coupled
+    partner sends the linear symbol plus the original's recorded z."""
+    if z_orig is None:
+        def link(theta_hat, gain, dither, col):
+            x_t = qs.rx_feedback1(theta_hat, gain, dither, params)
+            y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
+            return x_t, y_t, z
+    else:
+        def link(theta_hat, gain, dither, col):
+            x_t = gain * theta_hat + dither
+            z = z_orig[:, col]
+            return x_t, x_t + z, z
+    return link
+
+
 def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
     params = scenario.derive()
     if params.no_positive_rate:
@@ -255,6 +275,7 @@ def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
 
     def closed_loop(z_orig):
         remove_modulo = z_orig is not None
+        link = _feedback_link(params, z_orig)
         eps = np.empty((t, n))
         alias = np.zeros((t, n - 1), dtype=bool)
         z_hist = np.zeros((t, n - 1))
@@ -269,15 +290,9 @@ def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
         pow_fwd = x1 * x1
         pow_fb = np.zeros(t)
         for i in range(n - 1):  # feedback at time i+1, forward step at time i+2
-            if remove_modulo:
-                x_t = gam[i] * theta_hat + dithers[:, i]
-                z_hist[:, i] = z_orig[:, i]
-                y_t = x_t + z_hist[:, i]
-            else:
-                x_t = qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], params)
-                y_t, z_hist[:, i] = qs.quantize_feedback(x_t, params.sigma_z)
+            x_t, y_t, z = link(theta_hat, gam[i], dithers[:, i], i)
+            z_hist[:, i] = z
             pow_fb += x_t * x_t
-            z = z_hist[:, i]
             alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
             if remove_modulo:
                 x = alpha * (y_t - gam[i] * theta - dithers[:, i])
@@ -348,8 +363,9 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool):
 
     def closed_loop(z_orig):
         remove_modulo = z_orig is not None
+        link = _feedback_link(params, z_orig)
         eps = np.zeros((t, n))
-        alias = np.zeros((t, n - 1), dtype=bool)  # col i-1 holds the event at time i
+        alias = np.zeros((t, n - 2), dtype=bool)  # col i-2 holds the event at time i
         z_hist = np.zeros((t, n))
         residual = 0.0
         theta_hat = init.copy()
@@ -357,20 +373,16 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool):
         eps[:, 1] = eps[:, 0]
         pow_fwd = x1 * x1
         pow_fb = np.full(t, (2.0 * params.sigma_z) ** 2)  # pilot symbol
-        if remove_modulo:
-            x_t = gam[2] * theta_hat + dithers[:, 2]
-            z_hist[:, 2] = z_orig[:, 2]
-            y_t = x_t + z_hist[:, 2]
-        else:
-            x_t = tp.rx_feedback2(theta_hat, gam[2], dithers[:, 2], params)
-            y_t, z_hist[:, 2] = qs.quantize_feedback(x_t, params.sigma_z)
-        pow_fb += x_t * x_t
-        alias[:, 1] = _alias_event(gam[2] * eps[:, 1] + z_hist[:, 2], half)
-        x_prev = np.zeros(t)
-        ydot_prev = np.zeros(t)
-        for k in range(3, n + 1):
+        x_prev = ydot_prev = 0.0  # nothing sent or received before time 3
+        for k in range(3, n + 1):  # feedback at time k-1, forward step at time k
             u_now = art if k == 4 else 0.0
             u_prev = art if k == 5 else 0.0
+            x_t, y_t, z_hist[:, k - 1] = link(theta_hat, gam[k - 1], dithers[:, k - 1], k - 1)
+            pow_fb += x_t * x_t
+            # the artificial noise joins the modulo argument of the time-4 step
+            alias[:, k - 3] = _alias_event(
+                gam[k - 1] * eps[:, k - 2] + z_hist[:, k - 1] + u_now, half
+            )
             if remove_modulo:
                 x = tp.phase_factor(sign, k - 2) * alpha * (
                     y_t - gam[k - 1] * theta - dithers[:, k - 1] + u_now
@@ -393,24 +405,11 @@ def _engine_two_path(scenario, master_seed, indices, coupled: bool):
             pow_fwd += x * x
             x_prev = x
             ydot_prev = y_dot
-            if k <= n - 1:
-                if remove_modulo:
-                    x_t = gam[k] * theta_hat + dithers[:, k]
-                    z_hist[:, k] = z_orig[:, k]
-                    y_t = x_t + z_hist[:, k]
-                else:
-                    x_t = tp.rx_feedback2(theta_hat, gam[k], dithers[:, k], params)
-                    y_t, z_hist[:, k] = qs.quantize_feedback(x_t, params.sigma_z)
-                pow_fb += x_t * x_t
-                alias[:, k - 1] = _alias_event(
-                    gam[k] * eps[:, k - 1] + z_hist[:, k]
-                    + (art if k == 3 else 0.0), half
-                )
         correct = (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok
         return {
             "correct": np.atleast_1d(correct),
             "eps": eps,
-            "alias": alias[:, 1:],
+            "alias": alias,
             "pow_fwd": pow_fwd / n,
             "pow_fb": pow_fb / n,
             "pilot_ok": np.atleast_1d(pilot_ok),

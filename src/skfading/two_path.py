@@ -22,7 +22,8 @@ from .numerics import (
     q_tail_inv,
     require_gain_snr,
 )
-from .quasi_static import quantize_feedback
+# the feedback link is scheme 1's, and so is its receiver symbol
+from .quasi_static import feedback_budget, quantize_feedback, rx_feedback1 as rx_feedback2
 
 __all__ = [
     "TransmitterCsi2",
@@ -89,10 +90,6 @@ class TwoPathParams:
     err_var_conservative: np.ndarray
     rate: float
     no_positive_rate: bool
-
-    @property
-    def snr(self) -> float:
-        return self.P / self.sigma2
 
 
 def sign_product(h1, h2):
@@ -200,33 +197,15 @@ def derive_params2(
     """Derive the two-path scheme constants from public quantities."""
     if n < 4:
         raise ValueError("the two-path scheme needs blocklength at least 4")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("target error probability must lie in (0, 1)")
-    if sigma2 <= 0 or P <= 0 or P_tilde <= 0 or sigma_z < 0:
-        raise ValueError("invalid channel budget parameters")
-    if not math.isfinite(12.0 * P_tilde):
-        raise InfeasibleError(
-            f"P_tilde={P_tilde:.4g} overflows the feedback lattice spacing sqrt(12*P_tilde)"
-        )
-    root3p = math.sqrt(3.0 * P_tilde)
-    if root3p <= sigma_z:
-        raise InfeasibleError(
-            f"feedback lattice too small: sqrt(3*P_tilde)={root3p:.4g} "
-            f"must exceed sigma_z={sigma_z:.4g}"
-        )
+    a, b, alpha, spacing = feedback_budget(sigma2, P, P_tilde, sigma_z, n - 2, eps)
+    common = dict(n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
+                  scaled_err_var=a, arg_var_bound=b, power_gain=alpha, lattice_spacing=spacing)
     snr = P / sigma2
-    a = ((root3p - sigma_z) / q_tail_inv(eps / (4.0 * (n - 2)))) ** 2
-    b = (math.sqrt(a) + sigma_z) ** 2 + 1.5 * P_tilde * eps
-    alpha = math.sqrt(P / b)
-    spacing = math.sqrt(12.0 * P_tilde)
 
     g1, g2 = csi.conservative_gains
     if g1 * g1 + g2 * g2 == 0.0:  # zero gains, or squares that underflow
         return TwoPathParams(
-            n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
-            scaled_err_var=a, arg_var_bound=b, power_gain=alpha,
-            lattice_spacing=spacing,
-            var_ratio_3=1.0, var_ratio_4=1.0, var_ratio_star=1.0,
+            **common, var_ratio_3=1.0, var_ratio_4=1.0, var_ratio_star=1.0,
             art_noise_var=0.0,
             feedback_gains=np.zeros(0), err_var_conservative=np.zeros(0),
             rate=0.0, no_positive_rate=True,
@@ -261,10 +240,7 @@ def derive_params2(
             l_factor * rho3 / (12.0 * (g1 * g1 + g2 * g2) * snr)
         )
     return TwoPathParams(
-        n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
-        scaled_err_var=a, arg_var_bound=b, power_gain=alpha,
-        lattice_spacing=spacing,
-        var_ratio_3=rho3, var_ratio_4=rho4, var_ratio_star=rho_star,
+        **common, var_ratio_3=rho3, var_ratio_4=rho4, var_ratio_star=rho_star,
         art_noise_var=art_var,
         feedback_gains=gains, err_var_conservative=err_var,
         rate=max(raw_rate, 0.0), no_positive_rate=False,
@@ -353,11 +329,6 @@ def rx_aux2(
         return y - direct
     relay_echo = z_prev2 + gain_prev2 * beta_prev2 * ydot_prev + art_noise_prev
     return y - direct - phase_factor(sign, k - 3) * h2 * alpha * relay_echo + art_noise
-
-
-def rx_feedback2(theta_hat, gain_i, dither_i, params: TwoPathParams):
-    """Receiver feedback symbol, identical in shape to the single-path one."""
-    return modulo_reduce(gain_i * theta_hat + dither_i, params.lattice_spacing)
 
 
 def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):

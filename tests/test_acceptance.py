@@ -30,10 +30,8 @@ from skfading.numerics import (
 )
 from skfading.quasi_static import (
     TransmitterCsi,
-    classical_sk_error_var,
     derive_params1,
     rate_fd_baseline,
-    simulate_classical_sk,
 )
 from skfading.simulation import (
     TAG_DITHER,
@@ -48,6 +46,8 @@ from skfading.two_path import (
     combining_weight,
     derive_params2,
 )
+
+from classical_sk import classical_sk_error_var, simulate_classical_sk
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -123,7 +123,7 @@ def _vector_brute_force(xs, ds):
 
 
 # ---------------------------------------------------------------------------
-# 2. classical variance law
+# 2. classical variance law, on the test-local oracle in classical_sk.py
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_classical_variance_law():
@@ -274,7 +274,7 @@ def test_criterion_6_two_path_fixed_point_and_calibration():
             int(rng.integers(8, 200)), float(10 ** rng.uniform(-6, -2)),
         )
         g1, g2 = csi.conservative_gains
-        c = params.snr * params.scaled_err_var / params.arg_var_bound
+        c = params.P / params.sigma2 * params.scaled_err_var / params.arg_var_bound
         rho = params.var_ratio_star
         worst_resid = max(worst_resid, abs(
             rho - 1.0 / (1.0 + (g1 + g2 * math.sqrt(rho)) ** 2 * c)

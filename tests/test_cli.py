@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -272,11 +273,16 @@ def test_simulate_extreme_magnitudes_are_infeasible(tmp_path, capsys, base, chan
 def test_simulate_non_finite_report_is_infeasible(tmp_path, capsys, change, trials, field):
     cfg = write_json(tmp_path / "c.json", dict(SCHEME1_CONFIG, **change))
     out = tmp_path / "r.json"
-    with np.errstate(all="ignore"):
+    # a floating point warning is raised as an error, so one that escapes the
+    # run makes it exit 1 instead of 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["simulate", "--config", cfg, "--trials", str(trials),
                      "--seed", "1", "--out", str(out)])
     assert code == EXIT_INFEASIBLE
-    assert f"report field '{field}' is not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"infeasible parameters: report field '{field}' is not finite")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from skfading.numerics import InfeasibleError, modulo_reduce
 from skfading.quasi_static import (
     TransmitterCsi,
     capacity_fd,
-    classical_sk_error_var,
-    classical_sk_gain,
     decode_midpoint,
     derive_params1,
     map_message,
@@ -19,9 +18,10 @@ from skfading.quasi_static import (
     rate_fd_baseline,
     rx_feedback1,
     rx_update1,
-    simulate_classical_sk,
     tx_step1,
 )
+
+from classical_sk import classical_sk_error_var, classical_sk_gain, simulate_classical_sk
 
 
 def q_inv_oracle(p):
@@ -88,6 +88,21 @@ def test_decode_midpoint_matches_linear_scan():
         fast = decode_midpoint(theta, m)
         if not np.isclose(np.abs(theta - mids[brute - 1]), np.abs(theta - mids[fast - 1])):
             assert fast == brute
+
+
+def test_decode_midpoint_non_finite_is_no_message():
+    # a NaN or infinite estimate decodes to 0, no message, so the trial counts
+    # as an error; huge finite estimates clip to the edge messages; neither
+    # raises a floating point warning
+    m = 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            assert decode_midpoint(bad, m) == 0
+        got = decode_midpoint(
+            np.array([np.nan, map_message(3, m), np.inf, -np.inf, 1e300, -1e300]), m
+        )
+    assert got.tolist() == [0, 3, 0, 0, m, 1]
 
 
 def test_message_size_guard():
@@ -332,7 +347,7 @@ def test_mmse_coefficients_broadcast():
 
 
 # ---------------------------------------------------------------------------
-# classical iteration
+# classical iteration (the test-local oracle in classical_sk.py)
 # ---------------------------------------------------------------------------
 
 def test_classical_first_step_variance():

@@ -1,4 +1,7 @@
+import importlib
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +398,13 @@ def test_scheme3_subchannel_cross_independence():
 def test_scheme3_message_size_consistency():
     params = SC1.derive()
     assert message_size(SC1.n, params.rate) >= 2
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer wraps each (module, name) of PATCHES by getattr, so
+    # a deleted or renamed name would break every traced benchmark run;
+    # run_path executes tracer.py from its source and writes nothing
+    tracer = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))
+    assert tracer["PATCHES"]
+    for module, attr, _ in tracer["PATCHES"]:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
