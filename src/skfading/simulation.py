@@ -15,9 +15,9 @@ per-component bounds, which consumes the stream like the per-component
 scalar draws it stands for.
 
 run_trials, the one entry point to the closed loop, runs any set of trial
-indices in lockstep through the scheme's engine. monte_carlo folds fixed
-chunks of it into running totals, so its memory is one chunk's arrays plus
-16 bytes per trial (the two power vectors, which are averaged whole).
+indices in lockstep through the scheme's engine. monte_carlo derives once
+and folds 4096-trial chunks into running totals: its memory is one chunk's
+arrays (14.5 MB at n = 80) plus the two power vectors, 16 bytes per trial.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ TAG_ENV = 3
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MASK64 = (1 << 64) - 1
-_CHUNK = 20_000  # trials per run_trials call in monte_carlo
+_CHUNK = 4096  # trials per engine run in monte_carlo: the smallest at full speed
 
 
 # ---------------------------------------------------------------------------
@@ -207,243 +207,236 @@ def _keyed_streams(master_seed: int, indices, tag: int):
 # mode, its modulo-free partner on the same noise
 # ---------------------------------------------------------------------------
 
-def _original_or_partner(closed_loop, coupled: bool):
-    """Run closed_loop(None), the original system, and in coupled mode also
-    closed_loop(z_orig), the modulo-free partner fed the original's
-    quantization noise. closed_loop returns (outputs, quantization noise);
-    the partner reports the original's transmit powers."""
-    original, z_orig = closed_loop(None)
+def _original_or_partner(closed_loop, coupled: bool, z_shape):
+    """Run closed_loop(z_hist, False), the original system, and in coupled
+    mode closed_loop(z_hist, True), its modulo-free partner fed the
+    quantization noise the original recorded in z_hist (a z_shape array,
+    None outside coupled mode); the partner reports the original's powers."""
+    z_hist = np.zeros(z_shape) if coupled else None
+    original = closed_loop(z_hist, False)
     if not coupled:
         del original["residual"]
         return original
-    partner, _ = closed_loop(z_orig)
+    partner = closed_loop(z_hist, True)
     partner["pow_fwd"] = original["pow_fwd"]
     partner["pow_fb"] = original["pow_fb"]
     return partner
 
 
-def _feedback_link(params, z_orig):
+def _feedback_link(params, z_hist, remove_modulo: bool):
     """The feedback link of schemes 1 and 2, chosen once per closed loop.
 
     link(theta_hat, gain, dither, col) returns the sent symbol, the received
     one and the quantization noise of feedback column col. The original
-    system (z_orig None) quantizes the dithered modulo symbol; the coupled
-    partner sends the linear symbol plus the original's recorded z."""
-    if z_orig is None:
+    system quantizes the dithered modulo symbol and, given z_hist, records
+    the noise in its column col; the modulo-free partner sends the linear
+    symbol plus the noise recorded there."""
+    if not remove_modulo:
         def link(theta_hat, gain, dither, col):
             x_t = qs.rx_feedback1(theta_hat, gain, dither, params)
             y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
+            if z_hist is not None:
+                z_hist[:, col] = z
             return x_t, y_t, z
     else:
         def link(theta_hat, gain, dither, col):
             x_t = gain * theta_hat + dither
-            z = z_orig[:, col]
+            z = z_hist[:, col]
             return x_t, x_t + z, z
     return link
 
 
-def _engine_quasi_static(scenario, master_seed, indices, coupled: bool):
+def _engine_quasi_static(scenario, master_seed, coupled: bool):
     params = scenario.derive()
     if params.no_positive_rate:
         raise InfeasibleError("scenario admits no positive rate (csi ball contains 0)")
     n = params.n
     count = qs.message_size(n, params.rate)
-    t = len(indices)
-    noise = np.empty((t, n))
-    dithers = np.empty((t, n - 1))
-    u = np.empty(t)
-    w = np.empty(t, dtype=np.int64)
-    for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
-        gen.standard_normal(out=row)
-    for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
-        gen.random(out=row)
-    for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
-        u[r] = gen.random()
-        w[r] = gen.integers(1, count + 1)
-    noise *= scenario.noise_scale * math.sqrt(params.sigma2)
-    dithers -= 0.5
-    dithers *= params.lattice_spacing
-    h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u)
-    theta = qs.map_message(w, count)
-    beta, _ = qs.mmse_coefficients1(params, h)
-
     gam = params.feedback_gains
     alpha = params.power_gain
     half = params.lattice_spacing / 2.0
     root12p = math.sqrt(12.0 * params.P)
-    x1 = root12p * theta
 
-    def closed_loop(z_orig):
-        remove_modulo = z_orig is not None
-        link = _feedback_link(params, z_orig)
-        eps = np.empty((t, n))
-        alias = np.zeros((t, n - 1), dtype=bool)
-        z_hist = np.zeros((t, n - 1))
-        residual = 0.0
-        # the two systems start from differently rounded forms of the same
-        # time-1 estimate; both forms are part of the recorded reports
-        if remove_modulo:
-            theta_hat = theta + noise[:, 0] / (h * root12p)
-        else:
-            theta_hat = (h * x1 + noise[:, 0]) / (h * root12p)
-        eps[:, 0] = theta_hat - theta
-        pow_fwd = x1 * x1
-        pow_fb = np.zeros(t)
-        for i in range(n - 1):  # feedback at time i+1, forward step at time i+2
-            x_t, y_t, z = link(theta_hat, gam[i], dithers[:, i], i)
-            z_hist[:, i] = z
-            pow_fb += x_t * x_t
-            alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
+    def run(indices):
+        t = len(indices)
+        noise = np.empty((t, n))
+        dithers = np.empty((t, n - 1))
+        u = np.empty(t)
+        w = np.empty(t, dtype=np.int64)
+        for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
+            gen.standard_normal(out=row)
+        for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
+            gen.random(out=row)
+        for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
+            u[r] = gen.random()
+            w[r] = gen.integers(1, count + 1)
+        noise *= scenario.noise_scale * math.sqrt(params.sigma2)
+        dithers -= 0.5
+        dithers *= params.lattice_spacing
+        h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u)
+        theta = qs.map_message(w, count)
+        beta = qs.mmse_coefficients1(params, h)[0]  # the err_var trajectory goes unread
+        x1 = root12p * theta
+
+        def closed_loop(z_hist, remove_modulo):
+            link = _feedback_link(params, z_hist, remove_modulo)
+            eps = np.empty((t, n))
+            alias = np.zeros((t, n - 1), dtype=bool)
+            residual = 0.0
+            # the two systems start from differently rounded forms of the same
+            # time-1 estimate; both forms are part of the recorded reports
             if remove_modulo:
-                x = alpha * (y_t - gam[i] * theta - dithers[:, i])
+                theta_hat = theta + noise[:, 0] / (h * root12p)
             else:
-                x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], params)
-            y = h * x + noise[:, i + 1]
-            theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta[:, i], params)
-            if remove_modulo:
-                expected = h * alpha * gam[i] * eps[:, i] + noise[:, i + 1]
-                residual = max(residual, float(np.max(np.abs(y_dot - expected))))
-            eps[:, i + 1] = theta_hat - theta
-            pow_fwd += x * x
-        correct = qs.decode_midpoint(theta_hat, count) == w
-        return {
-            "correct": np.atleast_1d(correct),
-            "eps": eps,
-            "alias": alias,
-            "pow_fwd": pow_fwd / n,
-            "pow_fb": pow_fb / n,
-            "residual": residual,
-        }, z_hist
+                theta_hat = (h * x1 + noise[:, 0]) / (h * root12p)
+            eps[:, 0] = theta_hat - theta
+            pow_fwd = x1 * x1
+            pow_fb = np.zeros(t)
+            for i in range(n - 1):  # feedback at time i+1, forward step at time i+2
+                x_t, y_t, z = link(theta_hat, gam[i], dithers[:, i], i)
+                pow_fb += x_t * x_t
+                alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
+                if remove_modulo:
+                    x = alpha * (y_t - gam[i] * theta - dithers[:, i])
+                else:
+                    x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], params)
+                y = h * x + noise[:, i + 1]
+                theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta[:, i], params)
+                if remove_modulo:
+                    expected = h * alpha * gam[i] * eps[:, i] + noise[:, i + 1]
+                    residual = max(residual, float(np.max(np.abs(y_dot - expected))))
+                eps[:, i + 1] = theta_hat - theta
+                pow_fwd += x * x
+            correct = qs.decode_midpoint(theta_hat, count) == w
+            return {
+                "correct": np.atleast_1d(correct),
+                "eps": eps,
+                "alias": alias,
+                "pow_fwd": pow_fwd / n,
+                "pow_fb": pow_fb / n,
+                "residual": residual,
+            }
 
-    return _original_or_partner(closed_loop, coupled)
+        return _original_or_partner(closed_loop, coupled, (t, n - 1))
+
+    return run
 
 
-def _engine_two_path(scenario, master_seed, indices, coupled: bool):
+def _engine_two_path(scenario, master_seed, coupled: bool):
     params = scenario.derive()
     if params.no_positive_rate:
         raise InfeasibleError("scenario admits no positive rate (csi balls contain 0)")
     n = params.n
     count = qs.message_size(n, params.rate)
-    t = len(indices)
-    noise = np.empty((t, n))
-    dithers = np.zeros((t, n + 1))
-    u = np.empty((t, 2))
-    w = np.empty(t, dtype=np.int64)
-    art = np.empty(t)
-    for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
-        gen.standard_normal(out=row)
-    for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
-        gen.random(out=row[2:n])
-    for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
-        gen.random(out=u[r])
-        w[r] = gen.integers(1, count + 1)
-        art[r] = gen.standard_normal()
-    noise *= scenario.noise_scale * math.sqrt(params.sigma2)
-    dithers[:, 2:n] -= 0.5
-    dithers[:, 2:n] *= params.lattice_spacing
-    art *= math.sqrt(params.art_noise_var)
-    h1 = _ball_gain(scenario.h1, scenario.h1_hat, scenario.distortion, u[:, 0])
-    h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
-    theta = qs.map_message(w, count)
-
-    sign = tp.pilot_sign(h1, h2, params.sigma_z)
-    pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
-
-    beta, _, combined = tp.mmse_coefficients2(params, h1, h2, sign)
     gam = params.feedback_gains
     alpha = params.power_gain
     half = params.lattice_spacing / 2.0
     root12p = math.sqrt(12.0 * params.P)
 
-    # two-slot initialization: X1 carries the message, X2 stays silent
-    x1 = root12p * theta
-    y1 = h1 * x1 + noise[:, 0]
-    y2 = h2 * x1 + noise[:, 1]
-    init = tp.init_estimate(y1, y2, h1, h2, params.P)
+    def run(indices):
+        t = len(indices)
+        noise = np.empty((t, n))
+        dithers = np.zeros((t, n + 1))
+        u = np.empty((t, 2))
+        w = np.empty(t, dtype=np.int64)
+        art = np.empty(t)
+        for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
+            gen.standard_normal(out=row)
+        for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
+            gen.random(out=row[2:n])
+        for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
+            gen.random(out=u[r])
+            w[r] = gen.integers(1, count + 1)
+            art[r] = gen.standard_normal()
+        noise *= scenario.noise_scale * math.sqrt(params.sigma2)
+        dithers[:, 2:n] -= 0.5
+        dithers[:, 2:n] *= params.lattice_spacing
+        art *= math.sqrt(params.art_noise_var)
+        h1 = _ball_gain(scenario.h1, scenario.h1_hat, scenario.distortion, u[:, 0])
+        h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
+        theta = qs.map_message(w, count)
 
-    def closed_loop(z_orig):
-        remove_modulo = z_orig is not None
-        link = _feedback_link(params, z_orig)
-        eps = np.zeros((t, n))
-        alias = np.zeros((t, n - 2), dtype=bool)  # col i-2 holds the event at time i
-        z_hist = np.zeros((t, n))
-        residual = 0.0
-        theta_hat = init.copy()
-        eps[:, 0] = theta_hat - theta
-        eps[:, 1] = eps[:, 0]
-        pow_fwd = x1 * x1
-        pow_fb = np.full(t, (2.0 * params.sigma_z) ** 2)  # pilot symbol
-        x_prev = ydot_prev = 0.0  # nothing sent or received before time 3
-        for k in range(3, n + 1):  # feedback at time k-1, forward step at time k
-            u_now = art if k == 4 else 0.0
-            u_prev = art if k == 5 else 0.0
-            x_t, y_t, z_hist[:, k - 1] = link(theta_hat, gam[k - 1], dithers[:, k - 1], k - 1)
-            pow_fb += x_t * x_t
-            # the artificial noise joins the modulo argument of the time-4 step
-            alias[:, k - 3] = _alias_event(
-                gam[k - 1] * eps[:, k - 2] + z_hist[:, k - 1] + u_now, half
-            )
-            if remove_modulo:
-                x = tp.phase_factor(sign, k - 2) * alpha * (
-                    y_t - gam[k - 1] * theta - dithers[:, k - 1] + u_now
+        sign = tp.pilot_sign(h1, h2, params.sigma_z)
+        pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
+        # the err_var trajectory goes unread, and only the partner reads combined
+        beta, combined = tp.mmse_coefficients2(params, h1, h2, sign)[0::2]
+        if not coupled:
+            combined = None
+
+        # two-slot initialization: X1 carries the message, X2 stays silent
+        x1 = root12p * theta
+        y1 = h1 * x1 + noise[:, 0]
+        y2 = h2 * x1 + noise[:, 1]
+        init = tp.init_estimate(y1, y2, h1, h2, params.P)
+
+        def closed_loop(z_hist, remove_modulo):
+            link = _feedback_link(params, z_hist, remove_modulo)
+            eps = np.zeros((t, n))
+            alias = np.zeros((t, n - 2), dtype=bool)  # col i-2 holds the event at time i
+            residual = 0.0
+            theta_hat = init.copy()
+            eps[:, 0] = theta_hat - theta
+            eps[:, 1] = eps[:, 0]
+            pow_fwd = x1 * x1
+            pow_fb = np.full(t, (2.0 * params.sigma_z) ** 2)  # pilot symbol
+            x_prev = ydot_prev = z_prev = 0.0  # nothing sent or received before time 3
+            for k in range(3, n + 1):  # feedback at time k-1, forward step at time k
+                u_now = art if k == 4 else 0.0
+                u_prev = art if k == 5 else 0.0
+                x_t, y_t, z = link(theta_hat, gam[k - 1], dithers[:, k - 1], k - 1)
+                pow_fb += x_t * x_t
+                # the artificial noise joins the modulo argument of the time-4 step
+                alias[:, k - 3] = _alias_event(gam[k - 1] * eps[:, k - 2] + z + u_now, half)
+                if remove_modulo:
+                    x = tp.phase_factor(sign, k - 2) * alpha * (
+                        y_t - gam[k - 1] * theta - dithers[:, k - 1] + u_now
+                    )
+                else:
+                    x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 1], sign, k,
+                                    params, art_noise=u_now)
+                y = h1 * x + h2 * x_prev + noise[:, k - 1]
+                y_dot = tp.rx_aux2(
+                    y, z, z_prev, ydot_prev, gam[k - 2], beta[:, k - 2], h1, h2, sign,
+                    k, params, art_noise=u_now, art_noise_prev=u_prev,
                 )
-            else:
-                x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 1], sign, k,
-                                params, art_noise=u_now)
-            y = h1 * x + h2 * x_prev + noise[:, k - 1]
-            y_dot = tp.rx_aux2(
-                y, z_hist[:, k - 1], z_hist[:, k - 2], ydot_prev,
-                gam[k - 2], beta[:, k - 2], h1, h2, sign, k, params,
-                art_noise=u_now, art_noise_prev=u_prev,
-            )
-            if remove_modulo:
-                expected = alpha * combined[:, k - 1] * eps[:, k - 2] \
-                    + noise[:, k - 1] + u_now
-                residual = max(residual, float(np.max(np.abs(y_dot - expected))))
-            theta_hat = theta_hat - beta[:, k - 1] * y_dot
-            eps[:, k - 1] = theta_hat - theta
-            pow_fwd += x * x
-            x_prev = x
-            ydot_prev = y_dot
-        correct = (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok
-        return {
-            "correct": np.atleast_1d(correct),
-            "eps": eps,
-            "alias": alias,
-            "pow_fwd": pow_fwd / n,
-            "pow_fb": pow_fb / n,
-            "pilot_ok": np.atleast_1d(pilot_ok),
-            "residual": residual,
-        }, z_hist
+                if remove_modulo:
+                    expected = alpha * combined[:, k - 1] * eps[:, k - 2] \
+                        + noise[:, k - 1] + u_now
+                    residual = max(residual, float(np.max(np.abs(y_dot - expected))))
+                theta_hat = theta_hat - beta[:, k - 1] * y_dot
+                eps[:, k - 1] = theta_hat - theta
+                pow_fwd += x * x
+                x_prev = x
+                ydot_prev = y_dot
+                z_prev = z
+            correct = (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok
+            return {
+                "correct": np.atleast_1d(correct),
+                "eps": eps,
+                "alias": alias,
+                "pow_fwd": pow_fwd / n,
+                "pow_fb": pow_fb / n,
+                "pilot_ok": np.atleast_1d(pilot_ok),
+                "residual": residual,
+            }
 
-    return _original_or_partner(closed_loop, coupled)
+        return _original_or_partner(closed_loop, coupled, (t, n))
+
+    return run
 
 
-def _engine_multi_path(scenario, master_seed, indices, coupled: bool):
+def _engine_multi_path(scenario, master_seed, coupled: bool):
     if coupled:
         raise ValueError("the coupled system is defined for schemes 1 and 2 only")
     plan = scenario.derive()
     m_re, m_im, _ = mp.sub_message_sizes(plan)
-    t = len(indices)
     k = plan.subchannels
     num_paths = plan.num_paths
     blocks = plan.blocks
     block_len = plan.block_len
     taps = np.asarray(scenario.h, dtype=complex)
-
-    raw = np.empty((t, 2 * blocks * block_len))
     # one message draw per component, interleaved (re_1, im_1, re_2, ...)
-    w = np.empty((t, 2 * k), dtype=np.int64)
     hi = np.column_stack([m_re, m_im]).ravel() + 1
-    for row, gen in zip(raw, _keyed_streams(master_seed, indices, TAG_NOISE)):
-        gen.standard_normal(out=row)
-    for row, gen in zip(w, _keyed_streams(master_seed, indices, TAG_ENV)):
-        row[:] = gen.integers(1, hi)
-    scale = scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
-    noise = scale * (raw[:, 0::2] + 1j * raw[:, 1::2])
-    w_re, w_im = w[:, 0::2], w[:, 1::2]
-
-    theta = mp.map_complex(w_re, w_im, m_re, m_im)
     live = np.flatnonzero(plan.powers > 0)
     gains = plan.gains
     powers = plan.powers
@@ -456,50 +449,71 @@ def _engine_multi_path(scenario, master_seed, indices, coupled: bool):
             alphas[it - 1, col], _ = mp.variance_lemma3(plan, int(col), it)
         betas[1:, col] = mp.mmse_gain_mp(plan, int(col), alphas[:-1, col])
 
-    eps = np.zeros((t, blocks, k), dtype=complex)
-    cur = np.zeros((t, k), dtype=complex)
-    tail = np.zeros((t, num_paths - 1), dtype=complex)
-    energy = np.zeros(t)
-    theta_hat = np.zeros((t, k), dtype=complex)
-    for b in range(1, blocks + 1):
-        freq = np.zeros((t, k), dtype=complex)
-        if b == 1:
-            freq[:, live] = np.sqrt(6.0 * powers[live]) * theta[:, live]
-        else:
-            freq[:, live] = np.sqrt(powers[live] / alphas[b - 2, live]) * cur[:, live]
-        time_block = idft(freq)
-        sent = mp.add_cyclic_prefix(time_block, num_paths)
-        energy += np.sum(np.abs(sent) ** 2, axis=1)
-        ext = np.concatenate([tail, sent], axis=1)
-        received = np.zeros((t, block_len), dtype=complex)
-        for l in range(num_paths):
-            received += taps[l] * ext[:, num_paths - 1 - l: num_paths - 1 - l + block_len]
-        received += noise[:, (b - 1) * block_len: b * block_len]
-        tail = sent[:, -(num_paths - 1):]
-        obs_freq = dft(mp.extract_payload(received, num_paths))
-        obs = np.zeros((t, k), dtype=complex)
-        obs[:, live] = obs_freq[:, live] / gains[live]
-        if b == 1:
-            theta_hat[:, live] = obs[:, live] / np.sqrt(6.0 * powers[live])
-        else:
-            theta_hat[:, live] = theta_hat[:, live] - betas[b - 1, live] * obs[:, live]
-        cur = theta_hat - theta
-        eps[:, b - 1, :] = cur
+    def run(indices):
+        t = len(indices)
+        noise = np.empty((t, blocks * block_len), dtype=complex)
+        w = np.empty((t, 2 * k), dtype=np.int64)
+        # each row's normals fill its complex noise as (re, im) pairs
+        for row, gen in zip(noise.view(float), _keyed_streams(master_seed, indices, TAG_NOISE)):
+            gen.standard_normal(out=row)
+        for row, gen in zip(w, _keyed_streams(master_seed, indices, TAG_ENV)):
+            row[:] = gen.integers(1, hi)
+        noise *= scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
+        w_re, w_im = w[:, 0::2], w[:, 1::2]
+        theta = mp.map_complex(w_re, w_im, m_re, m_im)
 
-    correct = np.ones(t, dtype=bool)
-    for col in live:
-        got_re, got_im = mp.decode_complex(theta_hat[:, col], int(m_re[col]), int(m_im[col]))
-        correct &= (got_re == w_re[:, col]) & (got_im == w_im[:, col])
-    return {
-        "correct": correct,
-        "eps": eps,
-        "alias": np.zeros((t, 0), dtype=bool),  # no modulo layer, nothing aliases
-        "pow_fwd": energy / scenario.n,
-        "pow_fb": np.zeros(t),
-    }
+        eps = np.zeros((t, blocks, k), dtype=complex)
+        cur = np.zeros((t, k), dtype=complex)
+        tail = np.zeros((t, num_paths - 1), dtype=complex)
+        energy = np.zeros(t)
+        theta_hat = np.zeros((t, k), dtype=complex)
+        for b in range(1, blocks + 1):
+            freq = np.zeros((t, k), dtype=complex)
+            if b == 1:
+                freq[:, live] = np.sqrt(6.0 * powers[live]) * theta[:, live]
+            else:
+                freq[:, live] = np.sqrt(powers[live] / alphas[b - 2, live]) * cur[:, live]
+            time_block = idft(freq)
+            sent = mp.add_cyclic_prefix(time_block, num_paths)
+            energy += np.sum(np.abs(sent) ** 2, axis=1)
+            ext = np.concatenate([tail, sent], axis=1)
+            received = np.zeros((t, block_len), dtype=complex)
+            for l in range(num_paths):
+                received += taps[l] * ext[:, num_paths - 1 - l: num_paths - 1 - l + block_len]
+            received += noise[:, (b - 1) * block_len: b * block_len]
+            tail = sent[:, -(num_paths - 1):]
+            obs_freq = dft(mp.extract_payload(received, num_paths))
+            obs = np.zeros((t, k), dtype=complex)
+            obs[:, live] = obs_freq[:, live] / gains[live]
+            if b == 1:
+                theta_hat[:, live] = obs[:, live] / np.sqrt(6.0 * powers[live])
+            else:
+                theta_hat[:, live] = theta_hat[:, live] - betas[b - 1, live] * obs[:, live]
+            cur = theta_hat - theta
+            eps[:, b - 1, :] = cur
+
+        correct = np.ones(t, dtype=bool)
+        for col in live:
+            got_re, got_im = mp.decode_complex(theta_hat[:, col], int(m_re[col]), int(m_im[col]))
+            correct &= (got_re == w_re[:, col]) & (got_im == w_im[:, col])
+        return {
+            "correct": correct,
+            "eps": eps,
+            "alias": np.zeros((t, 0), dtype=bool),  # no modulo layer, nothing aliases
+            "pow_fwd": energy / scenario.n,
+            "pow_fb": np.zeros(t),
+        }
+
+    return run
 
 
 _ENGINES = {1: _engine_quasi_static, 2: _engine_two_path, 3: _engine_multi_path}
+
+
+def _engine(scenario, master_seed: int, coupled: bool):
+    """The one reader of scheme_id: the scheme's engine derives the scenario
+    once and returns run(indices), which runs those trials in lockstep."""
+    return _ENGINES[scenario.scheme_id](scenario, master_seed, coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +531,7 @@ def run_trials(scenario: Scenario, master_seed: int, indices, coupled: bool = Fa
     the original's noise, and "residual" holds its largest noise-cancellation
     error over the batch.
     """
-    return _ENGINES[scenario.scheme_id](scenario, master_seed, indices, coupled)
+    return _engine(scenario, master_seed, coupled)(indices)
 
 
 def monte_carlo(
@@ -531,17 +545,17 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    run = _engine(scenario, master_seed, coupled)
     correct, alias, sq_sum = 0, 0, 0.0
     pow_fwd, pow_fb = [], []
     for start in range(0, trials, _CHUNK):
-        idx = range(start, min(start + _CHUNK, trials))
-        out = run_trials(scenario, master_seed, idx, coupled)
+        out = run(range(start, min(start + _CHUNK, trials)))
         correct += np.count_nonzero(out["correct"])
-        # |eps|^2 squared in place (bit-equal to eps ** 2 on the real errors
-        # of schemes 1 and 2); the running sum (0.0 at first, which leaves
-        # squares unchanged) joins the chunk's first row, so trials are summed
-        # in index order as one axis-0 sum over all would
-        sq = np.abs(out["eps"])
+        # |eps|^2 squared in place (real errors directly: x*x is bit-equal to
+        # |x|**2); the running sum (0.0 at first, which leaves squares
+        # unchanged) joins the chunk's first row, so trials are summed in
+        # index order as one axis-0 sum over all would
+        sq = out["eps"] if out["eps"].dtype == float else np.abs(out["eps"])
         np.square(sq, out=sq)
         sq[0] += sq_sum
         sq_sum = np.sum(sq, axis=0)

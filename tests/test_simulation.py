@@ -1,14 +1,17 @@
 import importlib
 import math
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from skfading import multi_path, quasi_static, two_path
 from skfading.numerics import InfeasibleError
 from skfading.quasi_static import message_size
 from skfading.simulation import (
+    _CHUNK,
     TAG_NOISE,
     MultiPathScenario,
     QuasiStaticScenario,
@@ -188,6 +191,49 @@ def test_monte_carlo_infeasible_scenario():
     )
     with pytest.raises(InfeasibleError):
         monte_carlo(bad, 10, master_seed=1)
+
+
+def test_monte_carlo_working_set_is_one_chunk():
+    # the sim_tp_large benchmark scenario (scheme 2, n = 80): a run of three
+    # chunks holds no more than a run of one, up to 16 bytes per trial of
+    # transmit powers; one chunk peaks at 13.7 MB, and at 19.7 MB when the
+    # engine keeps arrays it never reads (err_var, combined gains, z history)
+    sc = TwoPathScenario(
+        h1_hat=0.9, h2_hat=0.5, distortion=0.05, sigma2=1.0, P=1.0,
+        P_tilde=10.0, sigma_z=1e-3, n=80, eps=1e-2,
+    )
+    monte_carlo(sc, 1, master_seed=1)  # lazy set-up stays out of the peaks
+    peaks = []
+    for trials in (_CHUNK, 2 * _CHUNK + 1):
+        tracemalloc.start()
+        try:
+            monte_carlo(sc, trials, master_seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_chunk, three_chunks = peaks
+    assert three_chunks < 16e6
+    assert three_chunks <= one_chunk + 1e6
+
+
+@pytest.mark.parametrize("module, name, scenario", [
+    (quasi_static, "derive_params1", SC1),
+    (two_path, "derive_params2", SC2),
+    # subchannels unset: the derive is the subchannel-count scan
+    (multi_path, "optimize_subchannel_count",
+     MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24, eps=1e-2)),
+], ids=["scheme1", "scheme2", "scheme3"])
+def test_monte_carlo_derives_once(monkeypatch, module, name, scenario):
+    calls = []
+    derive = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    monte_carlo(scenario, 2 * _CHUNK + 1, master_seed=1)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

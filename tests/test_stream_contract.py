@@ -76,17 +76,21 @@ COUPLED_DIGESTS = {
 }
 
 
-# 45 001 trials span three 20 000-trial chunks, the last one a single
-# trial, so these pin how monte_carlo folds its chunks into one report;
-# recorded with an implementation that concatenated every chunk's full
-# per-trial arrays and reduced them once
+# these pin how monte_carlo folds its chunks into one report: 45 001 trials
+# span eleven 4096-trial chunks, and 8193 trials two chunks and a single
+# trial; the 45 001-trial digests were recorded with an implementation that
+# concatenated every chunk's full per-trial arrays and reduced them once,
+# the 8193-trial ones with 20 000-trial chunks folded one at a time
+MULTI_CHUNK_SCHEME3 = MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24,
+                                        eps=1e-2, subchannels=3)
 MULTI_CHUNK_CASES = {
-    "scheme1": (COUPLED_CASES["scheme1"], False),
-    "scheme1_coupled": (COUPLED_CASES["scheme1"], True),
-    "scheme2": (COUPLED_CASES["scheme2"], False),
-    "scheme2_coupled": (COUPLED_CASES["scheme2"], True),
-    "scheme3": (MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24,
-                                  eps=1e-2, subchannels=3), False),
+    "scheme1": (COUPLED_CASES["scheme1"], False, 45_001),
+    "scheme1_coupled": (COUPLED_CASES["scheme1"], True, 45_001),
+    "scheme2": (COUPLED_CASES["scheme2"], False, 45_001),
+    "scheme2_coupled": (COUPLED_CASES["scheme2"], True, 45_001),
+    "scheme3": (MULTI_CHUNK_SCHEME3, False, 45_001),
+    "scheme2_single_trial_last_chunk": (COUPLED_CASES["scheme2"], False, 8193),
+    "scheme3_single_trial_last_chunk": (MULTI_CHUNK_SCHEME3, False, 8193),
 }
 
 MULTI_CHUNK_DIGESTS = {
@@ -97,6 +101,10 @@ MULTI_CHUNK_DIGESTS = {
     "scheme2_coupled":
         "7b9750699021f173024588edad2a50e6238f593b025917c980306255a422f9b8",
     "scheme3": "e3d59354736fb5561a6091a58e8d9fdc809bfafdd99989235169feb25246973d",
+    "scheme2_single_trial_last_chunk":
+        "d7c3fbd05519cc1f70bfb935f0474a2eff5ec25f6fa1674471b50b8a22f72906",
+    "scheme3_single_trial_last_chunk":
+        "4057510f6cabd1e18184a8aa065b26e0ab88ebc60eb0c9392329fff007144723",
 }
 
 
@@ -130,8 +138,8 @@ def test_coupled_monte_carlo_digest(case):
 
 @pytest.mark.parametrize("case", sorted(MULTI_CHUNK_CASES))
 def test_multi_chunk_monte_carlo_digest(case):
-    scenario, coupled = MULTI_CHUNK_CASES[case]
-    report = monte_carlo(scenario, 45_001, master_seed=2024, coupled=coupled)
+    scenario, coupled, trials = MULTI_CHUNK_CASES[case]
+    report = monte_carlo(scenario, trials, master_seed=2024, coupled=coupled)
     assert report_digest(report) == MULTI_CHUNK_DIGESTS[case]
 
 
