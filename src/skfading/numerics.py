@@ -8,6 +8,7 @@ and water-filling power allocation. Everything here is pure.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -137,8 +138,10 @@ def philox_key(seed: int, index: int = 0, tag: int = 0) -> int:
     Distinct keys give independent substreams, so transmitter, receiver and
     analysis code can derive identical sequences without message passing.
     A field outside its range raises ValueError rather than aliasing
-    another key.
+    another key. Fields may be numpy integers: they are packed as Python
+    integers, so a fixed-width shift cannot wrap.
     """
+    seed, index, tag = operator.index(seed), operator.index(index), operator.index(tag)
     if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 56 and 0 <= tag < 1 << 8):
         raise ValueError(
             f"philox_key: need seed in [0, 2**64), index in [0, 2**56) and tag "

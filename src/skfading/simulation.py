@@ -7,12 +7,21 @@ results, trials are order-independent, and the coupled-system runs reuse
 the exact noise realizations of their original-system partners (common
 random numbers).
 
-Streams are re-keyed, not rebuilt: each batch of trials builds one Philox
-and sets every trial's key, with a zero counter and empty buffers, through
-its state, which gives the exact stream a fresh Generator(Philox(key=...))
-would. The scheme-3 messages of a trial come from one integers() call with
-per-component bounds, which consumes the stream like the per-component
-scalar draws it stands for.
+Every stream is drawn exactly as Generator(Philox(key=philox_key(seed,
+index, tag))) would draw it (the v1 stream contract), in one of two ways:
+- short streams of uniforms and integers, in one vectorised Philox4x64-10
+  pass over a whole batch with numpy's own transforms: every trial's
+  environment (TAG_ENV: gain uniforms, message integers, scheme 3's
+  per-component alphabets) and dither rows of at most _SHORT_ROW words
+  (scheme 1 at small n);
+- the rest from one Philox per batch, re-keyed through its state for each
+  trial: every row of normals (TAG_NOISE, scheme 2's artificial noise,
+  which resumes after the environment words the pass used) and longer
+  dither rows, where the vector pass is slower.
+A trial whose environment holds a Lemire draw that numpy might have
+rejected (leftover below the alphabet size) draws its whole environment
+again from its re-keyed generator, so the pass never has to model a
+rejection loop.
 
 run_trials, the one entry point to the closed loop, runs any set of trial
 indices in lockstep through the scheme's engine. monte_carlo derives once
@@ -53,6 +62,14 @@ TAG_ENV = 3
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MASK64 = (1 << 64) - 1
+_M32 = (1 << 32) - 1
+# Philox4x64 round multipliers and key increments, as in numpy's Philox
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# longest uniform row drawn by the vector pass: per 4096-trial chunk it takes
+# 4.0 ms for 32-word rows against 6.8 ms re-keyed, ties near 48 words and
+# takes twice as long at 78 (scheme 2's dithers at n = 80)
+_SHORT_ROW = 32
 _CHUNK = 4096  # trials per engine run in monte_carlo: the smallest at full speed
 
 
@@ -177,7 +194,22 @@ def _ball_gain(fixed, center, distortion, u):
 # keyed randomness
 # ---------------------------------------------------------------------------
 
-def _keyed_streams(master_seed: int, indices, tag: int):
+def _stream_keys(master_seed: int, indices, tag: int):
+    """Low key words, index << 8 | tag, of the indices' keyed streams as a
+    uint64 array; the high word is master_seed for all of them.
+
+    philox_key checks the fields once per batch, at the smallest and the
+    largest index, so an index outside [0, 2**56) raises ValueError rather
+    than wrapping onto another trial's key.
+    """
+    ix = np.asarray(indices)
+    lo, hi = (int(ix.min()), int(ix.max())) if ix.size else (0, 0)
+    philox_key(master_seed, lo, tag)
+    philox_key(master_seed, hi, tag)
+    return (ix.astype(np.uint64) << 8) | tag
+
+
+def _keyed_streams(master_seed: int, indices, tag: int, raw=None, used: int = 0):
     """Yield one generator per index, at the start of its keyed stream.
 
     A single Philox is re-keyed through its state for each index: the state
@@ -187,6 +219,12 @@ def _keyed_streams(master_seed: int, indices, tag: int):
     Generator(Philox(key=philox_key(master_seed, index, tag))) would. The
     same generator object is re-keyed on the next step; draw from it before
     advancing.
+
+    Given raw, the streams' first raw words from _philox_raw (whole counter
+    blocks), each generator starts `used` words in instead, as if it had
+    drawn them with next_uint64: its counter stands at the last block used,
+    which it holds buffered. It holds no spare 32-bit half, so the first
+    draw from it must not be a 32-bit one.
     """
     bitgen = Philox()
     gen = Generator(bitgen)
@@ -194,12 +232,191 @@ def _keyed_streams(master_seed: int, indices, tag: int):
     state["buffer"] = state["buffer"].tolist()
     inner = state["state"]
     inner["counter"] = inner["counter"].tolist()
-    key = inner["key"] = [0, 0]
-    for ix in indices:
-        packed = philox_key(master_seed, int(ix), tag)
-        key[0], key[1] = packed & _MASK64, packed >> 64
+    key = inner["key"] = [0, master_seed]
+    if used:
+        block = (used - 1) // 4
+        inner["counter"][0] = block + 1
+        state["buffer_pos"] = used - 4 * block
+    for r, low in enumerate(_stream_keys(master_seed, indices, tag)):
+        key[0] = int(low)
+        if used:
+            state["buffer"] = raw[r, 4 * block: 4 * block + 4].tolist()
         bitgen.state = state
         yield gen
+
+
+def _mulhilo(x, m: int, hi, lo, scratch):
+    """Write into hi and lo the high and low 64-bit words of the 128-bit
+    products x * m, for a uint64 array x and a 64-bit constant m, from
+    products of 32-bit halves; scratch holds three more arrays of x's
+    shape."""
+    m_lo, m_hi = m & _M32, m >> 32
+    x_lo, mid, cross = scratch
+    np.multiply(x, m, out=lo)
+    np.bitwise_and(x, _M32, out=x_lo)
+    np.right_shift(x, 32, out=hi)
+    np.multiply(hi, m_lo, out=mid)
+    np.multiply(x_lo, m_lo, out=cross)
+    cross >>= 32
+    mid += cross
+    np.bitwise_and(mid, _M32, out=cross)
+    x_lo *= m_hi
+    cross += x_lo
+    mid >>= 32
+    hi *= m_hi
+    hi += mid
+    cross >>= 32
+    hi += cross
+
+
+def _philox_raw(master_seed: int, indices, tag: int, words: int):
+    """The first `words` raw outputs of each index's keyed stream, as a
+    (len(indices), words) uint64 array whose row r is bit-equal to
+    Philox(key=philox_key(master_seed, indices[r], tag)).random_raw(words).
+
+    One Philox4x64-10 pass (Salmon et al., SC 2011) over every trial and
+    counter block at once; uint64 arithmetic wraps, which is the modular
+    arithmetic the cipher defines. Block b (from 0) encrypts the counter
+    (b + 1, 0, 0, 0), as a fresh numpy Philox does. The result is allocated
+    before the temporaries, all in one array, so that freeing them leaves
+    no gap under it (sim_tp_large's peak RSS depends on that heap layout).
+    """
+    k0 = _stream_keys(master_seed, indices, tag)
+    k1 = master_seed
+    blocks = -(-words // 4)
+    out = np.empty((len(k0), blocks, 4), dtype=np.uint64)
+    x0, x1, x2, x3, lo0, lo1, hi0, hi1, *scratch = np.zeros((11, blocks, len(k0)),
+                                                             dtype=np.uint64)
+    x0 += np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    for rnd in range(10):
+        if rnd:
+            k0 += _PHILOX_W[0]
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        _mulhilo(x0, _PHILOX_M[0], hi0, lo0, scratch)
+        _mulhilo(x2, _PHILOX_M[1], hi1, lo1, scratch)
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0), with
+        # the spent x0 and x2 taking the next round's low words
+        x1 ^= hi1
+        x1 ^= k0
+        x3 ^= hi0
+        x3 ^= k1
+        x0, x1, x2, x3, lo0, lo1 = x1, lo1, x3, lo0, x0, x2
+    for j, lane in enumerate((x0, x1, x2, x3)):
+        out[:, :, j] = lane.T
+    return out.reshape(len(k0), 4 * blocks)[:, :words]
+
+
+def _uniforms(raw, out=None):
+    """Generator.random() of each raw word: its top 53 bits times 2**-53."""
+    return np.multiply(raw >> 11, 2.0 ** -53, out=out)
+
+
+def _integer_plan(sizes, word: int):
+    """Where Generator.integers(1, size + 1) reads each alphabet size in
+    turn, drawn from a stream that has used its first `word` raw words and
+    holds no spare 32-bit half.
+
+    Returns ([(word, shift, size), ...], words used after the last draw).
+    numpy draws a size of 1 from nothing, a size up to 2**32 from 32 bits
+    (the low half of a fresh word, shift 0, or the spare high half a
+    previous 32-bit draw left, shift 32; whole-word draws in between keep
+    it spare) and a larger size from a whole word (shift None). Sizes stay
+    below 2**63, the int64 bound of integers().
+    """
+    plan, spare = [], None
+    for size in map(int, sizes):
+        if size == 1:
+            plan.append((None, None, 1))
+        elif size <= 1 << 32 and spare is not None:
+            plan.append((spare, 32, size))
+            spare = None
+        elif size <= 1 << 32:
+            plan.append((word, 0, size))
+            spare, word = word, word + 1
+        else:
+            plan.append((word, None, size))
+            word += 1
+    return plan, word
+
+
+def _integers(raw, plan):
+    """The plan's integers from each row of raw words, by numpy's
+    transforms: Lemire's multiply-shift (ACM TOMACS 2019) in 32 or 64 bits,
+    and the bare 32-bit word for a size of exactly 2**32.
+
+    Returns (values, redo): values is (rows, len(plan)) int64, and redo
+    marks the rows where some Lemire draw had leftover < size and so might
+    have been rejected and redrawn; their values are to be drawn again
+    through _keyed_streams.
+    """
+    values = np.zeros((len(raw), len(plan)), dtype=np.int64)
+    redo = np.zeros(len(raw), dtype=bool)
+    for col, (word, shift, size) in enumerate(plan):
+        if size == 1:
+            continue
+        if shift is None:
+            draw, leftover, *scratch = np.empty((5, len(raw)), dtype=np.uint64)
+            _mulhilo(raw[:, word], size, draw, leftover, scratch)
+        else:
+            half = (raw[:, word] >> shift) & _M32
+            if size == 1 << 32:
+                values[:, col] = half
+                continue
+            scaled = half * size
+            draw, leftover = scaled >> 32, scaled & _M32
+        values[:, col] = draw
+        redo |= leftover < size
+    values += 1
+    return values, redo
+
+
+def _env_stream(master_seed: int, uniforms: int, sizes, normal: bool = False):
+    """draw(indices) for an engine's environment, its TAG_ENV stream: per
+    trial `uniforms` uniforms, then integers(1, size + 1) for each alphabet
+    size in turn, then, if normal, one standard normal.
+
+    draw returns (u, w, art): (trials, uniforms) floats, (trials, len(sizes))
+    int64 and the (trials,) normals, or None. The uniforms and integers come
+    from the vector pass. A trial in which a Lemire draw might have been
+    rejected draws its whole environment again from its re-keyed generator,
+    which is the stream's own definition. The normal always comes from the
+    re-keyed generator, resumed after the words the vector pass used.
+    """
+    plan, used = _integer_plan(sizes, uniforms)
+    words = 4 * -(-used // 4) if normal else used
+    highs = np.asarray(sizes) + 1
+
+    def draw(indices):
+        indices = np.asarray(indices)
+        raw = _philox_raw(master_seed, indices, TAG_ENV, words)
+        u = _uniforms(raw[:, :uniforms])
+        w, redo = _integers(raw, plan)
+        art = None
+        if normal:
+            art = np.empty(len(indices))
+            for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV, raw, used)):
+                art[r] = gen.standard_normal()
+        rows = np.flatnonzero(redo)
+        for r, gen in zip(rows.tolist(), _keyed_streams(master_seed, indices[rows], TAG_ENV)):
+            gen.random(out=u[r])
+            w[r] = gen.integers(1, highs)
+            if normal:
+                art[r] = gen.standard_normal()
+        return u, w, art
+
+    return draw
+
+
+def _uniform_rows(master_seed: int, indices, tag: int, out):
+    """Fill out[r] with the first uniforms of trial indices[r]'s keyed
+    stream, as Generator.random(out=out[r]) would. Rows of at most
+    _SHORT_ROW words come from the vector pass; longer rows from re-keyed
+    generators, which are faster there."""
+    if out.shape[1] <= _SHORT_ROW:
+        _uniforms(_philox_raw(master_seed, indices, tag, out.shape[1]), out=out)
+    else:
+        for row, gen in zip(out, _keyed_streams(master_seed, indices, tag)):
+            gen.random(out=row)
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +473,18 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
     alpha = params.power_gain
     half = params.lattice_spacing / 2.0
     root12p = math.sqrt(12.0 * params.P)
+    # the environment: the gain's uniform, then the message
+    environment = _env_stream(master_seed, 1, [count])
 
     def run(indices):
         t = len(indices)
-        noise = np.empty((t, n))
+        u, w, _ = environment(indices)
+        u, w = u[:, 0], w[:, 0]
         dithers = np.empty((t, n - 1))
-        u = np.empty(t)
-        w = np.empty(t, dtype=np.int64)
+        _uniform_rows(master_seed, indices, TAG_DITHER, dithers)
+        noise = np.empty((t, n))
         for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
             gen.standard_normal(out=row)
-        for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
-            gen.random(out=row)
-        for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
-            u[r] = gen.random()
-            w[r] = gen.integers(1, count + 1)
         noise *= scenario.noise_scale * math.sqrt(params.sigma2)
         dithers -= 0.5
         dithers *= params.lattice_spacing
@@ -332,22 +547,18 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
     alpha = params.power_gain
     half = params.lattice_spacing / 2.0
     root12p = math.sqrt(12.0 * params.P)
+    # the environment: both gains' uniforms, the message, the artificial noise
+    environment = _env_stream(master_seed, 2, [count], normal=True)
 
     def run(indices):
         t = len(indices)
-        noise = np.empty((t, n))
+        u, w, art = environment(indices)
+        w = w[:, 0]
         dithers = np.zeros((t, n + 1))
-        u = np.empty((t, 2))
-        w = np.empty(t, dtype=np.int64)
-        art = np.empty(t)
+        _uniform_rows(master_seed, indices, TAG_DITHER, dithers[:, 2:n])
+        noise = np.empty((t, n))
         for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
             gen.standard_normal(out=row)
-        for row, gen in zip(dithers, _keyed_streams(master_seed, indices, TAG_DITHER)):
-            gen.random(out=row[2:n])
-        for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV)):
-            gen.random(out=u[r])
-            w[r] = gen.integers(1, count + 1)
-            art[r] = gen.standard_normal()
         noise *= scenario.noise_scale * math.sqrt(params.sigma2)
         dithers[:, 2:n] -= 0.5
         dithers[:, 2:n] *= params.lattice_spacing
@@ -436,7 +647,7 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
     block_len = plan.block_len
     taps = np.asarray(scenario.h, dtype=complex)
     # one message draw per component, interleaved (re_1, im_1, re_2, ...)
-    hi = np.column_stack([m_re, m_im]).ravel() + 1
+    environment = _env_stream(master_seed, 0, np.column_stack([m_re, m_im]).ravel())
     live = np.flatnonzero(plan.powers > 0)
     gains = plan.gains
     powers = plan.powers
@@ -451,13 +662,11 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
 
     def run(indices):
         t = len(indices)
+        w = environment(indices)[1]
         noise = np.empty((t, blocks * block_len), dtype=complex)
-        w = np.empty((t, 2 * k), dtype=np.int64)
         # each row's normals fill its complex noise as (re, im) pairs
         for row, gen in zip(noise.view(float), _keyed_streams(master_seed, indices, TAG_NOISE)):
             gen.standard_normal(out=row)
-        for row, gen in zip(w, _keyed_streams(master_seed, indices, TAG_ENV)):
-            row[:] = gen.integers(1, hi)
         noise *= scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
         w_re, w_im = w[:, 0::2], w[:, 1::2]
         theta = mp.map_complex(w_re, w_im, m_re, m_im)
@@ -549,7 +758,7 @@ def monte_carlo(
     correct, alias, sq_sum = 0, 0, 0.0
     pow_fwd, pow_fb = [], []
     for start in range(0, trials, _CHUNK):
-        out = run(range(start, min(start + _CHUNK, trials)))
+        out = run(np.arange(start, min(start + _CHUNK, trials)))
         correct += np.count_nonzero(out["correct"])
         # |eps|^2 squared in place (real errors directly: x*x is bit-equal to
         # |x|**2); the running sum (0.0 at first, which leaves squares

@@ -9,11 +9,13 @@ say so.
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from skfading import simulation
 from skfading.cli import EXIT_OK, main
 from skfading.numerics import philox_key
 from skfading.simulation import (
@@ -23,8 +25,14 @@ from skfading.simulation import (
     MultiPathScenario,
     QuasiStaticScenario,
     TwoPathScenario,
+    _env_stream,
+    _integer_plan,
+    _integers,
     _keyed_streams,
+    _philox_raw,
+    _uniform_rows,
     monte_carlo,
+    run_trials,
 )
 
 SIMULATE_CASES = {
@@ -136,11 +144,26 @@ def test_coupled_monte_carlo_digest(case):
     assert report_digest(report) == COUPLED_DIGESTS[case]
 
 
+# scheme 2's message alphabet (2.8e6 values) leaves some trials' Lemire
+# draws rejectable, so these digests also pin the per-trial redraw of the
+# environment; the other cases draw none
+REDRAW_CASES = {"scheme2", "scheme2_coupled", "scheme2_single_trial_last_chunk"}
+
+
 @pytest.mark.parametrize("case", sorted(MULTI_CHUNK_CASES))
-def test_multi_chunk_monte_carlo_digest(case):
+def test_multi_chunk_monte_carlo_digest(monkeypatch, case):
+    redrawn = []
+
+    def counting_integers(raw, plan):
+        values, redo = _integers(raw, plan)
+        redrawn.append(int(np.count_nonzero(redo)))
+        return values, redo
+
+    monkeypatch.setattr(simulation, "_integers", counting_integers)
     scenario, coupled, trials = MULTI_CHUNK_CASES[case]
     report = monte_carlo(scenario, trials, master_seed=2024, coupled=coupled)
     assert report_digest(report) == MULTI_CHUNK_DIGESTS[case]
+    assert (sum(redrawn) > 0) == (case in REDRAW_CASES)
 
 
 def fresh(seed, index, tag):
@@ -193,3 +216,114 @@ def test_array_bound_integers_match_scalar_draws():
 def test_philox_key_rejects_out_of_range(seed, index, tag):
     with pytest.raises(ValueError):
         philox_key(seed, index, tag)
+
+
+@pytest.mark.parametrize("scenario", [
+    COUPLED_CASES["scheme1"], COUPLED_CASES["scheme2"], MULTI_CHUNK_SCHEME3,
+], ids=["scheme1", "scheme2", "scheme3"])
+@pytest.mark.parametrize("indices", [[2**56], [-1], [0, 2**56], [2**64]])
+def test_run_trials_rejects_out_of_range_index(scenario, indices):
+    # a trial index packs into 56 key bits; one past the end would wrap
+    # onto trial 0's key instead of failing
+    with pytest.raises(ValueError):
+        run_trials(scenario, 2024, indices)
+
+
+def raw_rows(seed, indices, tag, words):
+    return np.array([Philox(key=philox_key(seed, int(ix), tag)).random_raw(words)
+                     for ix in indices], dtype=np.uint64).reshape(len(indices), words)
+
+
+@pytest.mark.parametrize("tag", [TAG_NOISE, TAG_DITHER, TAG_ENV])
+def test_philox_raw_matches_random_raw(tag):
+    for seed, first in KEYS:
+        for words in range(1, 30):  # up to eight counter blocks
+            for indices in ([], [first]):
+                got = _philox_raw(seed, indices, tag, words)
+                assert got.dtype == np.uint64 and got.shape == (len(indices), words)
+                assert np.array_equal(got, raw_rows(seed, indices, tag, words))
+        # one engine chunk and one trial more, all within the index range
+        indices = np.abs(first - np.arange(4097))
+        assert np.array_equal(_philox_raw(seed, indices, tag, 29),
+                              raw_rows(seed, indices, tag, 29))
+
+
+@pytest.mark.parametrize("used", range(1, 10))
+def test_keyed_streams_resume_after_raw_words(used):
+    for seed, first in KEYS:
+        indices = [first, first ^ 1]
+        raw = _philox_raw(seed, indices, TAG_ENV, 4 * -(-used // 4))
+        for ix, gen in zip(indices, _keyed_streams(seed, indices, TAG_ENV, raw, used)):
+            ref = fresh(seed, ix, TAG_ENV)
+            ref.bit_generator.random_raw(used)
+            assert np.array_equal(gen.standard_normal(6), ref.standard_normal(6))
+            assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
+def test_uniform_rows_match_generator_random(words):
+    # rows up to 32 words come from the vector pass, longer ones from
+    # re-keyed generators; both fill a column slice, as scheme 2's dithers do
+    for seed, first in KEYS:
+        indices = [first, first ^ 1, first]
+        out = np.zeros((3, words + 3))
+        _uniform_rows(seed, indices, TAG_DITHER, out[:, 2:-1])
+        for row, ix in zip(out, indices):
+            assert row[2:-1].tolist() == fresh(seed, ix, TAG_DITHER).random(words).tolist()
+            assert row[:2].tolist() == [0.0, 0.0] and row[-1] == 0.0
+
+
+# (uniforms, alphabet sizes, normal) of an environment stream
+ENV_LAYOUTS = {
+    "sizes_of_one_draw_nothing": (0, [1, 1], False),
+    "scheme1_like": (1, [133_573], False),
+    "scheme2_like": (2, [2_840_761], True),
+    "scheme3_like": (0, [2574, 33, 1, 33], False),
+    "32_bit_pairs_share_a_word": (1, [5, 7, 9, 11, 13], False),
+    "64_bit_draw_while_half_pending": (2, [5, 2**40, 7, 2**49, 3], True),
+    "size_2_to_32_takes_bare_32_bits": (0, [2**32, 3, 2**32], False),
+    "rejectable_32_bit": (1, [2**31 + 1, 2**31 + 1], False),
+    "rejectable_64_bit": (2, [2**63 - 2, 6], True),
+}
+# layouts whose Lemire draws are rejectable in about half the trials
+REJECTABLE = {"rejectable_32_bit", "rejectable_64_bit"}
+
+
+@pytest.mark.parametrize("layout", sorted(ENV_LAYOUTS))
+def test_env_stream_matches_generator_draw_for_draw(layout):
+    uniforms, sizes, normal = ENV_LAYOUTS[layout]
+    plan, used = _integer_plan(sizes, uniforms)
+    for seed, first in KEYS:
+        draw = _env_stream(seed, uniforms, sizes, normal)
+        indices = np.abs(first - np.arange(300))
+        u, w, art = draw(indices)
+        redo = _integers(_philox_raw(seed, indices, TAG_ENV, used), plan)[1]
+        if layout in REJECTABLE:
+            assert 0 < np.count_nonzero(redo) < len(indices)
+        for r, ix in enumerate(indices.tolist()):
+            ref = fresh(seed, ix, TAG_ENV)
+            assert u[r].tolist() == ref.random(uniforms).tolist()
+            assert w[r].tolist() == [ref.integers(1, size + 1) for size in sizes]
+            assert art is None if not normal else art[r] == ref.standard_normal()
+
+
+@pytest.mark.parametrize("scenario,coupled", [
+    (COUPLED_CASES["scheme1"], False), (COUPLED_CASES["scheme1"], True),
+    (COUPLED_CASES["scheme2"], False), (COUPLED_CASES["scheme2"], True),
+    (MULTI_CHUNK_SCHEME3, False),
+], ids=["scheme1", "scheme1_coupled", "scheme2", "scheme2_coupled", "scheme3"])
+def test_run_trials_emits_no_warnings(scenario, coupled):
+    # the vector pass relies on uint64 wrap-around, which numpy arrays do
+    # silently; cmd_simulate's errstate must not be what keeps it quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_trials(scenario, 2**64 - 1, np.arange(2**56 - 300, 2**56), coupled=coupled)
+
+
+def test_philox_key_packs_numpy_integers_exactly():
+    # an int64 index shifted in fixed width wrapped to a negative key
+    assert philox_key(2**64 - 1, np.int64(2**56 - 1), np.uint8(3)) \
+        == philox_key(2**64 - 1, 2**56 - 1, 3)
+    assert philox_key(0, np.int64(2**55)) == 2**63
+    with pytest.raises(ValueError):
+        philox_key(0, np.uint64(2**56))
