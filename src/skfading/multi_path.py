@@ -177,8 +177,9 @@ def map_complex(w_re, w_im, m_re, m_im):
     return complex(theta) if np.ndim(theta) == 0 else theta
 
 
-def decode_complex(theta_hat, m_re: int, m_im: int):
-    """Nearest-midpoint decision per component of a complex estimate."""
+def decode_complex(theta_hat, m_re, m_im):
+    """Nearest-midpoint decision per component of a complex estimate; the
+    alphabet sizes may be arrays that broadcast against theta_hat."""
     theta_hat = np.asarray(theta_hat)
     return (
         decode_midpoint(theta_hat.real, m_re),

@@ -114,14 +114,18 @@ def modulo_reduce(x, spacing):
 
     Offset of x from its nearest multiple of ``spacing``; a tie (x exactly
     halfway between two lattice points) resolves to -spacing/2, keeping the
-    half-open range. Accepts scalars or arrays.
+    half-open range. Accepts scalars or arrays. An infinite float spacing
+    leaves 0 the only lattice point in reach, so x comes back unchanged.
     """
     x = np.asarray(x, dtype=float)
-    r = x - spacing * np.floor(x / spacing + 0.5)
-    # guard the half-open range against roundoff at the boundary
-    half = 0.5 * spacing
-    r = np.where(r < -half, r + spacing, r)
-    r = np.where(r >= half, r - spacing, r)
+    if isinstance(spacing, float) and spacing == math.inf:
+        r = x
+    else:
+        r = x - spacing * np.floor(x / spacing + 0.5)
+        # guard the half-open range against roundoff at the boundary
+        half = 0.5 * spacing
+        r = np.where(r < -half, r + spacing, r)
+        r = np.where(r >= half, r - spacing, r)
     if r.ndim == 0:
         return float(r)
     return r
@@ -157,16 +161,16 @@ def philox_key(seed: int, index: int = 0, tag: int = 0) -> int:
 def dft(x) -> np.ndarray:
     """Unitary DFT along the last axis: y_k = K^{-1/2} sum_n e^{-2pi j nk/K} x_n."""
     x = np.asarray(x, dtype=complex)
-    if x.size == 0:
-        raise ValueError("dft requires a nonempty input")
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError("dft requires a nonempty last axis")
     return np.fft.fft(x) / math.sqrt(x.shape[-1])
 
 
 def idft(x) -> np.ndarray:
     """Inverse of dft (also unitary), along the last axis."""
     x = np.asarray(x, dtype=complex)
-    if x.size == 0:
-        raise ValueError("idft requires a nonempty input")
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError("idft requires a nonempty last axis")
     return np.fft.ifft(x) * math.sqrt(x.shape[-1])
 
 

@@ -96,9 +96,10 @@ def map_message(w, m):
     return theta
 
 
-def decode_midpoint(theta_hat, m: int):
+def decode_midpoint(theta_hat, m):
     """Nearest midpoint decision; inverse of map_message on clean input.
-    A NaN or infinite estimate decodes to 0, which matches no message."""
+    A NaN or infinite estimate decodes to 0, which matches no message.
+    m may be an array of alphabet sizes that broadcasts against theta_hat."""
     k = np.floor((np.asarray(theta_hat) + 0.5) * m)
     # clipped before the integer cast, which would be undefined off range
     w = np.where(np.isfinite(k), np.clip(k, 0, m - 1) + 1, 0).astype(np.int64)
@@ -280,6 +281,4 @@ def mmse_coefficients1(params: QuasiStaticParams, h):
         beta[..., i] = scale * var / (scale * scale * var + sigma2)
         var = var / (1.0 + scale * scale * var / sigma2)
         err_var[..., i + 1] = var
-    if h.ndim == 0:
-        return beta.reshape(n - 1), err_var.reshape(n)
     return beta, err_var

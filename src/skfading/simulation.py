@@ -26,13 +26,13 @@ rejection loop.
 run_trials, the one entry point to the closed loop, runs any set of trial
 indices in lockstep through the scheme's engine. monte_carlo derives once
 and folds 4096-trial chunks into running totals: its memory is one chunk's
-arrays (14.5 MB at n = 80) plus the two power vectors, 16 bytes per trial.
+arrays (12.7 MB at n = 80) plus the two power vectors, 16 bytes per trial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -165,10 +165,11 @@ class MonteCarloReport:
     avg_feedback_power: float
 
 
-def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z):
-    """Wilson score interval for a binomial proportion (valid at 0 errors)."""
+def wilson_interval(errors: int, trials: int):
+    """95% Wilson score interval for a binomial proportion (valid at 0 errors)."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    z = _WILSON_Z
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -421,46 +422,41 @@ def _uniform_rows(master_seed: int, indices, tag: int, out):
 
 # ---------------------------------------------------------------------------
 # engines: one per scheme, each running the original system or, in coupled
-# mode, its modulo-free partner on the same noise
+# mode, its modulo-free partner on the same noise: the same step functions
+# on an infinitely coarse lattice, where modulo_reduce is the identity
 # ---------------------------------------------------------------------------
 
-def _original_or_partner(closed_loop, coupled: bool, z_shape):
-    """Run closed_loop(z_hist, False), the original system, and in coupled
-    mode closed_loop(z_hist, True), its modulo-free partner fed the
-    quantization noise the original recorded in z_hist (a z_shape array,
-    None outside coupled mode); the partner reports the original's powers."""
+def _original_or_partner(closed_loop, params, coupled: bool, z_shape):
+    """Build and run the systems of schemes 1 and 2: closed_loop(params,
+    link, False) is the original; in coupled mode closed_loop(partner, link,
+    True) is its modulo-free partner, which runs on the original's
+    parameters with lattice_spacing = inf and reports the original's powers.
+
+    link(x_t, col) returns the received symbol and the quantization noise of
+    feedback column col. The original quantizes x_t and, in coupled mode,
+    records the noise in a z_shape array; the partner adds the recorded noise.
+    """
     z_hist = np.zeros(z_shape) if coupled else None
-    original = closed_loop(z_hist, False)
+
+    def quantize(x_t, col):
+        y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
+        if coupled:
+            z_hist[:, col] = z
+        return y_t, z
+
+    original = closed_loop(params, quantize, False)
     if not coupled:
         del original["residual"]
         return original
-    partner = closed_loop(z_hist, True)
+
+    def add_recorded(x_t, col):
+        z = z_hist[:, col]
+        return x_t + z, z
+
+    partner = closed_loop(replace(params, lattice_spacing=math.inf), add_recorded, True)
     partner["pow_fwd"] = original["pow_fwd"]
     partner["pow_fb"] = original["pow_fb"]
     return partner
-
-
-def _feedback_link(params, z_hist, remove_modulo: bool):
-    """The feedback link of schemes 1 and 2, chosen once per closed loop.
-
-    link(theta_hat, gain, dither, col) returns the sent symbol, the received
-    one and the quantization noise of feedback column col. The original
-    system quantizes the dithered modulo symbol and, given z_hist, records
-    the noise in its column col; the modulo-free partner sends the linear
-    symbol plus the noise recorded there."""
-    if not remove_modulo:
-        def link(theta_hat, gain, dither, col):
-            x_t = qs.rx_feedback1(theta_hat, gain, dither, params)
-            y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
-            if z_hist is not None:
-                z_hist[:, col] = z
-            return x_t, y_t, z
-    else:
-        def link(theta_hat, gain, dither, col):
-            x_t = gain * theta_hat + dither
-            z = z_hist[:, col]
-            return x_t, x_t + z, z
-    return link
 
 
 def _engine_quasi_static(scenario, master_seed, coupled: bool):
@@ -471,7 +467,7 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
     count = qs.message_size(n, params.rate)
     gam = params.feedback_gains
     alpha = params.power_gain
-    half = params.lattice_spacing / 2.0
+    half = params.lattice_spacing / 2.0  # both systems count the original's aliasing
     root12p = math.sqrt(12.0 * params.P)
     # the environment: the gain's uniform, then the message
     environment = _env_stream(master_seed, 1, [count])
@@ -493,14 +489,13 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
         beta = qs.mmse_coefficients1(params, h)[0]  # the err_var trajectory goes unread
         x1 = root12p * theta
 
-        def closed_loop(z_hist, remove_modulo):
-            link = _feedback_link(params, z_hist, remove_modulo)
+        def closed_loop(p, link, partner):
             eps = np.empty((t, n))
             alias = np.zeros((t, n - 1), dtype=bool)
             residual = 0.0
             # the two systems start from differently rounded forms of the same
             # time-1 estimate; both forms are part of the recorded reports
-            if remove_modulo:
+            if partner:
                 theta_hat = theta + noise[:, 0] / (h * root12p)
             else:
                 theta_hat = (h * x1 + noise[:, 0]) / (h * root12p)
@@ -508,23 +503,20 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
             pow_fwd = x1 * x1
             pow_fb = np.zeros(t)
             for i in range(n - 1):  # feedback at time i+1, forward step at time i+2
-                x_t, y_t, z = link(theta_hat, gam[i], dithers[:, i], i)
+                x_t = qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], p)
+                y_t, z = link(x_t, i)
                 pow_fb += x_t * x_t
                 alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
-                if remove_modulo:
-                    x = alpha * (y_t - gam[i] * theta - dithers[:, i])
-                else:
-                    x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], params)
+                x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], p)
                 y = h * x + noise[:, i + 1]
-                theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta[:, i], params)
-                if remove_modulo:
+                theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta[:, i], p)
+                if partner:
                     expected = h * alpha * gam[i] * eps[:, i] + noise[:, i + 1]
-                    residual = max(residual, float(np.max(np.abs(y_dot - expected))))
+                    residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
                 eps[:, i + 1] = theta_hat - theta
                 pow_fwd += x * x
-            correct = qs.decode_midpoint(theta_hat, count) == w
             return {
-                "correct": np.atleast_1d(correct),
+                "correct": qs.decode_midpoint(theta_hat, count) == w,
                 "eps": eps,
                 "alias": alias,
                 "pow_fwd": pow_fwd / n,
@@ -532,7 +524,7 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
                 "residual": residual,
             }
 
-        return _original_or_partner(closed_loop, coupled, (t, n - 1))
+        return _original_or_partner(closed_loop, params, coupled, (t, n - 1))
 
     return run
 
@@ -545,7 +537,7 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
     count = qs.message_size(n, params.rate)
     gam = params.feedback_gains
     alpha = params.power_gain
-    half = params.lattice_spacing / 2.0
+    half = params.lattice_spacing / 2.0  # both systems count the original's aliasing
     root12p = math.sqrt(12.0 * params.P)
     # the environment: both gains' uniforms, the message, the artificial noise
     environment = _env_stream(master_seed, 2, [count], normal=True)
@@ -554,6 +546,16 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         t = len(indices)
         u, w, art = environment(indices)
         w = w[:, 0]
+        h1 = _ball_gain(scenario.h1, scenario.h1_hat, scenario.distortion, u[:, 0])
+        h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
+        sign = tp.pilot_sign(h1, h2, params.sigma_z)
+        pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
+        # the err_var trajectory goes unread, and only the partner reads
+        # combined; drawn before the dither and noise rows, so that both are
+        # freed (combined outside coupled mode) before those rows exist
+        beta, combined = tp.mmse_coefficients2(params, h1, h2, sign)[0::2]
+        if not coupled:
+            combined = None
         dithers = np.zeros((t, n + 1))
         _uniform_rows(master_seed, indices, TAG_DITHER, dithers[:, 2:n])
         noise = np.empty((t, n))
@@ -563,16 +565,7 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         dithers[:, 2:n] -= 0.5
         dithers[:, 2:n] *= params.lattice_spacing
         art *= math.sqrt(params.art_noise_var)
-        h1 = _ball_gain(scenario.h1, scenario.h1_hat, scenario.distortion, u[:, 0])
-        h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
         theta = qs.map_message(w, count)
-
-        sign = tp.pilot_sign(h1, h2, params.sigma_z)
-        pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
-        # the err_var trajectory goes unread, and only the partner reads combined
-        beta, combined = tp.mmse_coefficients2(params, h1, h2, sign)[0::2]
-        if not coupled:
-            combined = None
 
         # two-slot initialization: X1 carries the message, X2 stays silent
         x1 = root12p * theta
@@ -580,8 +573,7 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         y2 = h2 * x1 + noise[:, 1]
         init = tp.init_estimate(y1, y2, h1, h2, params.P)
 
-        def closed_loop(z_hist, remove_modulo):
-            link = _feedback_link(params, z_hist, remove_modulo)
+        def closed_loop(p, link, partner):
             eps = np.zeros((t, n))
             alias = np.zeros((t, n - 2), dtype=bool)  # col i-2 holds the event at time i
             residual = 0.0
@@ -594,44 +586,39 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
             for k in range(3, n + 1):  # feedback at time k-1, forward step at time k
                 u_now = art if k == 4 else 0.0
                 u_prev = art if k == 5 else 0.0
-                x_t, y_t, z = link(theta_hat, gam[k - 1], dithers[:, k - 1], k - 1)
+                x_t = qs.rx_feedback1(theta_hat, gam[k - 1], dithers[:, k - 1], p)
+                y_t, z = link(x_t, k - 1)
                 pow_fb += x_t * x_t
                 # the artificial noise joins the modulo argument of the time-4 step
                 alias[:, k - 3] = _alias_event(gam[k - 1] * eps[:, k - 2] + z + u_now, half)
-                if remove_modulo:
-                    x = tp.phase_factor(sign, k - 2) * alpha * (
-                        y_t - gam[k - 1] * theta - dithers[:, k - 1] + u_now
-                    )
-                else:
-                    x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 1], sign, k,
-                                    params, art_noise=u_now)
+                x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 1], sign, k, p,
+                                art_noise=u_now)
                 y = h1 * x + h2 * x_prev + noise[:, k - 1]
                 y_dot = tp.rx_aux2(
                     y, z, z_prev, ydot_prev, gam[k - 2], beta[:, k - 2], h1, h2, sign,
-                    k, params, art_noise=u_now, art_noise_prev=u_prev,
+                    k, p, art_noise=u_now, art_noise_prev=u_prev,
                 )
-                if remove_modulo:
+                if partner:
                     expected = alpha * combined[:, k - 1] * eps[:, k - 2] \
                         + noise[:, k - 1] + u_now
-                    residual = max(residual, float(np.max(np.abs(y_dot - expected))))
+                    residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
                 theta_hat = theta_hat - beta[:, k - 1] * y_dot
                 eps[:, k - 1] = theta_hat - theta
                 pow_fwd += x * x
                 x_prev = x
                 ydot_prev = y_dot
                 z_prev = z
-            correct = (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok
             return {
-                "correct": np.atleast_1d(correct),
+                "correct": (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok,
                 "eps": eps,
                 "alias": alias,
                 "pow_fwd": pow_fwd / n,
                 "pow_fb": pow_fb / n,
-                "pilot_ok": np.atleast_1d(pilot_ok),
+                "pilot_ok": pilot_ok,
                 "residual": residual,
             }
 
-        return _original_or_partner(closed_loop, coupled, (t, n))
+        return _original_or_partner(closed_loop, params, coupled, (t, n))
 
     return run
 
@@ -701,12 +688,9 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
             cur = theta_hat - theta
             eps[:, b - 1, :] = cur
 
-        correct = np.ones(t, dtype=bool)
-        for col in live:
-            got_re, got_im = mp.decode_complex(theta_hat[:, col], int(m_re[col]), int(m_im[col]))
-            correct &= (got_re == w_re[:, col]) & (got_im == w_im[:, col])
+        got_re, got_im = mp.decode_complex(theta_hat[:, live], m_re[live], m_im[live])
         return {
-            "correct": correct,
+            "correct": np.all((got_re == w_re[:, live]) & (got_im == w_im[:, live]), axis=1),
             "eps": eps,
             "alias": np.zeros((t, 0), dtype=bool),  # no modulo layer, nothing aliases
             "pow_fwd": energy / scenario.n,
@@ -737,8 +721,9 @@ def run_trials(scenario: Scenario, master_seed: int, indices, coupled: bool = Fa
     "alias" (modulo-aliasing events per iteration), "pow_fwd" and
     "pow_fb" (average transmit powers); scheme 2 adds "pilot_ok". With
     coupled=True (schemes 1 and 2) the loop is the modulo-free partner on
-    the original's noise, and "residual" holds its largest noise-cancellation
-    error over the batch.
+    the original's noise: the same step functions on an infinitely coarse
+    lattice. "residual" then holds its largest noise-cancellation error over
+    the batch (0.0 for an empty one).
     """
     return _engine(scenario, master_seed, coupled)(indices)
 

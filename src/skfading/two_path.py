@@ -274,9 +274,10 @@ def rate_tp_benchmark(h1: float, h2: float, snr: float, n: int, eps: float) -> f
 # ---------------------------------------------------------------------------
 
 def phase_factor(sign, power: int):
-    """sign**power for +-1 signs, vectorized without pow calls."""
+    """sign**power for +-1 signs, vectorized without pow calls: 1.0 for an
+    even power, which leaves any product it scales unchanged."""
     if power % 2 == 0:
-        return np.ones_like(np.asarray(sign, dtype=float))
+        return 1.0
     return np.asarray(sign, dtype=float)
 
 
@@ -346,7 +347,6 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
     h2 = np.asarray(h2, dtype=float)
     sign = np.asarray(sign, dtype=float)
     shape = np.broadcast_shapes(h1.shape, h2.shape, sign.shape)
-    scalar = (shape == ())
     n = params.n
     alpha = params.power_gain
     sigma2 = params.sigma2
@@ -370,6 +370,4 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
         beta[..., i] = alpha * xi * var / (alpha * alpha * xi * xi * var + noise)
         var = var / (1.0 + alpha * alpha * xi * xi * var / noise)
         err_var[..., i + 1] = var
-    if scalar:
-        return beta.reshape(n + 1), err_var.reshape(n + 1), combined.reshape(n + 1)
     return beta, err_var, combined

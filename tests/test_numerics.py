@@ -194,6 +194,18 @@ def test_modulo_range_and_periodicity():
     assert np.max(np.abs(shifted - r)) <= 1e-9
 
 
+def test_modulo_infinite_spacing_is_identity():
+    # 0 is the only lattice point in reach: x comes back bit for bit
+    assert modulo_reduce(-2.5, math.inf) == -2.5
+    assert isinstance(modulo_reduce(-2.5, math.inf), float)
+    assert math.copysign(1.0, modulo_reduce(-0.0, math.inf)) == -1.0
+    xs = np.array([-0.0, 0.0, 1e300, -1e300, 5e-324, -2.2e-308, 0.3, -7.0])
+    got = modulo_reduce(xs, math.inf)
+    assert got.tobytes() == xs.tobytes()
+    grid = xs.reshape(2, 4)
+    assert modulo_reduce(grid, math.inf).tobytes() == grid.tobytes()
+
+
 def test_modulo_distributive_law_examples():
     # reduce(reduce(x + d1) + d2 - x) == reduce(d1 + d2)
     for x, d1, d2, d in [(0.3, 0.7, -0.2, 1.0), (5.9, -3.3, 8.8, 2.0)]:

@@ -324,9 +324,50 @@ def test_coupled_variance_ratio_hits_steady_state():
         assert ratio == pytest.approx(params.var_ratio_star, rel=0.05)
 
 
+@pytest.mark.parametrize("scenario, coupled", [
+    (SC1, False), (SC1, True), (SC2, False), (SC2, True), (SC3, False),
+], ids=["scheme1", "scheme1_coupled", "scheme2", "scheme2_coupled", "scheme3"])
+def test_empty_batch(scenario, coupled):
+    # every per-trial array has no rows and a one-trial batch's trailing shape
+    empty = run_trials(scenario, 5, [], coupled=coupled)
+    one = run_trials(scenario, 5, [0], coupled=coupled)
+    assert empty.keys() == one.keys()
+    for key, value in empty.items():
+        if key == "residual":
+            assert value == 0.0
+        else:
+            assert value.shape == (0,) + one[key].shape[1:], key
+            assert value.dtype == one[key].dtype, key
+
+
 def test_coupled_rejects_scheme3():
     with pytest.raises(ValueError):
         run_trials(SC3, 1, [0], coupled=True)
+
+
+@pytest.mark.parametrize("module, names, scenario", [
+    (quasi_static, ("rx_feedback1", "tx_step1"), SC1_SOFT),
+    (quasi_static, ("rx_feedback1",), SC2_SOFT),
+    (two_path, ("tx_step2",), SC2_SOFT),
+], ids=["scheme1", "scheme2_feedback", "scheme2_transmit"])
+def test_partner_runs_the_step_functions(monkeypatch, module, names, scenario):
+    # the modulo-free partner is the same scheme on an infinitely coarse
+    # lattice: it calls the original's step functions with spacing inf
+    spacings = []
+
+    def spied(step):
+        def call(*args, **kwargs):
+            params = next(a for a in args if hasattr(a, "lattice_spacing"))
+            spacings.append(params.lattice_spacing)
+            return step(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(module, name, spied(getattr(module, name)))
+    run_trials(scenario, 3, [0, 1], coupled=True)
+    steps = (scenario.n - 1 if scenario.scheme_id == 1 else scenario.n - 2) * len(names)
+    finite = scenario.derive().lattice_spacing
+    assert spacings == [finite] * steps + [math.inf] * steps
 
 
 def test_coupled_bounds_original_errors():
