@@ -10,6 +10,7 @@ subchannel real/imaginary components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,74 @@ class BlockPlan:
         return 0.5 * self.rate
 
 
+# The subchannel-count scan water-fills consecutive K together, one row of
+# power gains per K zero-padded to the largest; a batch holds at most this
+# many elements per array. Measured on the rate_sweep operation (n up to
+# 1000, 3 taps; medians of 8 runs, interleaved with the per-K loop): 1k
+# elements took 0.77 of the per-K loop's time, 4k 0.62, 8k 0.57 and 32k
+# 0.56, while the tracemalloc peak of a scan at n = 1000 grows from 0.13 MB
+# (per K) to 0.74 MB at 8k and 2.9 MB at 32k.
+_BATCH = 8192
+
+
+class _Layouts:
+    """Block layouts of consecutive subchannel counts, one row per K.
+
+    Each row's arrays are zero-padded past its own K; the rate formula runs
+    on the active entries of the whole batch, and each rate is summed over
+    its row's own K entries, so every field is bit-equal to laying K out
+    alone.
+    """
+
+    def __init__(self, channel: MultiPathChannel, n: int, eps: float, ks: range):
+        if not (0.0 < eps < 1.0):
+            raise ValueError("target error probability must lie in (0, 1)")
+        self.channel, self.n, self.eps, self.ks = channel, n, eps, ks
+        self.spectra = []
+        power_gains = np.zeros((len(ks), ks[-1]))
+        self.margins = np.empty(len(ks))
+        taps = channel.taps
+        for row, k in enumerate(ks):
+            gains = channel_spectrum(taps, k)
+            magnitudes = np.abs(gains)
+            # no subchannel gets more than the whole block's power k * P;
+            # Python floats overflow to inf without a warning
+            peak = float(magnitudes.max())
+            require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
+            if peak * peak == 0.0:
+                # every power gain underflows: raised here, as the water fill
+                # would, before a later K of the batch can fail the check above
+                raise InfeasibleError("water_fill: all channel gains are zero")
+            np.square(magnitudes, out=power_gains[row, :k])
+            self.margins[row] = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
+            self.spectra.append(gains)
+        self.powers, self.levels = water_fill(
+            power_gains, channel.sigma2, [k * channel.P for k in ks]
+        )
+        # Python integers: n may exceed what int64 holds
+        self.blocks = [n // (channel.num_paths + k - 1) for k in ks]
+        growth = np.array([(blocks - 1) / (2.0 * n) for blocks in self.blocks])
+        active = self.powers > 0
+        snrs = power_gains[active] * self.powers[active] / channel.sigma2
+        row_of = np.nonzero(active)[0]
+        raw = growth[row_of] * np.log2(1.0 + snrs) \
+            - 1.0 / (2.0 * n) * np.log2(self.margins[row_of] / (12.0 * snrs))
+        self.half = np.zeros(power_gains.shape)
+        self.half[active] = np.maximum(raw, 0.0)
+        self.rates = [float(2.0 * self.half[row, :k].sum()) for row, k in enumerate(ks)]
+
+    def plan(self, row: int) -> BlockPlan:
+        channel, k = self.channel, self.ks[row]
+        return BlockPlan(
+            n=self.n, eps=self.eps, num_paths=channel.num_paths, subchannels=k,
+            block_len=channel.num_paths + k - 1, blocks=self.blocks[row],
+            gains=self.spectra[row], powers=self.powers[row, :k].copy(),
+            water_level=float(self.levels[row]), union_margin=float(self.margins[row]),
+            sub_rate_half=self.half[row, :k].copy(), rate=self.rates[row],
+            sigma2=channel.sigma2, P=channel.P,
+        )
+
+
 def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) -> BlockPlan:
     """Lay out one block configuration with water-filled powers and rates."""
     num_paths = channel.num_paths
@@ -101,45 +170,30 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
         raise ValueError(
             f"subchannel count {subchannels} outside {{{num_paths}, ..., {n - num_paths + 1}}}"
         )
-    if not (0.0 < eps < 1.0):
-        raise ValueError("target error probability must lie in (0, 1)")
-    k = subchannels
-    gains = channel_spectrum(channel.taps, k)
-    magnitudes = np.abs(gains)
-    # no subchannel gets more than the whole block's power k * P; Python
-    # floats overflow to inf without a warning
-    peak = float(magnitudes.max())
-    require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
-    power_gains = np.square(magnitudes, out=magnitudes)
-    powers, level = water_fill(power_gains, channel.sigma2, k * channel.P)
-    block_len = num_paths + k - 1
-    blocks = n // block_len
-    margin = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
-    half = np.zeros(k)
-    active = powers > 0
-    snrs = np.zeros(k)
-    snrs[active] = power_gains[active] * powers[active] / channel.sigma2
-    raw = (blocks - 1) / (2.0 * n) * np.log2(1.0 + snrs[active]) \
-        - 1.0 / (2.0 * n) * np.log2(margin / (12.0 * snrs[active]))
-    half[active] = np.maximum(raw, 0.0)
-    return BlockPlan(
-        n=n, eps=eps, num_paths=num_paths, subchannels=k, block_len=block_len,
-        blocks=blocks, gains=gains, powers=powers, water_level=level,
-        union_margin=margin, sub_rate_half=half, rate=float(2.0 * half.sum()),
-        sigma2=channel.sigma2, P=channel.P,
-    )
+    return _Layouts(channel, n, eps, range(subchannels, subchannels + 1)).plan(0)
+
+
+def _scan(channel: MultiPathChannel, n: int, eps: float):
+    """Layouts of every admissible K in ascending batches of at most _BATCH
+    elements: c rows from K = k are c * (k + c - 1) elements wide."""
+    k, last = channel.num_paths, n - channel.num_paths + 1
+    while k <= last:
+        rows = max((math.isqrt((k - 1) ** 2 + 4 * _BATCH) - (k - 1)) // 2, 1)
+        stop = min(k + rows, last + 1)
+        yield _Layouts(channel, n, eps, range(k, stop))
+        k = stop
 
 
 def optimize_subchannel_count(channel: MultiPathChannel, n: int, eps: float) -> BlockPlan:
     """Scan every admissible K and keep the best rate, ties to smaller K."""
-    num_paths = channel.num_paths
-    if n < 2 * num_paths:
+    if n < 2 * channel.num_paths:
         raise ValueError("blocklength too short for any admissible subchannel count")
     best = None
-    for k in range(num_paths, n - num_paths + 2):
-        plan = plan_block(channel, n, eps, k)
-        if best is None or plan.rate > best.rate:
-            best = plan
+    for layouts in _scan(channel, n, eps):
+        rate = max(layouts.rates)
+        if best is None or rate > best.rate:
+            best = layouts.plan(layouts.rates.index(rate))  # ties to smaller K
+        del layouts  # freed before the next batch is built
     return best
 
 

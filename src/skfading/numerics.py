@@ -201,7 +201,7 @@ def circulant_matrix(first_col) -> np.ndarray:
 # Water-filling
 # ---------------------------------------------------------------------------
 
-def water_fill(gains, noise_var: float, total_power: float):
+def water_fill(gains, noise_var: float, total_power):
     """Water-filling power allocation over parallel channels.
 
     gains are the channel power gains ||H_k||^2; returns (powers, level)
@@ -212,33 +212,56 @@ def water_fill(gains, noise_var: float, total_power: float):
     one vectorised selection over all m, the same float operations as an
     active-set sweep, so powers and level are the sweep's to the bit
     (Palomar and Fonollosa, IEEE TSP 2005).
+
+    2-D gains hold one problem per row, with total_power a scalar or one
+    value per row; they return powers of the gains' shape and one level
+    per row. A zero gain is an unusable channel, so rows of unequal length
+    may be zero-padded: each row is bit-equal to its own 1-D call.
     """
     g = np.asarray(gains, dtype=float)
-    if g.ndim != 1 or g.size == 0:
+    if g.ndim == 2:
+        if g.shape[1] == 0:
+            raise ValueError("2-D gains must have nonempty rows")
+    elif g.ndim != 1 or g.size == 0:
         raise ValueError("gains must be a nonempty 1-D sequence")
-    if np.any(g < 0) or not np.all(np.isfinite(g)):
+    if not ((g >= 0) & (g < math.inf)).all():
         raise ValueError("gains must be finite and nonnegative")
     if not (noise_var > 0 and math.isfinite(noise_var)):
         raise ValueError(f"noise variance must be positive, got {noise_var!r}")
-    if not (total_power > 0 and math.isfinite(total_power)):
+    # a scalar, or one total per row
+    total = np.asarray(total_power, dtype=float).reshape(-1, 1)
+    if not ((total > 0) & (total < math.inf)).all():
         raise ValueError(f"total power must be positive, got {total_power!r}")
-    usable = np.flatnonzero(g > 0)
-    if usable.size == 0:
+    rows = g.reshape(-1, g.shape[-1])
+    usable = rows > 0
+    counts = usable.sum(axis=1)
+    if not counts.all():
         raise InfeasibleError("water_fill: all channel gains are zero")
 
-    thresholds = noise_var / g[usable]
-    order = np.argsort(thresholds)
-    tsorted = thresholds[order]
+    # an unusable channel's threshold is +inf: it sorts past the usable ones
+    thresholds = np.full(rows.shape, np.inf)
+    np.divide(noise_var, rows, out=thresholds, where=usable)
+    tsorted = np.sort(thresholds, axis=1)
     # built in place: the out-of-place form raised a rate sweep's peak RSS by ~1 MB
-    candidates = np.cumsum(tsorted)
-    candidates += total_power
-    candidates /= np.arange(1, usable.size + 1)
-    fits = candidates >= tsorted
-    fits[:-1] &= candidates[:-1] <= tsorted[1:]
-    # none fitting is numerically impossible; all channels are then active
-    active = int(np.argmax(fits)) + 1 if fits.any() else usable.size
-    level = candidates[active - 1]
-    powers = np.zeros_like(g)
-    chosen = usable[order[:active]]
-    powers[chosen] = level - tsorted[:active]
-    return powers, float(level)
+    candidates = np.cumsum(tsorted, axis=1)
+    candidates += total
+    candidates /= np.arange(1, rows.shape[1] + 1)
+    # a row's last usable channel is bounded by the first +inf threshold,
+    # which every finite candidate meets; the extra True column stands for
+    # "none fits", numerically impossible, where all usable channels are
+    # active, and so is any first fit past a row's usable channels
+    fits = np.ones((rows.shape[0], rows.shape[1] + 1), dtype=bool)
+    np.greater_equal(candidates, tsorted, out=fits[:, :-1])
+    fits[:, :-2] &= candidates[:, :-1] <= tsorted[:, 1:]
+    last = (np.arange(rows.shape[0]), np.minimum(fits.argmax(axis=1), counts - 1))
+    level = candidates[last]
+    # the active channels are the usable ones up to the last active
+    # threshold; a tie with it past the cut only occurs where the level
+    # equals it, and then level - threshold is the inactive +0.0
+    powers = np.zeros(rows.shape)
+    live = thresholds <= tsorted[last][:, None]
+    live &= usable
+    np.subtract(level[:, None], thresholds, out=powers, where=live)
+    if g.ndim == 1:
+        return powers[0], float(level[0])
+    return powers, level

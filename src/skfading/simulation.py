@@ -505,7 +505,6 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
             for i in range(n - 1):  # feedback at time i+1, forward step at time i+2
                 x_t = qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], p)
                 y_t, z = link(x_t, i)
-                pow_fb += x_t * x_t
                 alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
                 x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], p)
                 y = h * x + noise[:, i + 1]
@@ -513,8 +512,10 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
                 if partner:
                     expected = h * alpha * gam[i] * eps[:, i] + noise[:, i + 1]
                     residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
+                else:  # the partner reports the original's powers
+                    pow_fb += x_t * x_t
+                    pow_fwd += x * x
                 eps[:, i + 1] = theta_hat - theta
-                pow_fwd += x * x
             return {
                 "correct": qs.decode_midpoint(theta_hat, count) == w,
                 "eps": eps,
@@ -588,7 +589,6 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
                 u_prev = art if k == 5 else 0.0
                 x_t = qs.rx_feedback1(theta_hat, gam[k - 1], dithers[:, k - 1], p)
                 y_t, z = link(x_t, k - 1)
-                pow_fb += x_t * x_t
                 # the artificial noise joins the modulo argument of the time-4 step
                 alias[:, k - 3] = _alias_event(gam[k - 1] * eps[:, k - 2] + z + u_now, half)
                 x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 1], sign, k, p,
@@ -602,9 +602,11 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
                     expected = alpha * combined[:, k - 1] * eps[:, k - 2] \
                         + noise[:, k - 1] + u_now
                     residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
+                else:  # the partner reports the original's powers
+                    pow_fb += x_t * x_t
+                    pow_fwd += x * x
                 theta_hat = theta_hat - beta[:, k - 1] * y_dot
                 eps[:, k - 1] = theta_hat - theta
-                pow_fwd += x * x
                 x_prev = x
                 ydot_prev = y_dot
                 z_prev = z

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,20 @@ def test_optimize_subchannel_count_is_exhaustive_max():
     top = max(rates.values())
     smallest_argmax = min(k for k, r in rates.items() if r == top)
     assert best.subchannels == smallest_argmax
+
+
+def test_subchannel_scan_working_set():
+    # the scan holds one batch of K at a time, 0.74 MB at n = 1000; one
+    # array over the whole scan (996 rows of up to 998 power gains) is 8 MB
+    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
+    optimize_subchannel_count(channel, 40, 1e-6)  # lazy set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        optimize_subchannel_count(channel, 1000, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_optimize_subchannel_count_minimal_blocklength():

@@ -403,13 +403,43 @@ def test_water_fill_matches_bisection_oracle():
                 assert level <= s2 / gk + 1e-12
 
 
+# (gains, noise_var, total_power, message)
+WATER_FILL_BAD_INPUTS = [
+    ([], 1.0, 1.0, "gains must be a nonempty 1-D sequence"),
+    (2.0, 1.0, 1.0, "gains must be a nonempty 1-D sequence"),
+    ([[[1.0]]], 1.0, 1.0, "gains must be a nonempty 1-D sequence"),
+    ([-1.0], 1.0, 1.0, "gains must be finite and nonnegative"),
+    ([1.0, math.nan], 1.0, 1.0, "gains must be finite and nonnegative"),
+    ([math.inf], 1.0, 1.0, "gains must be finite and nonnegative"),
+    ([1.0], 0.0, 1.0, "noise variance must be positive, got 0.0"),
+    ([1.0], math.inf, 1.0, "noise variance must be positive, got inf"),
+    ([1.0], 1.0, 0.0, "total power must be positive, got 0.0"),
+    ([1.0], 1.0, math.nan, "total power must be positive, got nan"),
+    (np.zeros((2, 0)), 1.0, 1.0, "2-D gains must have nonempty rows"),
+    ([[1.0], [-1.0]], 1.0, 1.0, "gains must be finite and nonnegative"),
+    ([[1.0], [2.0]], 1.0, [1.0, -1.0],
+     "total power must be positive, got [1.0, -1.0]"),
+]
+
+
 def test_water_fill_input_validation():
-    with pytest.raises(ValueError):
-        water_fill([1.0], 0.0, 1.0)
-    with pytest.raises(ValueError):
-        water_fill([1.0], 1.0, 0.0)
-    with pytest.raises(ValueError):
-        water_fill([-1.0], 1.0, 1.0)
+    for gains, noise_var, total, message in WATER_FILL_BAD_INPUTS:
+        with pytest.raises(ValueError) as exc:
+            water_fill(gains, noise_var, total)
+        assert str(exc.value) == message
+        assert not isinstance(exc.value, InfeasibleError)
+
+
+def test_water_fill_rows():
+    powers, levels = water_fill([[2.0, 2.0, 2.0], [1.5, 0.0, 0.0]], 1.0, [9.0, 4.0])
+    assert np.allclose(powers, [[3.0, 3.0, 3.0], [4.0, 0.0, 0.0]])
+    assert np.allclose(levels, [3.5, 4.0 + 1.0 / 1.5])
+    # a scalar total power serves every row
+    powers, _ = water_fill([[1.0, 1.0], [1.0, 0.0]], 1.0, 2.0)
+    assert np.allclose(powers, [[1.0, 1.0], [2.0, 0.0]])
+    # one all-zero row makes the whole batch infeasible
+    with pytest.raises(InfeasibleError, match="all channel gains are zero"):
+        water_fill([[1.0, 0.5], [0.0, 0.0]], 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ The CSV digests below were recorded with the original rate layer, whose
 ``q_tail_inv`` always ran 120 bisection steps. Any speed-up of the rate
 layer must reproduce them byte for byte. The two original loops are kept
 here as oracles, and the current functions must agree with them bit for
-bit, not only to a tolerance.
+bit, not only to a tolerance. So is the subchannel-count scan that laid
+out one K at a time, against which the batched scan is checked field by
+field.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,8 +19,22 @@ import sys
 import numpy as np
 import pytest
 
+from skfading import multi_path
 from skfading.cli import EXIT_OK, main
-from skfading.numerics import q_tail, q_tail_inv, water_fill
+from skfading.multi_path import (
+    BlockPlan,
+    MultiPathChannel,
+    optimize_subchannel_count,
+    plan_block,
+)
+from skfading.numerics import (
+    InfeasibleError,
+    channel_spectrum,
+    q_tail,
+    q_tail_inv,
+    require_gain_snr,
+    water_fill,
+)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -193,3 +210,147 @@ def q_grid():
 def test_q_tail_inv_bit_equal_to_loop():
     for p in q_grid():
         assert same_bits(q_tail_inv(p), q_tail_inv_loop(p)), p
+
+
+def test_water_fill_rows_bit_equal_to_1d_calls():
+    # zero-padded rows of unequal length, one total power per row
+    rng = np.random.default_rng(20241)
+    done = 0
+    while done < 3000:
+        rows = [random_gains(rng) for _ in range(int(rng.integers(1, 40)))]
+        done += len(rows)
+        noise = float(10.0 ** rng.uniform(-3, 2))
+        totals = 10.0 ** rng.uniform(-4, 4, len(rows))
+        packed = np.zeros((len(rows), max(g.size for g in rows)))
+        for packed_row, g in zip(packed, rows):
+            packed_row[:g.size] = g
+        powers, levels = water_fill(packed, noise, totals)
+        assert powers.shape == packed.shape and levels.shape == (len(rows),)
+        for i, g in enumerate(rows):
+            ref_powers, ref_level = water_fill(g, noise, float(totals[i]))
+            assert isinstance(ref_level, float) and ref_powers.shape == g.shape
+            assert same_bits(powers[i, :g.size], ref_powers)
+            assert same_bits(powers[i, g.size:], np.zeros(packed.shape[1] - g.size))
+            assert same_bits(levels[i], ref_level)
+            old_powers, old_level = water_fill_1d(g, noise, float(totals[i]))
+            assert same_bits(ref_powers, old_powers)
+            assert same_bits(ref_level, old_level)
+
+
+# ---------------------------------------------------------------------------
+# the subchannel-count scan that laid out one K at a time, kept as an oracle
+# ---------------------------------------------------------------------------
+
+def water_fill_1d(gains, noise_var, total_power):
+    """The one-problem water fill the per-K scan called (input checks aside)."""
+    g = np.asarray(gains, dtype=float)
+    usable = np.flatnonzero(g > 0)
+    if usable.size == 0:
+        raise InfeasibleError("water_fill: all channel gains are zero")
+    thresholds = noise_var / g[usable]
+    order = np.argsort(thresholds)
+    tsorted = thresholds[order]
+    candidates = np.cumsum(tsorted)
+    candidates += total_power
+    candidates /= np.arange(1, usable.size + 1)
+    fits = candidates >= tsorted
+    fits[:-1] &= candidates[:-1] <= tsorted[1:]
+    active = int(np.argmax(fits)) + 1 if fits.any() else usable.size
+    level = candidates[active - 1]
+    powers = np.zeros_like(g)
+    chosen = usable[order[:active]]
+    powers[chosen] = level - tsorted[:active]
+    return powers, float(level)
+
+
+def plan_block_per_k(channel, n, eps, k):
+    """One K laid out on its own: spectrum, 1-D water fill, rate."""
+    num_paths = channel.num_paths
+    gains = channel_spectrum(channel.taps, k)
+    magnitudes = np.abs(gains)
+    peak = float(magnitudes.max())
+    require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
+    power_gains = np.square(magnitudes, out=magnitudes)
+    powers, level = water_fill_1d(power_gains, channel.sigma2, k * channel.P)
+    block_len = num_paths + k - 1
+    blocks = n // block_len
+    margin = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
+    half = np.zeros(k)
+    active = powers > 0
+    snrs = np.zeros(k)
+    snrs[active] = power_gains[active] * powers[active] / channel.sigma2
+    raw = (blocks - 1) / (2.0 * n) * np.log2(1.0 + snrs[active]) \
+        - 1.0 / (2.0 * n) * np.log2(margin / (12.0 * snrs[active]))
+    half[active] = np.maximum(raw, 0.0)
+    return BlockPlan(
+        n=n, eps=eps, num_paths=num_paths, subchannels=k, block_len=block_len,
+        blocks=blocks, gains=gains, powers=powers, water_level=level,
+        union_margin=margin, sub_rate_half=half, rate=float(2.0 * half.sum()),
+        sigma2=channel.sigma2, P=channel.P,
+    )
+
+
+def scan_per_k(channel, n, eps):
+    best = None
+    for k in range(channel.num_paths, n - channel.num_paths + 2):
+        plan = plan_block_per_k(channel, n, eps, k)
+        if best is None or plan.rate > best.rate:
+            best = plan
+    return best
+
+
+def assert_same_plan(plan, ref):
+    for field in dataclasses.fields(BlockPlan):
+        got, want = getattr(plan, field.name), getattr(ref, field.name)
+        assert type(got) is type(want), field.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        else:
+            assert same_bits(got, want), field.name
+
+
+# (taps, sigma2, P, n, eps): the channels of the theorem3 digests above
+SCAN_CASES = {
+    "zero_spectrum": ((1.0, 1.0), 1.0, 10.0, 120, 1e-3),
+    "deep_fade_n40": ((1.0, 0.95), 1.0, 0.05, 40, 1e-3),
+    "deep_fade_n120": ((1.0, 0.95), 1.0, 0.05, 120, 1e-3),
+    "deep_fade_n300": ((1.0, 0.95), 1.0, 0.05, 300, 1e-3),
+    "deep_fade_n600": ((1.0, 0.95), 1.0, 0.05, 600, 1e-3),
+    "k_sweep": ((1.0, 0.5, 0.3), 1.0, 10.0, 200, 1e-6),
+    "bench_n1000": ((1.0, 0.5, 0.3), 1.0, 9.3, 1000, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_bit_equal_to_per_k_plans(case):
+    taps, sigma2, P, n, eps = SCAN_CASES[case]
+    channel = MultiPathChannel(taps, sigma2, P)
+    ks, widest = [], 0
+    for layouts in multi_path._scan(channel, n, eps):
+        widest = max(widest, len(layouts.ks))
+        for row, k in enumerate(layouts.ks):
+            ref = plan_block_per_k(channel, n, eps, k)
+            assert_same_plan(layouts.plan(row), ref)
+            assert_same_plan(plan_block(channel, n, eps, k), ref)
+            ks.append(k)
+    assert ks == list(range(channel.num_paths, n - channel.num_paths + 2))
+    assert widest > 1  # the batches do hold several K
+    assert_same_plan(optimize_subchannel_count(channel, n, eps), scan_per_k(channel, n, eps))
+
+
+@pytest.mark.parametrize("taps, P, n", [
+    # gain^2 * SNR = 1.8^2 * K * P first exceeds 1e150 at K = 51, inside
+    # the scan's first batch
+    ((1.0, 0.5, 0.3), 1e150 / (3.24 * 50.5), 200),
+    # every power gain underflows at K = 2, while K * P overflows at K = 3:
+    # the per-K scan stops at the water fill of K = 2
+    ((1e-165, 1e-165), 6e307, 10),
+], ids=["gain_snr", "underflow"])
+def test_scan_raises_where_per_k_scan_does(taps, P, n):
+    channel = MultiPathChannel(taps, 1.0, P)
+    with pytest.raises(InfeasibleError) as ref:
+        scan_per_k(channel, n, 1e-6)
+    with pytest.raises(InfeasibleError) as got:
+        optimize_subchannel_count(channel, n, 1e-6)
+    assert str(got.value) == str(ref.value)
