@@ -11,6 +11,7 @@ from .multi_path import (
     BlockPlan,
     MultiPathChannel,
     optimize_subchannel_count,
+    optimize_subchannel_counts,
     plan_block,
 )
 from .numerics import (
@@ -65,6 +66,7 @@ __all__ = [
     "idft",
     "monte_carlo",
     "optimize_subchannel_count",
+    "optimize_subchannel_counts",
     "plan_block",
     "q_tail",
     "q_tail_inv",

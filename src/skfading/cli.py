@@ -31,7 +31,7 @@ EXIT_BAD_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_CHECK_FAILED = 4
 
-# sweep variable -> (config key it sets, whether the value is rounded to an
+# sweep variable -> (config key it sets, whether the value must be an
 # integer); an SNR value sets P = SNR * sigma2
 _SWEEP_KEYS = {
     "N": ("n", True),
@@ -161,7 +161,7 @@ def _apply_variable(fixed: dict, variable: str, x: float) -> dict:
     key, integral = _SWEEP_KEYS[variable]
     if variable == "SNR":
         x = x * _real(_require(cfg, "sigma2", "SNR sweep"), "sigma2")
-    cfg[key] = int(round(x)) if integral else x
+    cfg[key] = _integer(x, key) if integral else x
     return cfg
 
 
@@ -201,14 +201,71 @@ def _eval_curve(label: str, cfg: dict) -> float:
         return params.rate
     if label == "tp_benchmark":
         return tp.rate_tp_benchmark(num("h1"), num("h2"), snr, n, eps)
-    if label in ("theorem3", "theorem3_real_dim"):
-        channel = mp.MultiPathChannel(_taps_from(cfg), num("sigma2"), num("P"))
-        if "subchannels" in cfg:
-            plan = mp.plan_block(channel, n, eps, _integer(cfg["subchannels"], "subchannels"))
-        else:
-            plan = mp.optimize_subchannel_count(channel, n, eps)
-        return plan.rate if label == "theorem3" else plan.rate_per_real_dim
     raise ConfigError(f"unknown curve label '{label}'")
+
+
+def _theorem3_inputs(label: str, cfg: dict):
+    """A theorem3 cell's channel, n, eps and subchannel count (None for the
+    best count), read in _eval_curve's order, so a bad config names the
+    same key first."""
+    def num(key):
+        return _number(cfg, key, label)
+
+    P, sigma2 = num("P"), num("sigma2")
+    n = _integer(_require(cfg, "n", label), "n")
+    eps = num("eps")
+    channel = mp.MultiPathChannel(_taps_from(cfg), sigma2, P)
+    k = _integer(cfg["subchannels"], "subchannels") if "subchannels" in cfg else None
+    return channel, n, eps, k
+
+
+class _Theorem3Plans:
+    """The theorem3 plan of each sweep row, or the error its cells report.
+
+    Both theorem3 labels of a row share one evaluation. The rows that scan
+    for their best subchannel count with the same taps, sigma2, P and eps
+    share one scan, run at the first of their cells.
+    """
+
+    def __init__(self, fixed: dict, variable: str, points: list):
+        self.fixed, self.variable, self.points = fixed, variable, points
+        self.results = {}
+        self.group_of = None  # row -> (channel, eps) of the scan it shares
+
+    def _group(self) -> None:
+        self.groups = {}  # (channel, eps) -> [(row, n)]
+        for row, x in enumerate(self.points):
+            try:
+                channel, n, eps, k = _theorem3_inputs(
+                    "theorem3", _apply_variable(self.fixed, self.variable, x))
+            except (InfeasibleError, ValueError):
+                continue  # raised again by the row's own cells, in order
+            if k is None:
+                self.groups.setdefault((channel, eps), []).append((row, n))
+        self.group_of = {row: key for key, rows in self.groups.items() for row, _ in rows}
+
+    def rate(self, label: str, row: int, cfg: dict) -> float:
+        if row not in self.results:
+            self._evaluate(label, row, cfg)
+        plan = self.results[row]
+        if isinstance(plan, Exception):
+            raise plan
+        return plan.rate if label == "theorem3" else plan.rate_per_real_dim
+
+    def _evaluate(self, label: str, row: int, cfg: dict) -> None:
+        if self.group_of is None:
+            self._group()
+        key = self.group_of.get(row)
+        if key is not None:
+            rows, ns = zip(*self.groups[key])
+            channel, eps = key
+            self.results.update(zip(rows, mp.optimize_subchannel_counts(channel, ns, eps)))
+            return
+        try:
+            channel, n, eps, k = _theorem3_inputs(label, cfg)
+            self.results[row] = mp.plan_block(channel, n, eps, k)
+        except (InfeasibleError, ValueError) as exc:
+            self.results[row] = exc
 
 
 def cmd_rate_sweep(spec_path: str, out_path):
@@ -223,15 +280,22 @@ def cmd_rate_sweep(spec_path: str, out_path):
         if label not in CURVE_LABELS:
             raise ConfigError(f"unknown curve label '{label}' (known: {CURVE_LABELS})")
     fixed = spec.get("fixed", {})
+    if not isinstance(fixed, dict):
+        raise ConfigError(f"sweep spec: 'fixed' must be a JSON object, got {fixed!r}")
     points = _sweep_values(spec)
+    theorem3 = _Theorem3Plans(fixed, variable, points)
 
     lines = ["x," + ",".join(curves)]
-    for x in points:
+    for row, x in enumerate(points):
         cells = [_fmt(x)]
         cfg = _apply_variable(fixed, variable, x)
         for label in curves:
             try:
-                cells.append(_fmt(_eval_curve(label, cfg)))
+                if label in ("theorem3", "theorem3_real_dim"):
+                    rate = theorem3.rate(label, row, cfg)
+                else:
+                    rate = _eval_curve(label, cfg)
+                cells.append(_fmt(rate))
             except (InfeasibleError, ValueError) as exc:
                 if isinstance(exc, ConfigError):
                     raise

@@ -29,6 +29,7 @@ __all__ = [
     "BlockPlan",
     "plan_block",
     "optimize_subchannel_count",
+    "optimize_subchannel_counts",
     "sub_message_sizes",
     "map_complex",
     "decode_complex",
@@ -105,22 +106,23 @@ class BlockPlan:
 _BATCH = 8192
 
 
-class _Layouts:
-    """Block layouts of consecutive subchannel counts, one row per K.
+class _Batch:
+    """Consecutive subchannel counts laid out together, one row per K.
 
-    Each row's arrays are zero-padded past its own K; the rate formula runs
-    on the active entries of the whole batch, and each rate is summed over
-    its row's own K entries, so every field is bit-equal to laying K out
-    alone.
+    A K's spectrum, union margin and water fill do not depend on the
+    blocklength, so one batch serves every n whose scan reaches it (see
+    _Layouts). A K that fails the gain checks ends the batch before it:
+    error holds what it raised, and the rows below it still serve the
+    blocklengths whose scans stop short of that K.
     """
 
-    def __init__(self, channel: MultiPathChannel, n: int, eps: float, ks: range):
+    def __init__(self, channel: MultiPathChannel, eps: float, ks: range):
         if not (0.0 < eps < 1.0):
             raise ValueError("target error probability must lie in (0, 1)")
-        self.channel, self.n, self.eps, self.ks = channel, n, eps, ks
+        self.channel, self.eps, self.error = channel, eps, None
         self.spectra = []
         power_gains = np.zeros((len(ks), ks[-1]))
-        self.margins = np.empty(len(ks))
+        margins = np.empty(len(ks))
         taps = channel.taps
         for row, k in enumerate(ks):
             gains = channel_spectrum(taps, k)
@@ -128,36 +130,69 @@ class _Layouts:
             # no subchannel gets more than the whole block's power k * P;
             # Python floats overflow to inf without a warning
             peak = float(magnitudes.max())
-            require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
-            if peak * peak == 0.0:
-                # every power gain underflows: raised here, as the water fill
-                # would, before a later K of the batch can fail the check above
-                raise InfeasibleError("water_fill: all channel gains are zero")
+            try:
+                require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
+                if peak * peak == 0.0:
+                    # every power gain underflows: raised here, as the water
+                    # fill would, before a later K can fail the check above
+                    raise InfeasibleError("water_fill: all channel gains are zero")
+            except InfeasibleError as exc:
+                self.error, ks = exc, ks[:row]
+                power_gains, margins = power_gains[:row], margins[:row]
+                break
             np.square(magnitudes, out=power_gains[row, :k])
-            self.margins[row] = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
+            margins[row] = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
             self.spectra.append(gains)
+        self.ks, self.margins = ks, margins
         self.powers, self.levels = water_fill(
             power_gains, channel.sigma2, [k * channel.P for k in ks]
         )
+        # the rate formula's blocklength-free terms, on the active entries
+        # in row-major order
+        self.active = self.powers > 0
+        snrs = power_gains[self.active] * self.powers[self.active] / channel.sigma2
+        self.row_of = np.nonzero(self.active)[0]
+        self.gain_terms = np.log2(1.0 + snrs)
+        self.margin_terms = np.log2(margins[self.row_of] / (12.0 * snrs))
+
+
+class _Layouts:
+    """Block layouts of a batch's first rows at one blocklength n.
+
+    Each row's arrays are zero-padded past its own K; the rate formula runs
+    on the active entries of those rows, and each rate is summed over its
+    row's own K entries, so every field is bit-equal to laying K out alone.
+    """
+
+    def __init__(self, batch: _Batch, n: int, rows: int):
+        self.batch, self.n = batch, n
+        ks = batch.ks[:rows]
         # Python integers: n may exceed what int64 holds
-        self.blocks = [n // (channel.num_paths + k - 1) for k in ks]
+        self.blocks = [n // (batch.channel.num_paths + k - 1) for k in ks]
         growth = np.array([(blocks - 1) / (2.0 * n) for blocks in self.blocks])
-        active = self.powers > 0
-        snrs = power_gains[active] * self.powers[active] / channel.sigma2
-        row_of = np.nonzero(active)[0]
-        raw = growth[row_of] * np.log2(1.0 + snrs) \
-            - 1.0 / (2.0 * n) * np.log2(self.margins[row_of] / (12.0 * snrs))
-        self.half = np.zeros(power_gains.shape)
-        self.half[active] = np.maximum(raw, 0.0)
+        count = int(np.count_nonzero(batch.active[:rows]))
+        raw = growth[batch.row_of[:count]] * batch.gain_terms[:count] \
+            - 1.0 / (2.0 * n) * batch.margin_terms[:count]
+        self.half = np.zeros((rows, batch.active.shape[1]))
+        self.half[batch.active[:rows]] = np.maximum(raw, 0.0)
         self.rates = [float(2.0 * self.half[row, :k].sum()) for row, k in enumerate(ks)]
 
+    def best(self, incumbent):
+        """The plan of the best rate here if it beats the incumbent plan (or
+        there is none), else the incumbent; ties go to the smaller K."""
+        rate = max(self.rates)
+        if incumbent is None or rate > incumbent.rate:
+            return self.plan(self.rates.index(rate))
+        return incumbent
+
     def plan(self, row: int) -> BlockPlan:
-        channel, k = self.channel, self.ks[row]
+        batch = self.batch
+        channel, k = batch.channel, batch.ks[row]
         return BlockPlan(
-            n=self.n, eps=self.eps, num_paths=channel.num_paths, subchannels=k,
+            n=self.n, eps=batch.eps, num_paths=channel.num_paths, subchannels=k,
             block_len=channel.num_paths + k - 1, blocks=self.blocks[row],
-            gains=self.spectra[row], powers=self.powers[row, :k].copy(),
-            water_level=float(self.levels[row]), union_margin=float(self.margins[row]),
+            gains=batch.spectra[row], powers=batch.powers[row, :k].copy(),
+            water_level=float(batch.levels[row]), union_margin=float(batch.margins[row]),
             sub_rate_half=self.half[row, :k].copy(), rate=self.rates[row],
             sigma2=channel.sigma2, P=channel.P,
         )
@@ -170,31 +205,57 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
         raise ValueError(
             f"subchannel count {subchannels} outside {{{num_paths}, ..., {n - num_paths + 1}}}"
         )
-    return _Layouts(channel, n, eps, range(subchannels, subchannels + 1)).plan(0)
+    batch = _Batch(channel, eps, range(subchannels, subchannels + 1))
+    if batch.error is not None:
+        raise batch.error
+    return _Layouts(batch, n, 1).plan(0)
 
 
-def _scan(channel: MultiPathChannel, n: int, eps: float):
-    """Layouts of every admissible K in ascending batches of at most _BATCH
+def _scan(channel: MultiPathChannel, eps: float, last: int):
+    """Batches of K = L, ..., last in ascending order, each of at most _BATCH
     elements: c rows from K = k are c * (k + c - 1) elements wide."""
-    k, last = channel.num_paths, n - channel.num_paths + 1
+    k = channel.num_paths
     while k <= last:
         rows = max((math.isqrt((k - 1) ** 2 + 4 * _BATCH) - (k - 1)) // 2, 1)
         stop = min(k + rows, last + 1)
-        yield _Layouts(channel, n, eps, range(k, stop))
+        yield _Batch(channel, eps, range(k, stop))
         k = stop
+
+
+def optimize_subchannel_counts(channel: MultiPathChannel, ns, eps: float) -> list:
+    """The best plan of each blocklength in ns, from one scan of K.
+
+    The batches of the longest blocklength's scan are built once and rated
+    at every n that they reach. Each entry is the BlockPlan that scanning
+    its n alone returns (best rate, ties to smaller K), or the exception
+    that scan raises, so one infeasible n leaves the others planned. An eps
+    outside (0, 1) raises ValueError for the whole call.
+    """
+    num_paths = channel.num_paths
+    results = {
+        n: ValueError("blocklength too short for any admissible subchannel count")
+        for n in ns if n < 2 * num_paths
+    }
+    best = {n: None for n in ns if n not in results}
+    for batch in _scan(channel, eps, max(best, default=0) - num_paths + 1):
+        for n, plan in best.items():
+            rows = min(len(batch.ks), n - num_paths + 2 - batch.ks.start)
+            if rows > 0:
+                best[n] = _Layouts(batch, n, rows).best(plan)
+        if batch.error is not None:
+            failed = batch.ks.start + len(batch.ks)
+            results.update((n, batch.error) for n in best if n - num_paths + 1 >= failed)
+            break
+        del batch  # freed before the next batch is built
+    return [results[n] if n in results else best[n] for n in ns]
 
 
 def optimize_subchannel_count(channel: MultiPathChannel, n: int, eps: float) -> BlockPlan:
     """Scan every admissible K and keep the best rate, ties to smaller K."""
-    if n < 2 * channel.num_paths:
-        raise ValueError("blocklength too short for any admissible subchannel count")
-    best = None
-    for layouts in _scan(channel, n, eps):
-        rate = max(layouts.rates)
-        if best is None or rate > best.rate:
-            best = layouts.plan(layouts.rates.index(rate))  # ties to smaller K
-        del layouts  # freed before the next batch is built
-    return best
+    (plan,) = optimize_subchannel_counts(channel, [n], eps)
+    if isinstance(plan, Exception):
+        raise plan
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,41 @@ def test_rate_sweep_snr_and_k_variables(tmp_path):
     assert len(rates) == 4
 
 
+@pytest.mark.parametrize("fixed", [[1, 2], "abc", 5, None])
+def test_rate_sweep_fixed_must_be_an_object(tmp_path, capsys, fixed):
+    spec = dict(FIG2_SPEC, fixed=fixed)
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+    assert "'fixed' must be a JSON object" in capsys.readouterr().err
+
+
+K_FIXED = {"sigma2": 1.0, "P": 10.0, "eps": 1e-4, "n": 120, "h_re": [0.9, 0.5]}
+
+
+@pytest.mark.parametrize("variable, values, fixed", [
+    ("K", [3.5], K_FIXED),
+    ("K", [2, 4.25], K_FIXED),
+    ("K", {"start": 3, "stop": 10, "count": 4}, K_FIXED),  # 3, 5.33, ...
+    ("N", [24.5], FIG2_SPEC["fixed"]),  # banker's rounding read it as 24
+    ("N", [25, 100.7], FIG2_SPEC["fixed"]),
+])
+def test_rate_sweep_non_integral_n_or_k(tmp_path, capsys, variable, values, fixed):
+    # read like simulate's n and subchannels: never rounded to a neighbour
+    spec = dict(FIG2_SPEC, variable=variable, values=values, fixed=fixed,
+                curves=["theorem3"] if variable == "K" else FIG2_SPEC["curves"])
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_rate_sweep_integral_floats_accepted(tmp_path):
+    spec = dict(FIG2_SPEC, values=[25.0, 50], curves=["theorem1"])
+    out = tmp_path / "r.csv"
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                 "--out", str(out)]) == EXIT_OK
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["25", "50"]
+
+
 # ---------------------------------------------------------------------------
 # selfcheck
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from skfading.multi_path import (
     map_complex,
     mmse_gain_mp,
     optimize_subchannel_count,
+    optimize_subchannel_counts,
     plan_block,
     sub_message_sizes,
     variance_lemma3,
@@ -121,16 +122,18 @@ def test_optimize_subchannel_count_is_exhaustive_max():
 
 def test_subchannel_scan_working_set():
     # the scan holds one batch of K at a time, 0.74 MB at n = 1000; one
-    # array over the whole scan (996 rows of up to 998 power gains) is 8 MB
+    # array over the whole scan (996 rows of up to 998 power gains) is 8 MB.
+    # The walk shared by six blocklengths adds only their layouts of a batch.
     channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
     optimize_subchannel_count(channel, 40, 1e-6)  # lazy set-up stays out of the peak
-    tracemalloc.start()
-    try:
-        optimize_subchannel_count(channel, 1000, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+    for ns in ([1000], [25, 220, 415, 610, 805, 1000]):
+        tracemalloc.start()
+        try:
+            optimize_subchannel_counts(channel, ns, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, ns
 
 
 def test_optimize_subchannel_count_minimal_blocklength():

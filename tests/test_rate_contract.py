@@ -25,6 +25,7 @@ from skfading.multi_path import (
     BlockPlan,
     MultiPathChannel,
     optimize_subchannel_count,
+    optimize_subchannel_counts,
     plan_block,
 )
 from skfading.numerics import (
@@ -327,9 +328,10 @@ def test_scan_bit_equal_to_per_k_plans(case):
     taps, sigma2, P, n, eps = SCAN_CASES[case]
     channel = MultiPathChannel(taps, sigma2, P)
     ks, widest = [], 0
-    for layouts in multi_path._scan(channel, n, eps):
-        widest = max(widest, len(layouts.ks))
-        for row, k in enumerate(layouts.ks):
+    for batch in multi_path._scan(channel, eps, n - channel.num_paths + 1):
+        layouts = multi_path._Layouts(batch, n, len(batch.ks))
+        widest = max(widest, len(batch.ks))
+        for row, k in enumerate(batch.ks):
             ref = plan_block_per_k(channel, n, eps, k)
             assert_same_plan(layouts.plan(row), ref)
             assert_same_plan(plan_block(channel, n, eps, k), ref)
@@ -354,3 +356,110 @@ def test_scan_raises_where_per_k_scan_does(taps, P, n):
     with pytest.raises(InfeasibleError) as got:
         optimize_subchannel_count(channel, n, 1e-6)
     assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# whole sweeps against rows planned one at a time by the oracles above
+# ---------------------------------------------------------------------------
+
+# gain^2 * SNR first exceeds 1e150 at K = 51 for the taps (1.0, 0.5, 0.3)
+P_FAILS_AT_51 = 1e150 / (3.24 * 50.5)
+ORACLE_FIXED = {"eps": 1e-6, "sigma2": 1.0, "P": 10.0, "h_re": [1.0, 0.5, 0.3]}
+
+ORACLE_SWEEPS = {
+    # N = 5 is below 2L: "blocklength too short"
+    "N": {"variable": "N", "values": [5, 6, 25, 220, 415, 610, 805, 1000],
+          "fixed": ORACLE_FIXED},
+    # only the rows whose range reaches K = 51 fail
+    "N_fails_at_51": {"variable": "N", "values": [25, 40, 60, 200],
+                      "fixed": dict(ORACLE_FIXED, P=P_FAILS_AT_51)},
+    "D": {"variable": "D", "values": [0.0, 0.1, 0.5],
+          "fixed": dict(ORACLE_FIXED, n=300)},
+    "SNR": {"variable": "SNR", "values": [0.05, 1.0, 10.0, P_FAILS_AT_51],
+            "fixed": dict(ORACLE_FIXED, n=200)},
+    "SNR_short": {"variable": "SNR", "values": [1.0, 10.0],
+                  "fixed": dict(ORACLE_FIXED, n=5)},
+    "K": {"variable": "K", "values": [3, 4, 50, 51, 52, 198],
+          "fixed": dict(ORACLE_FIXED, n=200, P=P_FAILS_AT_51)},
+}
+
+
+def scan_alone(channel, n, eps):
+    """The per-K scan of one blocklength: its best plan, or what it raises."""
+    if n < 2 * channel.num_paths:
+        return ValueError("blocklength too short for any admissible subchannel count")
+    try:
+        return scan_per_k(channel, n, eps)
+    except InfeasibleError as exc:
+        return exc
+
+
+# (taps, sigma2, P, eps, blocklengths) of one shared walk
+WALK_CASES = {
+    "bench": ((1.0, 0.5, 0.3), 1.0, 9.3, 1e-6, [1000, 5, 25, 220, 415, 610, 805, 25]),
+    "fails_at_51": ((1.0, 0.5, 0.3), 1.0, P_FAILS_AT_51, 1e-6, [5, 25, 40, 52, 53, 200]),
+    # rate 0 at every K of the short rows: ties go to the smallest K
+    "deep_fade": ((1.0, 0.95), 1.0, 0.05, 1e-3, [4, 12, 40, 120, 300]),
+    # rate 0 at every K, over several batches
+    "dark": ((1.0, 0.95), 1.0, 1e-6, 1e-3, [40, 300]),
+    # a margin below 12: a K with no whole block would rate above zero
+    "coarse_eps": ((1.0, 0.5, 0.3), 1.0, 10.0, 0.9, [6, 7, 10, 40, 200]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_shared_walk_bit_equal_to_scans_alone(case):
+    taps, sigma2, P, eps, ns = WALK_CASES[case]
+    channel = MultiPathChannel(taps, sigma2, P)
+    for n, got in zip(ns, optimize_subchannel_counts(channel, ns, eps), strict=True):
+        want = scan_alone(channel, n, eps)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want), n
+        else:
+            assert_same_plan(got, want)
+
+
+def oracle_sweep(spec):
+    """The CSV and stderr of a theorem3 sweep, each row planned on its own."""
+    fixed, variable = spec["fixed"], spec["variable"]
+    lines, notes = ["x," + ",".join(spec["curves"])], []
+    for x in spec["values"]:
+        # sigma2 = 1: an SNR value is P
+        key = {"N": "n", "D": "distortion", "SNR": "P", "K": "subchannels"}[variable]
+        cfg = dict(fixed, **{key: x})
+        channel = MultiPathChannel(tuple(cfg["h_re"]), cfg["sigma2"], cfg["P"])
+        n, eps = cfg["n"], cfg["eps"]
+        if variable == "K":
+            try:
+                plan = plan_block_per_k(channel, n, eps, x)
+            except InfeasibleError as exc:
+                plan = exc
+        else:
+            plan = scan_alone(channel, n, eps)
+        cells = [f"{x:.12g}"]
+        for label in spec["curves"]:
+            if isinstance(plan, Exception):
+                notes.append(f"note: {label} infeasible at {variable}={x:g}: {plan}\n")
+                cells.append("")
+            else:
+                rate = plan.rate if label == "theorem3" else plan.rate_per_real_dim
+                cells.append(f"{rate:.12g}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n", "".join(notes)
+
+
+@pytest.mark.parametrize("curves", [["theorem3", "theorem3_real_dim"],
+                                    ["theorem3_real_dim", "theorem3"]])
+@pytest.mark.parametrize("case", sorted(ORACLE_SWEEPS))
+def test_rate_sweep_matches_rows_planned_alone(tmp_path, capsys, case, curves):
+    spec = dict(ORACLE_SWEEPS[case], curves=curves)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["rate-sweep", "--spec", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    want_out, want_err = oracle_sweep(spec)
+    assert out == want_out
+    assert err == want_err
+    if case in ("N", "N_fails_at_51", "SNR", "K"):  # some rows are infeasible, not all
+        assert err
+        assert any(cell for row in out.splitlines()[1:] for cell in row.split(",")[1:])
