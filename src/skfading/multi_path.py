@@ -132,10 +132,12 @@ class _Batch:
             peak = float(magnitudes.max())
             try:
                 require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
+                # every power gain underflows, or leaves sigma2 / gain infinite:
+                # raised here, as the water fill would, before a later K fails
                 if peak * peak == 0.0:
-                    # every power gain underflows: raised here, as the water
-                    # fill would, before a later K can fail the check above
                     raise InfeasibleError("water_fill: all channel gains are zero")
+                if channel.sigma2 / (peak * peak) == math.inf:
+                    raise InfeasibleError("water_fill: noise_var / gain overflows for every gain")
             except InfeasibleError as exc:
                 self.error, ks = exc, ks[:row]
                 power_gains, margins = power_gains[:row], margins[:row]

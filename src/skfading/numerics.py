@@ -233,14 +233,17 @@ def water_fill(gains, noise_var: float, total_power):
     if not ((total > 0) & (total < math.inf)).all():
         raise ValueError(f"total power must be positive, got {total_power!r}")
     rows = g.reshape(-1, g.shape[-1])
-    usable = rows > 0
+    # an unusable channel's threshold is +inf: it sorts past the usable ones;
+    # a gain so small that noise_var / gain overflows is unusable too
+    thresholds = np.full(rows.shape, np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(noise_var, rows, out=thresholds, where=rows > 0)
+    usable = thresholds < math.inf
     counts = usable.sum(axis=1)
     if not counts.all():
-        raise InfeasibleError("water_fill: all channel gains are zero")
-
-    # an unusable channel's threshold is +inf: it sorts past the usable ones
-    thresholds = np.full(rows.shape, np.inf)
-    np.divide(noise_var, rows, out=thresholds, where=usable)
+        if not rows.any(axis=1).all():
+            raise InfeasibleError("water_fill: all channel gains are zero")
+        raise InfeasibleError("water_fill: noise_var / gain overflows for every gain")
     tsorted = np.sort(thresholds, axis=1)
     # built in place: the out-of-place form raised a rate sweep's peak RSS by ~1 MB
     candidates = np.cumsum(tsorted, axis=1)

@@ -264,7 +264,7 @@ def mmse_coefficients1(params: QuasiStaticParams, h):
     ``params`` stay conservative. Broadcasts over an array of h values so a
     batch of channels can be prepared at once. Returns (beta, err_var) with
     beta[..., i] applied at time i+2 and err_var[..., j] the variance at
-    time j+1.
+    time j+1, as views of time-major arrays: beta[..., i] is contiguous.
     """
     if params.no_positive_rate:
         raise InfeasibleError("parameters flag no positive rate; nothing to iterate")
@@ -273,12 +273,12 @@ def mmse_coefficients1(params: QuasiStaticParams, h):
     sigma2 = params.sigma2
     n = params.n
     var = np.broadcast_to(sigma2 / (12.0 * params.P * h * h), h.shape).copy()
-    beta = np.empty(h.shape + (n - 1,))
-    err_var = np.empty(h.shape + (n,))
-    err_var[..., 0] = var
+    beta = np.empty((n - 1,) + h.shape)
+    err_var = np.empty((n,) + h.shape)
+    err_var[0] = var
     for i in range(n - 1):
         scale = h * alpha * params.feedback_gains[i]
-        beta[..., i] = scale * var / (scale * scale * var + sigma2)
+        beta[i] = scale * var / (scale * scale * var + sigma2)
         var = var / (1.0 + scale * scale * var / sigma2)
-        err_var[..., i + 1] = var
-    return beta, err_var
+        err_var[i + 1] = var
+    return np.moveaxis(beta, 0, -1), np.moveaxis(err_var, 0, -1)

@@ -24,9 +24,13 @@ again from its re-keyed generator, so the pass never has to model a
 rejection loop.
 
 run_trials, the one entry point to the closed loop, runs any set of trial
-indices in lockstep through the scheme's engine. monte_carlo derives once
-and folds 4096-trial chunks into running totals: its memory is one chunk's
-arrays (12.7 MB at n = 80) plus the two power vectors, 16 bytes per trial.
+indices in lockstep through the scheme's engine; schemes 1 and 2 store each
+per-iteration array time-major (generators fill it through _generator_rows'
+trial-major buffer), so every loop step reads and writes contiguous rows.
+monte_carlo derives once and folds 4096-trial chunks into running totals,
+squaring errors into a trial-major buffer so that the sum adds trials in
+index order: its memory is one chunk's arrays (11.8 MB at n = 80) plus the
+two power vectors, 16 bytes per trial.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # takes twice as long at 78 (scheme 2's dithers at n = 80)
 _SHORT_ROW = 32
 _CHUNK = 4096  # trials per engine run in monte_carlo: the smallest at full speed
+_BLOCK = 256  # trials per buffer of generator draws into time-major rows
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +413,19 @@ def _env_stream(master_seed: int, uniforms: int, sizes, normal: bool = False):
     return draw
 
 
+def _generator_rows(master_seed: int, indices, tag: int, out, method: str):
+    """Fill out[r] with getattr(gen, method)(out=...) of trial indices[r]'s
+    re-keyed generator. A generator draws only into contiguous rows, so a
+    strided out (a time-major .T view) is copied in from a _BLOCK-trial buffer."""
+    block = np.empty((min(_BLOCK, len(out)), out.shape[1]))
+    gens = _keyed_streams(master_seed, indices, tag)
+    for start in range(0, len(out), _BLOCK):
+        rows = block[:len(out) - start]
+        for row, gen in zip(rows, gens):
+            getattr(gen, method)(out=row)
+        out[start:start + len(rows)] = rows
+
+
 def _uniform_rows(master_seed: int, indices, tag: int, out):
     """Fill out[r] with the first uniforms of trial indices[r]'s keyed
     stream, as Generator.random(out=out[r]) would. Rows of at most
@@ -416,8 +434,7 @@ def _uniform_rows(master_seed: int, indices, tag: int, out):
     if out.shape[1] <= _SHORT_ROW:
         _uniforms(_philox_raw(master_seed, indices, tag, out.shape[1]), out=out)
     else:
-        for row, gen in zip(out, _keyed_streams(master_seed, indices, tag)):
-            gen.random(out=row)
+        _generator_rows(master_seed, indices, tag, out, "random")
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +451,14 @@ def _original_or_partner(closed_loop, params, coupled: bool, z_shape):
 
     link(x_t, col) returns the received symbol and the quantization noise of
     feedback column col. The original quantizes x_t and, in coupled mode,
-    records the noise in a z_shape array; the partner adds the recorded noise.
+    records the noise as row col of a z_shape array; the partner adds it.
     """
     z_hist = np.zeros(z_shape) if coupled else None
 
     def quantize(x_t, col):
         y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
         if coupled:
-            z_hist[:, col] = z
+            z_hist[col] = z
         return y_t, z
 
     original = closed_loop(params, quantize, False)
@@ -450,7 +467,7 @@ def _original_or_partner(closed_loop, params, coupled: bool, z_shape):
         return original
 
     def add_recorded(x_t, col):
-        z = z_hist[:, col]
+        z = z_hist[col]
         return x_t + z, z
 
     partner = closed_loop(replace(params, lattice_spacing=math.inf), add_recorded, True)
@@ -476,11 +493,11 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
         t = len(indices)
         u, w, _ = environment(indices)
         u, w = u[:, 0], w[:, 0]
-        dithers = np.empty((t, n - 1))
+        # time-major: column i of each .T view, all trials at time i, is contiguous
+        dithers = np.empty((n - 1, t)).T
         _uniform_rows(master_seed, indices, TAG_DITHER, dithers)
-        noise = np.empty((t, n))
-        for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
-            gen.standard_normal(out=row)
+        noise = np.empty((n, t)).T
+        _generator_rows(master_seed, indices, TAG_NOISE, noise, "standard_normal")
         noise *= scenario.noise_scale * math.sqrt(params.sigma2)
         dithers -= 0.5
         dithers *= params.lattice_spacing
@@ -490,8 +507,8 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
         x1 = root12p * theta
 
         def closed_loop(p, link, partner):
-            eps = np.empty((t, n))
-            alias = np.zeros((t, n - 1), dtype=bool)
+            eps = np.empty((n, t)).T
+            alias = np.zeros((n - 1, t), dtype=bool).T
             residual = 0.0
             # the two systems start from differently rounded forms of the same
             # time-1 estimate; both forms are part of the recorded reports
@@ -525,7 +542,7 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
                 "residual": residual,
             }
 
-        return _original_or_partner(closed_loop, params, coupled, (t, n - 1))
+        return _original_or_partner(closed_loop, params, coupled, (n - 1, t))
 
     return run
 
@@ -557,11 +574,10 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         beta, combined = tp.mmse_coefficients2(params, h1, h2, sign)[0::2]
         if not coupled:
             combined = None
-        dithers = np.zeros((t, n + 1))
+        dithers = np.zeros((n + 1, t)).T  # time-major, as in scheme 1
         _uniform_rows(master_seed, indices, TAG_DITHER, dithers[:, 2:n])
-        noise = np.empty((t, n))
-        for row, gen in zip(noise, _keyed_streams(master_seed, indices, TAG_NOISE)):
-            gen.standard_normal(out=row)
+        noise = np.empty((n, t)).T
+        _generator_rows(master_seed, indices, TAG_NOISE, noise, "standard_normal")
         noise *= scenario.noise_scale * math.sqrt(params.sigma2)
         dithers[:, 2:n] -= 0.5
         dithers[:, 2:n] *= params.lattice_spacing
@@ -575,8 +591,8 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         init = tp.init_estimate(y1, y2, h1, h2, params.P)
 
         def closed_loop(p, link, partner):
-            eps = np.zeros((t, n))
-            alias = np.zeros((t, n - 2), dtype=bool)  # col i-2 holds the event at time i
+            eps = np.zeros((n, t)).T
+            alias = np.zeros((n - 2, t), dtype=bool).T  # col i-2 holds the event at time i
             residual = 0.0
             theta_hat = init.copy()
             eps[:, 0] = theta_hat - theta
@@ -620,7 +636,7 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
                 "residual": residual,
             }
 
-        return _original_or_partner(closed_loop, params, coupled, (t, n))
+        return _original_or_partner(closed_loop, params, coupled, (n, t))
 
     return run
 
@@ -747,11 +763,11 @@ def monte_carlo(
     for start in range(0, trials, _CHUNK):
         out = run(np.arange(start, min(start + _CHUNK, trials)))
         correct += np.count_nonzero(out["correct"])
-        # |eps|^2 squared in place (real errors directly: x*x is bit-equal to
-        # |x|**2); the running sum (0.0 at first, which leaves squares
-        # unchanged) joins the chunk's first row, so trials are summed in
-        # index order as one axis-0 sum over all would
-        sq = out["eps"] if out["eps"].dtype == float else np.abs(out["eps"])
+        # |eps|^2 into a fresh trial-major buffer, whatever the engine's
+        # layout; the running sum (0.0 at first, which leaves squares
+        # unchanged) joins the chunk's first row, so the axis-0 sum adds
+        # trials in index order, as one sum over all would
+        sq = np.abs(out["eps"], out=np.empty(out["eps"].shape))
         np.square(sq, out=sq)
         sq[0] += sq_sum
         sq_sum = np.sum(sq, axis=0)

@@ -336,10 +336,10 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
     """Receiver MMSE gains driven by the true path gains.
 
     Broadcasts over arrays of (h1, h2, sign). Returns (beta, err_var,
-    combined_gain), all time-indexed arrays of length n+1: beta[i] applies
-    at time i+1 (valid 2..n-1), err_var[i] is the true coupled error
-    variance at time i (valid 2..n), combined_gain[i] is the two-path
-    effective gain multiplying the error at time i+1 (valid 2..n-1).
+    combined_gain), time-indexed on the last axis (length n+1) as views of
+    time-major arrays: beta[..., i] (contiguous) applies at time i+1 (valid
+    2..n-1), err_var[..., i] is the true coupled error variance at time i
+    (2..n), combined_gain[..., i] the two-path gain on the error at time i+1.
     """
     if params.no_positive_rate:
         raise InfeasibleError("parameters flag no positive rate; nothing to iterate")
@@ -350,13 +350,11 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
     n = params.n
     alpha = params.power_gain
     sigma2 = params.sigma2
-    beta = np.zeros(shape + (n + 1,))
-    err_var = np.zeros(shape + (n + 1,))
-    combined = np.zeros(shape + (n + 1,))
+    beta, err_var, combined = (np.zeros((n + 1,) + shape) for _ in range(3))
     var = np.broadcast_to(
         sigma2 / (12.0 * params.P * (h1 * h1 + h2 * h2)), shape
     ).copy()
-    err_var[..., 2] = var
+    err_var[2] = var
     for i in range(2, n):
         if i == 2:
             xi = phase_factor(sign, 1) * h1 * params.feedback_gains[2]
@@ -366,8 +364,8 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
                 + phase_factor(sign, i - 2) * h2 * params.feedback_gains[i - 1]
             )
         noise = sigma2 + (params.art_noise_var if i == 3 else 0.0)
-        combined[..., i] = xi
-        beta[..., i] = alpha * xi * var / (alpha * alpha * xi * xi * var + noise)
+        combined[i] = xi
+        beta[i] = alpha * xi * var / (alpha * alpha * xi * xi * var + noise)
         var = var / (1.0 + alpha * alpha * xi * xi * var / noise)
-        err_var[..., i + 1] = var
-    return beta, err_var, combined
+        err_var[i + 1] = var
+    return tuple(np.moveaxis(a, 0, -1) for a in (beta, err_var, combined))

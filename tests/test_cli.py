@@ -573,6 +573,28 @@ def test_rate_sweep_extreme_magnitudes_leave_blank_cells(tmp_path, capsys, key, 
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values, fixed", [
+    ([30, 40], {"P": 10.0, "h_re": [1e-160, 1e-160]}),
+    ([400], {"P": 1e-5, "h_re": [1e-155, 1e-160, 1e-170]}),
+], ids=["two_taps", "three_taps"])
+def test_rate_sweep_subnormal_power_gains_are_infeasible(tmp_path, capsys, values, fixed):
+    # every |H_k|^2 is subnormal, so sigma2 / |H_k|^2 overflows: the water
+    # fill once turned these into NaN powers, printed as rate 0, with numpy
+    # warnings on stderr
+    spec = {"variable": "N", "values": values, "curves": ["theorem3"],
+            "fixed": {"sigma2": 1.0, "eps": 1e-6, **fixed}}
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                     "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[1:] == [f"{n}," for n in values]
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    for n in values:
+        assert f"theorem3 infeasible at N={n}: water_fill: noise_var / gain overflows" in err
+
+
 def test_rate_sweep_snr_and_k_variables(tmp_path):
     spec = {
         "variable": "SNR",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,19 @@ def test_water_fill_rows():
     # one all-zero row makes the whole batch infeasible
     with pytest.raises(InfeasibleError, match="all channel gains are zero"):
         water_fill([[1.0, 0.5], [0.0, 0.0]], 1.0, 1.0)
+
+
+def test_water_fill_overflowing_thresholds():
+    # a gain whose threshold noise_var / gain overflows takes no power, as a
+    # zero gain would, and without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers, level = water_fill([1.0, 1e-320, 0.5], 1.0, 3.0)
+        assert powers.tolist() == water_fill([1.0, 0.0, 0.5], 1.0, 3.0)[0].tolist()
+        assert level == 3.0
+        # a row of such gains only is infeasible
+        with pytest.raises(InfeasibleError, match="overflows for every gain"):
+            water_fill([[1.0, 0.5], [1e-320, 4e-320]], 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

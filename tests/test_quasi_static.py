@@ -342,8 +342,9 @@ def test_mmse_coefficients_broadcast():
     assert beta.shape == (3, params.n - 1)
     assert err.shape == (3, params.n)
     b1, e1 = mmse_coefficients1(params, 0.9)
-    assert np.allclose(beta[1], b1)
-    assert np.allclose(err[1], e1)
+    # bit-equal to the scalar call
+    assert beta[1].tolist() == b1.tolist()
+    assert err[1].tolist() == e1.tolist()
 
 
 # ---------------------------------------------------------------------------

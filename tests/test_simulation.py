@@ -193,27 +193,39 @@ def test_monte_carlo_infeasible_scenario():
         monte_carlo(bad, 10, master_seed=1)
 
 
+# the sim_tp_large and sim_qs_many_small benchmark scenarios
+SC2_LARGE = TwoPathScenario(
+    h1_hat=0.9, h2_hat=0.5, distortion=0.05, sigma2=1.0, P=1.0,
+    P_tilde=10.0, sigma_z=1e-3, n=80, eps=1e-2,
+)
+SC1_MANY_SMALL = QuasiStaticScenario(
+    h_hat=0.9, distortion=0.05, sigma2=1.0, P=10.0, P_tilde=10.0,
+    sigma_z=1e-3, n=25, eps=1e-2,
+)
+
+
 def test_monte_carlo_working_set_is_one_chunk():
-    # the sim_tp_large benchmark scenario (scheme 2, n = 80): a run of three
-    # chunks holds no more than a run of one, up to 16 bytes per trial of
-    # transmit powers; one chunk peaks at 13.7 MB, and at 19.7 MB when the
-    # engine keeps arrays it never reads (err_var, combined gains, z history)
-    sc = TwoPathScenario(
-        h1_hat=0.9, h2_hat=0.5, distortion=0.05, sigma2=1.0, P=1.0,
-        P_tilde=10.0, sigma_z=1e-3, n=80, eps=1e-2,
-    )
-    monte_carlo(sc, 1, master_seed=1)  # lazy set-up stays out of the peaks
-    peaks = []
-    for trials in (_CHUNK, 2 * _CHUNK + 1):
-        tracemalloc.start()
-        try:
-            monte_carlo(sc, trials, master_seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    one_chunk, three_chunks = peaks
-    assert three_chunks < 16e6
-    assert three_chunks <= one_chunk + 1e6
+    # a run of three chunks holds no more than a run of one, up to 16 bytes
+    # per trial of transmit powers. One chunk peaks at 11.8 MB for scheme 2
+    # (n = 80), 20.1 MB coupled and 3.9 MB for scheme 1 (n = 25); the bounds
+    # catch a whole-array copy, such as re-laying out a chunk's time-major
+    # rows (2.6 MB per (4096, 80) array), or scheme 2's 19.7 MB when the
+    # engine kept arrays it never reads (err_var, combined gains, z history)
+    for scenario, coupled, bound in [
+        (SC2_LARGE, False, 12.5e6), (SC2_LARGE, True, 21e6), (SC1_MANY_SMALL, False, 4.5e6),
+    ]:
+        monte_carlo(scenario, 1, master_seed=1, coupled=coupled)  # lazy set-up stays out
+        peaks = []
+        for trials in (_CHUNK, 2 * _CHUNK + 1):
+            tracemalloc.start()
+            try:
+                monte_carlo(scenario, trials, master_seed=1, coupled=coupled)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_chunk, three_chunks = peaks
+        assert one_chunk < bound, (scenario.scheme_id, coupled, one_chunk)
+        assert three_chunks <= one_chunk + 1e6, (scenario.scheme_id, coupled)
 
 
 @pytest.mark.parametrize("module, name, scenario", [

@@ -19,6 +19,7 @@ from skfading import simulation
 from skfading.cli import EXIT_OK, main
 from skfading.numerics import philox_key
 from skfading.simulation import (
+    _BLOCK,
     TAG_DITHER,
     TAG_ENV,
     TAG_NOISE,
@@ -26,6 +27,7 @@ from skfading.simulation import (
     QuasiStaticScenario,
     TwoPathScenario,
     _env_stream,
+    _generator_rows,
     _integer_plan,
     _integers,
     _keyed_streams,
@@ -260,17 +262,44 @@ def test_keyed_streams_resume_after_raw_words(used):
             assert gen.random() == ref.random()
 
 
+# trial counts around the generator draws' buffer of _BLOCK trials, and one
+# engine chunk
+ROW_TRIALS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4096]
+
+
+def check_rows(fill, reference, words):
+    """fill(seed, indices, out) must write row r of out as reference(gen,
+    words) draws from trial indices[r]'s fresh generator, into a column
+    slice of a trial-major array and into one of a time-major array's .T
+    view, as scheme 2's dithers are; the columns around the slice stay
+    untouched."""
+    for key, (seed, first) in enumerate(KEYS):
+        # every count at the first key, those below one chunk at the others
+        counts = ROW_TRIALS if key == 0 else ROW_TRIALS[:-1]
+        # all within the index range; a repeated index draws the same row
+        indices = np.abs(first - np.arange(max(counts)))
+        expected = np.array([reference(fresh(seed, int(ix), TAG_DITHER), words)
+                             for ix in indices]).reshape(len(indices), words)
+        for trials in counts:
+            for out in (np.zeros((trials, words + 3)), np.zeros((words + 3, trials)).T):
+                fill(seed, indices[:trials], out[:, 2:-1])
+                assert out[:, 2:-1].tolist() == expected[:trials].tolist()
+                assert not out[:, :2].any() and not out[:, -1].any()
+
+
 @pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
 def test_uniform_rows_match_generator_random(words):
     # rows up to 32 words come from the vector pass, longer ones from
-    # re-keyed generators; both fill a column slice, as scheme 2's dithers do
-    for seed, first in KEYS:
-        indices = [first, first ^ 1, first]
-        out = np.zeros((3, words + 3))
-        _uniform_rows(seed, indices, TAG_DITHER, out[:, 2:-1])
-        for row, ix in zip(out, indices):
-            assert row[2:-1].tolist() == fresh(seed, ix, TAG_DITHER).random(words).tolist()
-            assert row[:2].tolist() == [0.0, 0.0] and row[-1] == 0.0
+    # re-keyed generators
+    check_rows(lambda seed, indices, out: _uniform_rows(seed, indices, TAG_DITHER, out),
+               lambda gen, words: gen.random(words), words)
+
+
+@pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
+def test_generator_rows_match_generator_standard_normal(words):
+    check_rows(lambda seed, indices, out: _generator_rows(
+                   seed, indices, TAG_DITHER, out, "standard_normal"),
+               lambda gen, words: gen.standard_normal(words), words)
 
 
 # (uniforms, alphabet sizes, normal) of an environment stream

@@ -355,6 +355,23 @@ def test_mmse_coefficients2_steady_ratio_is_rho_star():
         assert ratio == pytest.approx(params.var_ratio_star, rel=1e-9)
 
 
+def test_mmse_coefficients2_broadcast():
+    # (h1, h2, sign) broadcast to shape (2, 3): every entry of every array
+    # is bit-equal to the scalar call's, with time on the last axis
+    params = _params()
+    h1 = np.array([[0.85], [0.95]])
+    h2 = np.array([0.45, -0.5, 0.55])
+    sign = np.array([[1.0, -1.0, 1.0], [1.0, -1.0, -1.0]])
+    arrays = mmse_coefficients2(params, h1, h2, sign)
+    for got in arrays:
+        assert got.shape == (2, 3, params.n + 1)
+    for i, j in np.ndindex(2, 3):
+        scalar = mmse_coefficients2(params, h1[i, 0], h2[j], sign[i, j])
+        for got, ref in zip(arrays, scalar):
+            assert ref.shape == (params.n + 1,)
+            assert got[i, j].tolist() == ref.tolist()
+
+
 def test_rx_feedback2_in_lattice_range():
     params = _params()
     rng = np.random.default_rng(9)
