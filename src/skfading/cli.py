@@ -204,68 +204,38 @@ def _eval_curve(label: str, cfg: dict) -> float:
     raise ConfigError(f"unknown curve label '{label}'")
 
 
-def _theorem3_inputs(label: str, cfg: dict):
-    """A theorem3 cell's channel, n, eps and subchannel count (None for the
-    best count), read in _eval_curve's order, so a bad config names the
-    same key first."""
-    def num(key):
-        return _number(cfg, key, label)
+def _theorem3_plans(label: str, fixed: dict, variable: str, points: list) -> list:
+    """The theorem3 plan of each sweep row, or the exception its cells re-raise.
 
-    P, sigma2 = num("P"), num("sigma2")
-    n = _integer(_require(cfg, "n", label), "n")
-    eps = num("eps")
-    channel = mp.MultiPathChannel(_taps_from(cfg), sigma2, P)
-    k = _integer(cfg["subchannels"], "subchannels") if "subchannels" in cfg else None
-    return channel, n, eps, k
-
-
-class _Theorem3Plans:
-    """The theorem3 plan of each sweep row, or the error its cells report.
-
-    Both theorem3 labels of a row share one evaluation. The rows that scan
-    for their best subchannel count with the same taps, sigma2, P and eps
-    share one scan, run at the first of their cells.
+    Inputs are read in _eval_curve's order, so a bad config names the same key
+    first. Rows that scan for their best subchannel count with the same taps,
+    sigma2, P and eps share one scan.
     """
-
-    def __init__(self, fixed: dict, variable: str, points: list):
-        self.fixed, self.variable, self.points = fixed, variable, points
-        self.results = {}
-        self.group_of = None  # row -> (channel, eps) of the scan it shares
-
-    def _group(self) -> None:
-        self.groups = {}  # (channel, eps) -> [(row, n)]
-        for row, x in enumerate(self.points):
-            try:
-                channel, n, eps, k = _theorem3_inputs(
-                    "theorem3", _apply_variable(self.fixed, self.variable, x))
-            except (InfeasibleError, ValueError):
-                continue  # raised again by the row's own cells, in order
-            if k is None:
-                self.groups.setdefault((channel, eps), []).append((row, n))
-        self.group_of = {row: key for key, rows in self.groups.items() for row, _ in rows}
-
-    def rate(self, label: str, row: int, cfg: dict) -> float:
-        if row not in self.results:
-            self._evaluate(label, row, cfg)
-        plan = self.results[row]
-        if isinstance(plan, Exception):
-            raise plan
-        return plan.rate if label == "theorem3" else plan.rate_per_real_dim
-
-    def _evaluate(self, label: str, row: int, cfg: dict) -> None:
-        if self.group_of is None:
-            self._group()
-        key = self.group_of.get(row)
-        if key is not None:
-            rows, ns = zip(*self.groups[key])
-            channel, eps = key
-            self.results.update(zip(rows, mp.optimize_subchannel_counts(channel, ns, eps)))
-            return
+    plans = [None] * len(points)
+    groups = {}  # (channel, eps) -> [(row, n)]
+    for row, x in enumerate(points):
         try:
-            channel, n, eps, k = _theorem3_inputs(label, cfg)
-            self.results[row] = mp.plan_block(channel, n, eps, k)
+            cfg = _apply_variable(fixed, variable, x)
+            P, sigma2 = _number(cfg, "P", label), _number(cfg, "sigma2", label)
+            n = _integer(_require(cfg, "n", label), "n")
+            eps = _number(cfg, "eps", label)
+            channel = mp.MultiPathChannel(_taps_from(cfg), sigma2, P)
+            if "subchannels" in cfg:
+                k = _integer(cfg["subchannels"], "subchannels")
+                plans[row] = mp.plan_block(channel, n, eps, k)
+            else:
+                groups.setdefault((channel, eps), []).append((row, n))
         except (InfeasibleError, ValueError) as exc:
-            self.results[row] = exc
+            plans[row] = exc
+    for (channel, eps), members in groups.items():
+        rows, ns = zip(*members)
+        try:
+            found = mp.optimize_subchannel_counts(channel, ns, eps)
+        except (InfeasibleError, ValueError) as exc:
+            found = [exc] * len(rows)
+        for row, plan in zip(rows, found):
+            plans[row] = plan
+    return plans
 
 
 def cmd_rate_sweep(spec_path: str, out_path):
@@ -283,7 +253,7 @@ def cmd_rate_sweep(spec_path: str, out_path):
     if not isinstance(fixed, dict):
         raise ConfigError(f"sweep spec: 'fixed' must be a JSON object, got {fixed!r}")
     points = _sweep_values(spec)
-    theorem3 = _Theorem3Plans(fixed, variable, points)
+    plans = None  # planned at the first theorem3 cell, under its label
 
     lines = ["x," + ",".join(curves)]
     for row, x in enumerate(points):
@@ -292,7 +262,12 @@ def cmd_rate_sweep(spec_path: str, out_path):
         for label in curves:
             try:
                 if label in ("theorem3", "theorem3_real_dim"):
-                    rate = theorem3.rate(label, row, cfg)
+                    if plans is None:
+                        plans = _theorem3_plans(label, fixed, variable, points)
+                    plan = plans[row]
+                    if isinstance(plan, Exception):
+                        raise plan
+                    rate = plan.rate if label == "theorem3" else plan.rate_per_real_dim
                 else:
                     rate = _eval_curve(label, cfg)
                 cells.append(_fmt(rate))

@@ -15,9 +15,9 @@ index, tag))) would draw it (the v1 stream contract), in one of two ways:
   per-component alphabets) and dither rows of at most _SHORT_ROW words
   (scheme 1 at small n);
 - the rest from one Philox per batch, re-keyed through its state for each
-  trial: every row of normals (TAG_NOISE, scheme 2's artificial noise,
-  which resumes after the environment words the pass used) and longer
-  dither rows, where the vector pass is slower.
+  trial: every row of normals (TAG_NOISE, each scheme's through
+  _generator_rows), longer dither rows, where the vector pass is slower,
+  and scheme 2's artificial noise, resumed after the pass's environment words.
 A trial whose environment holds a Lemire draw that numpy might have
 rejected (leftover below the alphabet size) draws its whole environment
 again from its re-keyed generator, so the pass never has to model a
@@ -670,8 +670,7 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
         w = environment(indices)[1]
         noise = np.empty((t, blocks * block_len), dtype=complex)
         # each row's normals fill its complex noise as (re, im) pairs
-        for row, gen in zip(noise.view(float), _keyed_streams(master_seed, indices, TAG_NOISE)):
-            gen.standard_normal(out=row)
+        _generator_rows(master_seed, indices, TAG_NOISE, noise.view(float), "standard_normal")
         noise *= scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
         w_re, w_im = w[:, 0::2], w[:, 1::2]
         theta = mp.map_complex(w_re, w_im, m_re, m_im)

@@ -123,10 +123,12 @@ def combining_weight(h1, h2):
 
 
 def init_estimate(y1, y2, h1, h2, P):
-    """Two-slot initial estimate from both looks at the first symbol."""
+    """Two-slot initial estimate from both looks at the first symbol; a look of
+    weight exactly 0 (a zero path gain) is divided by 1, so it adds 0, not NaN."""
     kappa = combining_weight(h1, h2)
     root = math.sqrt(12.0 * P)
-    return kappa * y1 / (h1 * root) + (1.0 - kappa) * y2 / (h2 * root)
+    return (kappa * y1 / (np.where(kappa == 0, 1.0, h1) * root)
+            + (1.0 - kappa) * y2 / (np.where(kappa == 1, 1.0, h2) * root))
 
 
 def solve_rho_star(H1: float, H2: float, snr: float, a_over_b: float = 1.0) -> float:

@@ -138,6 +138,23 @@ def test_simulate_scheme2_and_scheme3(tmp_path):
     assert report["avg_fb_power"] == 0.0
 
 
+def test_simulate_scheme2_zero_path_gain(tmp_path):
+    # derive_params2 rates h2 = 0 through its H2 = 0 branch; the initial
+    # estimate once added the silent look as 0 * inf = NaN, so the run
+    # exited 3 on a non-finite forward power
+    cfg = write_json(tmp_path / "c.json", {
+        "scheme": 2, "n": 30, "eps": 0.01, "sigma2": 1.0, "P": 10.0,
+        "P_tilde": 10.0, "sigma_z": 0.001, "h1_hat": 0.9, "h2_hat": 0.0,
+        "distortion": 0.0,
+    })
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg, "--trials", "20000",
+                 "--seed", "1", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert math.isfinite(report["avg_fwd_power"])
+    assert report["ci95_hi"] <= 1.5 * 0.01
+
+
 SCHEME3_CONFIG = {
     "scheme": 3, "n": 24, "eps": 1e-2, "sigma2": 1.0, "P": 10.0,
     "h_re": [0.9, 0.5], "subchannels": 3,
@@ -654,6 +671,38 @@ def test_rate_sweep_integral_floats_accepted(tmp_path):
     assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
                  "--out", str(out)]) == EXIT_OK
     assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["25", "50"]
+
+
+# the orderings that planning every theorem3 row at the first theorem3 cell
+# must keep: a cell's error names that cell's label and stops the sweep at
+# that row, after the notes of the rows before it and before any after it
+THEOREM3_FIXED = {
+    "sigma2": 1.0, "P": 10.0, "P_tilde": 10.0, "sigma_z": 1e-3, "eps": 1e-6,
+    "h_hat": 0.9, "distortion": 0.05, "h_re": [1.0, 0.5, 0.3],
+}
+NO_TAPS = "the multi-path model needs at least two taps"
+
+
+@pytest.mark.parametrize("variable, values, curves, fixed, code, out, err", [
+    ("N", [25, 60], ["theorem3_real_dim", "theorem1", "theorem3"],
+     {key: v for key, v in THEOREM3_FIXED.items() if key != "P"}, EXIT_BAD_CONFIG, "",
+     "configuration error: theorem3_real_dim: missing required key 'P'\n"),
+    ("N", [25, 60.5], ["theorem1", "theorem3"], THEOREM3_FIXED, EXIT_BAD_CONFIG, "",
+     "configuration error: n must be an integer, got 60.5\n"),
+    ("N", [25, 60], ["theorem3", "theorem1", "theorem3_real_dim"],
+     dict(THEOREM3_FIXED, h_re=[1.0]), EXIT_OK,
+     "x,theorem3,theorem1,theorem3_real_dim\n25,,1.45353277033,\n60,,1.49151245526,\n",
+     "".join(f"note: {label} infeasible at N={n}: {NO_TAPS}\n"
+             for n in (25, 60) for label in ("theorem3", "theorem3_real_dim"))),
+    ("SNR", [0, 10], ["theorem3", "theorem1"], dict(THEOREM3_FIXED, h_re=[1.0], n=60),
+     EXIT_BAD_CONFIG, "", "configuration error: P must be above 0, got 0.0\n"),
+], ids=["missing_P_names_first_label", "non_integral_n_only", "one_tap_notes",
+        "zero_snr_before_notes"])
+def test_rate_sweep_theorem3_orderings(tmp_path, capsys, variable, values, curves, fixed,
+                                        code, out, err):
+    spec = {"variable": variable, "values": values, "curves": curves, "fixed": fixed}
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # ---------------------------------------------------------------------------

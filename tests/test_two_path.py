@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_init_estimate_variance_and_optimality():
             continue
         alt = k * y1 / (h1 * root) + (1 - k) * y2 / (h2 * root) - theta
         assert best < np.mean(alt ** 2)
+
+
+def test_init_estimate_drops_a_look_of_zero_weight():
+    y1, y2, P = np.array([0.3, -1.2]), np.array([0.7, 0.1]), 10.0
+    root = math.sqrt(12 * P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = init_estimate(y1, y2, np.array([0.9, 0.0]), np.array([0.0, -0.5]), P)
+        assert np.array_equal(est, [y1[0] / (0.9 * root), y2[1] / (-0.5 * root)])
+        scalar = init_estimate(0.3, 0.7, 0.9, 0.0, P)
+    assert isinstance(scalar, float) and scalar == 0.3 / (0.9 * root)
+    # nonzero gains keep the plain weighted sum, bit for bit
+    h1, h2 = np.array([0.9, -0.2, 1e-3]), np.array([0.5, 0.7, -2.0])
+    kappa = combining_weight(h1, h2)
+    plain = kappa * y1[0] / (h1 * root) + (1.0 - kappa) * y2[0] / (h2 * root)
+    assert np.array_equal(init_estimate(y1[0], y2[0], h1, h2, P), plain)
 
 
 # ---------------------------------------------------------------------------
