@@ -3,8 +3,9 @@
 Each check returns its measured residual against a fixed tolerance; the
 whole suite runs in a few seconds and touches the load-bearing math:
 modulo reduction, transform unitarity, the fixed point, water-filling
-optimality, the combining weight, and the coupled-system cancellation.
-Random inputs come from keyed Philox streams, like every draw in skfading.
+optimality, the combining weight, the coupled-system cancellation, and
+the keyed-stream contract. Random inputs come from keyed Philox streams,
+like every draw in skfading.
 """
 
 from __future__ import annotations
@@ -25,7 +26,16 @@ from .numerics import (
     philox_key,
     water_fill,
 )
-from .simulation import QuasiStaticScenario, TwoPathScenario, run_trials
+from .simulation import (
+    TAG_DITHER,
+    TAG_ENV,
+    TAG_NOISE,
+    QuasiStaticScenario,
+    TwoPathScenario,
+    _env_stream,
+    _generator_rows,
+    run_trials,
+)
 
 __all__ = ["CheckResult", "run_selfcheck"]
 
@@ -147,6 +157,31 @@ def _check_coupled_cancellation() -> CheckResult:
     return CheckResult("coupled-system noise cancellation", worst, 1e-12)
 
 
+def _check_stream_contract() -> CheckResult:
+    """Scheme 2's streams at n = 80 for 300 trials, against fresh
+    Generator(Philox(key=...)) draws: the environment from the vector pass,
+    its artificial normal by the ziggurat tables taken from numpy (the
+    check that guards other numpy builds), and the dither and noise rows
+    of the re-keyed generators. The residual counts differing draws."""
+    seed, indices, size = 2024, np.arange(300), 2_840_761
+    u, w, art = _env_stream(seed, 2, [size], normal=True)(indices)
+    dithers, noise = np.empty((78, 300)).T, np.empty((80, 300)).T
+    _generator_rows(seed, indices, [(TAG_DITHER, "random", dithers),
+                                    (TAG_NOISE, "standard_normal", noise)])
+    got = np.column_stack([u, w.view(float), art, dithers, noise])
+    expected = np.empty_like(got)
+    for r, ix in enumerate(indices.tolist()):
+        env, dither, fwd = (Generator(Philox(key=philox_key(seed, ix, tag)))
+                            for tag in (TAG_ENV, TAG_DITHER, TAG_NOISE))
+        expected[r, :2] = env.random(2)
+        expected[r, 2] = np.int64(env.integers(1, size + 1)).view(float)
+        expected[r, 3] = env.standard_normal()
+        expected[r, 4:82] = dither.random(78)
+        expected[r, 82:] = fwd.standard_normal(80)
+    differing = np.count_nonzero(got.view(np.uint64) != expected.view(np.uint64))
+    return CheckResult("keyed-stream contract", float(differing), 0.0)
+
+
 def run_selfcheck():
     """Run every check."""
     return [
@@ -158,4 +193,5 @@ def run_selfcheck():
         _check_water_fill(),
         _check_combining_weight(),
         _check_coupled_cancellation(),
+        _check_stream_contract(),
     ]

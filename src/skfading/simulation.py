@@ -9,19 +9,21 @@ random numbers).
 
 Every stream is drawn exactly as Generator(Philox(key=philox_key(seed,
 index, tag))) would draw it (the v1 stream contract), in one of two ways:
-- short streams of uniforms and integers, in one vectorised Philox4x64-10
-  pass over a whole batch with numpy's own transforms: every trial's
-  environment (TAG_ENV: gain uniforms, message integers, scheme 3's
-  per-component alphabets) and dither rows of at most _SHORT_ROW words
-  (scheme 1 at small n);
-- the rest from one Philox per batch, re-keyed through its state for each
-  trial: every row of normals (TAG_NOISE, each scheme's through
-  _generator_rows), longer dither rows, where the vector pass is slower,
-  and scheme 2's artificial noise, resumed after the pass's environment words.
-A trial whose environment holds a Lemire draw that numpy might have
-rejected (leftover below the alphabet size) draws its whole environment
-again from its re-keyed generator, so the pass never has to model a
-rejection loop.
+- short streams, in one vectorised Philox4x64-10 pass over a whole batch
+  with numpy's own transforms: every trial's environment (TAG_ENV: gain
+  uniforms, message integers, scheme 3's per-component alphabets and
+  scheme 2's artificial-noise normal, by numpy's ziggurat from the next
+  whole word) and dither rows of at most _SHORT_ROW words (scheme 1 at
+  small n);
+- rows of normals (TAG_NOISE) and longer dither rows, where the vector
+  pass is slower, from one loop (_generator_rows) that re-keys one Philox
+  through its state for every trial and row; an engine passes all such
+  rows in one call (scheme 2 at n = 80: its dithers and its noise).
+A trial whose environment the pass cannot decide (a Lemire draw that numpy
+might have rejected, leftover below the alphabet size, or a normal off the
+ziggurat's fast path) draws its whole environment again from its re-keyed
+generator (_keyed_streams), so the pass never has to model a rejection
+loop.
 
 run_trials, the one entry point to the closed loop, runs any set of trial
 indices in lockstep through the scheme's engine; schemes 1 and 2 store each
@@ -46,6 +48,7 @@ from . import multi_path as mp
 from . import quasi_static as qs
 from . import two_path as tp
 from .numerics import InfeasibleError, dft, idft, philox_key
+from .ziggurat import ziggurat_normals
 
 __all__ = [
     "TAG_NOISE",
@@ -215,38 +218,30 @@ def _stream_keys(master_seed: int, indices, tag: int):
     return (ix.astype(np.uint64) << 8) | tag
 
 
-def _keyed_streams(master_seed: int, indices, tag: int, raw=None, used: int = 0):
-    """Yield one generator per index, at the start of its keyed stream.
-
-    A single Philox is re-keyed through its state for each index: the state
-    of a fresh Philox (zero counter, empty buffers) with the key replaced by
-    philox_key(master_seed, index, tag). Philox output depends only on
-    (key, counter), so each yielded generator draws exactly what
-    Generator(Philox(key=philox_key(master_seed, index, tag))) would. The
-    same generator object is re-keyed on the next step; draw from it before
-    advancing.
-
-    Given raw, the streams' first raw words from _philox_raw (whole counter
-    blocks), each generator starts `used` words in instead, as if it had
-    drawn them with next_uint64: its counter stands at the last block used,
-    which it holds buffered. It holds no spare 32-bit half, so the first
-    draw from it must not be a 32-bit one.
-    """
+def _rekeyable(master_seed: int):
+    """A Philox, its Generator, and the Philox's state in Python lists, whose
+    key list's low word a caller sets before assigning the state back: the
+    state of a fresh Philox (zero counter, empty buffers) with the key
+    (low, master_seed). Philox output depends only on (key, counter), so the
+    generator then draws exactly what Generator(Philox(key=philox_key(
+    master_seed, index, tag))) would for low = index << 8 | tag."""
     bitgen = Philox()
-    gen = Generator(bitgen)
     state = bitgen.state
     state["buffer"] = state["buffer"].tolist()
     inner = state["state"]
     inner["counter"] = inner["counter"].tolist()
     key = inner["key"] = [0, master_seed]
-    if used:
-        block = (used - 1) // 4
-        inner["counter"][0] = block + 1
-        state["buffer_pos"] = used - 4 * block
-    for r, low in enumerate(_stream_keys(master_seed, indices, tag)):
-        key[0] = int(low)
-        if used:
-            state["buffer"] = raw[r, 4 * block: 4 * block + 4].tolist()
+    return bitgen, Generator(bitgen), state, key
+
+
+def _keyed_streams(master_seed: int, indices, tag: int):
+    """Yield one generator per index, at the start of its keyed stream: a
+    single Philox re-keyed through its state (see _rekeyable). The same
+    generator object is re-keyed on the next step; draw from it before
+    advancing."""
+    bitgen, gen, state, key = _rekeyable(master_seed)
+    for low in _stream_keys(master_seed, indices, tag).tolist():
+        key[0] = low
         bitgen.state = state
         yield gen
 
@@ -382,26 +377,25 @@ def _env_stream(master_seed: int, uniforms: int, sizes, normal: bool = False):
     size in turn, then, if normal, one standard normal.
 
     draw returns (u, w, art): (trials, uniforms) floats, (trials, len(sizes))
-    int64 and the (trials,) normals, or None. The uniforms and integers come
-    from the vector pass. A trial in which a Lemire draw might have been
-    rejected draws its whole environment again from its re-keyed generator,
-    which is the stream's own definition. The normal always comes from the
-    re-keyed generator, resumed after the words the vector pass used.
+    int64 and the (trials,) normals, or None. All of them come from the
+    vector pass: the normal from the next whole word after the integers, by
+    numpy's ziggurat. A trial in which a Lemire draw might have been
+    rejected, or whose normal that one word does not decide, draws its whole
+    environment again from its re-keyed generator, which is the stream's own
+    definition.
     """
     plan, used = _integer_plan(sizes, uniforms)
-    words = 4 * -(-used // 4) if normal else used
     highs = np.asarray(sizes) + 1
 
     def draw(indices):
         indices = np.asarray(indices)
-        raw = _philox_raw(master_seed, indices, TAG_ENV, words)
+        raw = _philox_raw(master_seed, indices, TAG_ENV, used + 1 if normal else used)
         u = _uniforms(raw[:, :uniforms])
         w, redo = _integers(raw, plan)
         art = None
         if normal:
-            art = np.empty(len(indices))
-            for r, gen in enumerate(_keyed_streams(master_seed, indices, TAG_ENV, raw, used)):
-                art[r] = gen.standard_normal()
+            art, accepted = ziggurat_normals(raw[:, used])
+            redo |= ~accepted
         rows = np.flatnonzero(redo)
         for r, gen in zip(rows.tolist(), _keyed_streams(master_seed, indices[rows], TAG_ENV)):
             gen.random(out=u[r])
@@ -413,28 +407,39 @@ def _env_stream(master_seed: int, uniforms: int, sizes, normal: bool = False):
     return draw
 
 
-def _generator_rows(master_seed: int, indices, tag: int, out, method: str):
-    """Fill out[r] with getattr(gen, method)(out=...) of trial indices[r]'s
-    re-keyed generator. A generator draws only into contiguous rows, so a
-    strided out (a time-major .T view) is copied in from a _BLOCK-trial buffer."""
-    block = np.empty((min(_BLOCK, len(out)), out.shape[1]))
-    gens = _keyed_streams(master_seed, indices, tag)
-    for start in range(0, len(out), _BLOCK):
-        rows = block[:len(out) - start]
-        for row, gen in zip(rows, gens):
-            getattr(gen, method)(out=row)
-        out[start:start + len(rows)] = rows
+def _generator_rows(master_seed: int, indices, draws):
+    """For each (tag, method, out) of draws, fill out[r] with getattr(gen,
+    method)(out=...) of trial indices[r]'s generator keyed with tag.
+
+    One Philox is re-keyed through its state (see _rekeyable) for every
+    trial and draw, _BLOCK trials at a time: a generator draws only into
+    contiguous rows, so each draw fills its rows of one reused block buffer,
+    which is then copied into out (a time-major .T view, strided)."""
+    bitgen, gen, state, key = _rekeyable(master_seed)
+    t = len(indices)
+    block = np.empty((min(_BLOCK, t), max((out.shape[1] for _, _, out in draws), default=0)))
+    plans = [(_stream_keys(master_seed, indices, tag), getattr(gen, method),
+              list(block[:, :out.shape[1]]), out) for tag, method, out in draws]
+    for start in range(0, t, _BLOCK):
+        stop = min(start + _BLOCK, t)
+        for lows, fill, rows, out in plans:
+            for low, row in zip(lows[start:stop].tolist(), rows):
+                key[0] = low
+                bitgen.state = state
+                fill(out=row)
+            out[start:stop] = block[:stop - start, :out.shape[1]]
 
 
 def _uniform_rows(master_seed: int, indices, tag: int, out):
     """Fill out[r] with the first uniforms of trial indices[r]'s keyed
-    stream, as Generator.random(out=out[r]) would. Rows of at most
-    _SHORT_ROW words come from the vector pass; longer rows from re-keyed
-    generators, which are faster there."""
-    if out.shape[1] <= _SHORT_ROW:
-        _uniforms(_philox_raw(master_seed, indices, tag, out.shape[1]), out=out)
-    else:
-        _generator_rows(master_seed, indices, tag, out, "random")
+    stream, as Generator.random(out=out[r]) would, if its rows are short:
+    rows of at most _SHORT_ROW words come from the vector pass. Longer rows
+    are faster from re-keyed generators; for those, return the draws that
+    _generator_rows takes to fill them (else none)."""
+    if out.shape[1] > _SHORT_ROW:
+        return [(tag, "random", out)]
+    _uniforms(_philox_raw(master_seed, indices, tag, out.shape[1]), out=out)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +500,11 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
         u, w = u[:, 0], w[:, 0]
         # time-major: column i of each .T view, all trials at time i, is contiguous
         dithers = np.empty((n - 1, t)).T
-        _uniform_rows(master_seed, indices, TAG_DITHER, dithers)
+        # short rows come from the vector pass, whose temporaries are freed
+        # before the noise exists
+        draws = _uniform_rows(master_seed, indices, TAG_DITHER, dithers)
         noise = np.empty((n, t)).T
-        _generator_rows(master_seed, indices, TAG_NOISE, noise, "standard_normal")
+        _generator_rows(master_seed, indices, [*draws, (TAG_NOISE, "standard_normal", noise)])
         noise *= scenario.noise_scale * math.sqrt(params.sigma2)
         dithers -= 0.5
         dithers *= params.lattice_spacing
@@ -575,9 +582,9 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         if not coupled:
             combined = None
         dithers = np.zeros((n + 1, t)).T  # time-major, as in scheme 1
-        _uniform_rows(master_seed, indices, TAG_DITHER, dithers[:, 2:n])
+        draws = _uniform_rows(master_seed, indices, TAG_DITHER, dithers[:, 2:n])
         noise = np.empty((n, t)).T
-        _generator_rows(master_seed, indices, TAG_NOISE, noise, "standard_normal")
+        _generator_rows(master_seed, indices, [*draws, (TAG_NOISE, "standard_normal", noise)])
         noise *= scenario.noise_scale * math.sqrt(params.sigma2)
         dithers[:, 2:n] -= 0.5
         dithers[:, 2:n] *= params.lattice_spacing
@@ -670,7 +677,7 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
         w = environment(indices)[1]
         noise = np.empty((t, blocks * block_len), dtype=complex)
         # each row's normals fill its complex noise as (re, im) pairs
-        _generator_rows(master_seed, indices, TAG_NOISE, noise.view(float), "standard_normal")
+        _generator_rows(master_seed, indices, [(TAG_NOISE, "standard_normal", noise.view(float))])
         noise *= scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
         w_re, w_im = w[:, 0::2], w[:, 1::2]
         theta = mp.map_complex(w_re, w_im, m_re, m_im)

@@ -732,3 +732,14 @@ def test_selfcheck_detects_perturbed_fixed_point(monkeypatch):
     assert not by_name["variance-ratio fixed point"].passed
     assert all(r.passed for name, r in by_name.items()
                if name != "variance-ratio fixed point")
+
+
+def test_selfcheck_detects_a_ziggurat_table_off_by_one_ulp(monkeypatch):
+    import skfading.ziggurat as zg
+
+    # every layer width one ulp wider, as a numpy build with other tables
+    # would draw its normals
+    monkeypatch.setattr(zg, "_WI", np.nextafter(zg._WI, 1.0))
+    by_name = {r.name: r for r in run_selfcheck()}
+    assert not by_name["keyed-stream contract"].passed
+    assert all(r.passed for name, r in by_name.items() if name != "keyed-stream contract")

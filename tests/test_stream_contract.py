@@ -8,6 +8,7 @@ say so.
 """
 
 import hashlib
+import itertools
 import json
 import warnings
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from skfading import simulation
+from skfading import simulation, ziggurat
 from skfading.cli import EXIT_OK, main
 from skfading.numerics import philox_key
 from skfading.simulation import (
@@ -36,6 +37,7 @@ from skfading.simulation import (
     monte_carlo,
     run_trials,
 )
+from skfading.ziggurat import ziggurat_normals
 
 SIMULATE_CASES = {
     # h drawn from the ball: the environment stream draws gain and message
@@ -250,56 +252,134 @@ def test_philox_raw_matches_random_raw(tag):
                               raw_rows(seed, indices, tag, 29))
 
 
-@pytest.mark.parametrize("used", range(1, 10))
-def test_keyed_streams_resume_after_raw_words(used):
-    for seed, first in KEYS:
-        indices = [first, first ^ 1]
-        raw = _philox_raw(seed, indices, TAG_ENV, 4 * -(-used // 4))
-        for ix, gen in zip(indices, _keyed_streams(seed, indices, TAG_ENV, raw, used)):
-            ref = fresh(seed, ix, TAG_ENV)
-            ref.bit_generator.random_raw(used)
-            assert np.array_equal(gen.standard_normal(6), ref.standard_normal(6))
-            assert gen.random() == ref.random()
-
-
 # trial counts around the generator draws' buffer of _BLOCK trials, and one
 # engine chunk
 ROW_TRIALS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4096]
 
 
-def check_rows(fill, reference, words):
-    """fill(seed, indices, out) must write row r of out as reference(gen,
-    words) draws from trial indices[r]'s fresh generator, into a column
-    slice of a trial-major array and into one of a time-major array's .T
-    view, as scheme 2's dithers are; the columns around the slice stay
-    untouched."""
+def layouts(trials, draws, flip):
+    """A zeroed array per (tag, method, words) draw, three columns wider than
+    its rows: a time-major array's .T view, as the engines' dithers and noise
+    are, and a trial-major array in turn, the first one a .T view unless
+    flip."""
+    return [np.zeros((trials, words + 3)) if (k + flip) % 2 else np.zeros((words + 3, trials)).T
+            for k, (_, _, words) in enumerate(draws)]
+
+
+def fill_rows(seed, indices, draws, arrays):
+    _generator_rows(seed, indices, [(tag, method, out[:, 2:-1])
+                                    for (tag, method, _), out in zip(draws, arrays)])
+
+
+def check_rows(draws, fill=fill_rows):
+    """fill(seed, indices, draws, arrays) must write row r of each (tag,
+    method, words) draw's column slice arrays[k][:, 2:-1] as getattr(gen,
+    method)(words) of trial indices[r]'s fresh generator keyed with tag
+    would, in either layout; the columns around the slice stay untouched."""
     for key, (seed, first) in enumerate(KEYS):
         # every count at the first key, those below one chunk at the others
         counts = ROW_TRIALS if key == 0 else ROW_TRIALS[:-1]
         # all within the index range; a repeated index draws the same row
         indices = np.abs(first - np.arange(max(counts)))
-        expected = np.array([reference(fresh(seed, int(ix), TAG_DITHER), words)
-                             for ix in indices]).reshape(len(indices), words)
-        for trials in counts:
-            for out in (np.zeros((trials, words + 3)), np.zeros((words + 3, trials)).T):
-                fill(seed, indices[:trials], out[:, 2:-1])
-                assert out[:, 2:-1].tolist() == expected[:trials].tolist()
+        expected = [np.array([getattr(fresh(seed, int(ix), tag), method)(words)
+                              for ix in indices]).reshape(len(indices), words)
+                    for tag, method, words in draws]
+        for trials, flip in itertools.product(counts, (False, True)):
+            arrays = layouts(trials, draws, flip)
+            fill(seed, indices[:trials], draws, arrays)
+            for rows, out in zip(expected, arrays):
+                assert out[:, 2:-1].tolist() == rows[:trials].tolist()
                 assert not out[:, :2].any() and not out[:, -1].any()
 
 
 @pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
 def test_uniform_rows_match_generator_random(words):
-    # rows up to 32 words come from the vector pass, longer ones from
-    # re-keyed generators
-    check_rows(lambda seed, indices, out: _uniform_rows(seed, indices, TAG_DITHER, out),
-               lambda gen, words: gen.random(words), words)
+    # rows up to 32 words come from the vector pass, longer ones from the
+    # re-keyed generators that _generator_rows runs
+    def fill(seed, indices, draws, arrays):
+        left = _uniform_rows(seed, indices, TAG_DITHER, arrays[0][:, 2:-1])
+        assert len(left) == (words > 32)
+        _generator_rows(seed, indices, left)
+
+    check_rows([(TAG_DITHER, "random", words)], fill)
 
 
 @pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
 def test_generator_rows_match_generator_standard_normal(words):
-    check_rows(lambda seed, indices, out: _generator_rows(
-                   seed, indices, TAG_DITHER, out, "standard_normal"),
-               lambda gen, words: gen.standard_normal(words), words)
+    # one draw, as schemes 1 and 3 pass their noise
+    check_rows([(TAG_DITHER, "standard_normal", words)])
+
+
+@pytest.mark.parametrize("words", [1, 25, 33, 80])
+def test_generator_rows_two_draws_match_fresh_generators(words):
+    # two tags in one call, as scheme 2 passes its noise and its two words
+    # shorter dithers through one buffer of the longer rows
+    check_rows([(TAG_NOISE, "standard_normal", words),
+                (TAG_DITHER, "random", max(words - 2, 1))])
+
+
+# sha256 of the little-endian bytes of numpy 2.4.6's wi_double and
+# ki_double, read from the .rodata of the distributions object in its
+# libnpyrandom.a
+WI_DIGEST = "33c6472209e1d09ea3548f0291e5e1ad67fb4f1d0305e9f1086689584b7bb7fa"
+KI_DIGEST = "565295797825931547a1036f5b012a247be54abbe077c39fe06c8ed1e9d0a5a9"
+
+
+def test_ziggurat_tables_are_numpys():
+    # ki is derived from wi; layer 1 never accepts, so no draw would show a
+    # wrong wi[1] except through ki[2], and only at its threshold
+    assert sha256(ziggurat._WI.astype("<f8").tobytes()) == WI_DIGEST
+    assert sha256(ziggurat._KI.astype("<u8").tobytes()) == KI_DIGEST
+
+
+@pytest.mark.parametrize("used", range(10))
+def test_ziggurat_normal_after_raw_words(used):
+    # the normal a stream draws after `used` raw words, from word `used`
+    # alone wherever that word decides it
+    for seed, first in KEYS:
+        indices = np.abs(first - np.arange(400))
+        x, accepted = ziggurat_normals(_philox_raw(seed, indices, TAG_ENV, used + 1)[:, used])
+        assert 0 < np.count_nonzero(~accepted) < 20
+        for ix, value, ok in zip(indices.tolist(), x.tolist(), accepted.tolist()):
+            ref = fresh(seed, ix, TAG_ENV)
+            ref.bit_generator.random_raw(used)
+            assert not ok or value == ref.standard_normal()
+
+
+# (uniforms, alphabet sizes) before scheme 2's artificial normal: a 32-bit
+# message leaves its spare half pending, a whole-word message does not, and
+# a size-1 message draws nothing, so the normal reads word 3, 2 and 0; both
+# messages leave some trials' Lemire draws rejectable
+NORMAL_LAYOUTS = {
+    "32_bit_message": (2, [2_840_761]),
+    "whole_word_message": (1, [2**54 + 1]),
+    "size_1_message": (0, [1]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(NORMAL_LAYOUTS))
+def test_env_stream_normal_matches_fresh_generators(layout):
+    # 70 000 streams per layout, 2.1e5 in all: every layer but 1 accepts,
+    # and the slow branches (layer 0's tail, a wedge) and the Lemire redo
+    # rows draw through the re-keyed generator
+    uniforms, sizes = NORMAL_LAYOUTS[layout]
+    seed, indices = 2024, np.arange(70_000)
+    plan, used = _integer_plan(sizes, uniforms)
+    raw = _philox_raw(seed, indices, TAG_ENV, used + 1)
+    accepted = ziggurat_normals(raw[:, used])[1]
+    layer = raw[:, used] & 0xFF
+    assert set(layer[accepted].tolist()) == set(range(256)) - {1}
+    assert np.any(~accepted & (layer == 0)) and np.any(~accepted & (layer > 1))
+    assert _integers(raw, plan)[1].any() == (sizes != [1])
+    u, w, art = _env_stream(seed, uniforms, sizes, normal=True)(indices)
+    ref_u, ref_w, ref_art = np.empty_like(u), np.empty_like(w), np.empty_like(art)
+    for r, ix in enumerate(indices.tolist()):
+        ref = fresh(seed, ix, TAG_ENV)
+        ref.random(out=ref_u[r])
+        ref_w[r] = [ref.integers(1, size + 1) for size in sizes]
+        ref_art[r] = ref.standard_normal()
+    assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+    assert np.array_equal(art.view(np.uint64), ref_art.view(np.uint64))
 
 
 # (uniforms, alphabet sizes, normal) of an environment stream
