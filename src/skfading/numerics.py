@@ -121,11 +121,17 @@ def modulo_reduce(x, spacing):
     if isinstance(spacing, float) and spacing == math.inf:
         r = x
     else:
-        r = x - spacing * np.floor(x / spacing + 0.5)
+        # x - spacing * floor(x / spacing + 0.5), in one buffer (a 0-d
+        # array when x / spacing is a numpy scalar)
+        r = np.asarray(x / spacing)
+        r += 0.5
+        np.floor(r, out=r)
+        r *= spacing
+        np.subtract(x, r, out=r)
         # guard the half-open range against roundoff at the boundary
         half = 0.5 * spacing
-        r = np.where(r < -half, r + spacing, r)
-        r = np.where(r >= half, r - spacing, r)
+        np.add(r, spacing, out=r, where=r < -half)
+        np.subtract(r, spacing, out=r, where=r >= half)
     if r.ndim == 0:
         return float(r)
     return r

@@ -32,12 +32,21 @@ trial-major buffer), so every loop step reads and writes contiguous rows.
 monte_carlo derives once and folds 4096-trial chunks into running totals,
 squaring errors into a trial-major buffer so that the sum adds trials in
 index order: its memory is one chunk's arrays (11.8 MB at n = 80) plus the
-two power vectors, 16 bytes per trial.
+two power vectors, 16 bytes per trial. The chunks run on every CPU in the
+process's affinity mask: workers forked after the derive run every W-th
+chunk and pipe back what the fold reads, and the caller folds all chunks in
+chunk order, so the report is the same bytes for any CPU count. Each worker
+holds one chunk's working set of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -752,6 +761,58 @@ def run_trials(scenario: Scenario, master_seed: int, indices, coupled: bool = Fa
     return _engine(scenario, master_seed, coupled)(indices)
 
 
+def _fold_inputs(run, trials: int, chunk: int):
+    """What monte_carlo's fold reads of one chunk: (correct count, |eps|^2,
+    aliasing counts per iteration, forward powers, feedback powers).
+
+    |eps|^2 goes into a fresh trial-major buffer, whatever the engine's
+    layout, so that an axis-0 sum over it adds trials in index order."""
+    out = run(np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, trials)))
+    sq = np.abs(out["eps"], out=np.empty(out["eps"].shape))
+    np.square(sq, out=sq)
+    return (np.count_nonzero(out["correct"]), sq, np.count_nonzero(out["alias"], axis=0),
+            out["pow_fwd"], out["pow_fb"])
+
+
+def _shard(run, trials: int, chunks, fd: int):
+    """A forked worker's whole life: pickle the fold inputs of each of its
+    chunks, in order, down the pipe fd, or the exception that stopped it
+    (one that cannot be pickled ends the stream early); then end the
+    process, never returning into the caller's code."""
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                for chunk in chunks:
+                    pickle.dump(_fold_inputs(run, trials, chunk), pipe)
+                    pipe.flush()
+            except BaseException as exc:  # noqa: B036 - the caller raises it again
+                pickle.dump(exc, pipe)
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe, chunk: int):
+    """The fold inputs of a chunk a worker ran, read from its pipe; the
+    worker's exception is raised here, in chunk order."""
+    try:
+        got = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(
+            f"the worker process for chunk {chunk} ended without a result") from None
+    if isinstance(got, BaseException):
+        raise got
+    return got
+
+
+def _workers(chunks: int) -> int:
+    """Processes to run the chunks on: the CPUs this process may use, at
+    most one per chunk; one (no fork) while another Python thread lives,
+    since a forked child would hold a copy of that thread's locks."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), chunks)
+
+
 def monte_carlo(
     scenario: Scenario, trials: int, master_seed: int, coupled: bool = False
 ) -> MonteCarloReport:
@@ -760,27 +821,56 @@ def monte_carlo(
     Trials are keyed by index, so the report depends only on
     (scenario, trials, master_seed); execution order and chunking cannot
     change a single bit of it.
+
+    The scenario is derived once; its 4096-trial chunks are then spread over
+    W processes, W the number of CPUs in this process's affinity mask (at
+    most one per chunk; 1 while another thread runs): chunk c runs in
+    process c mod W, where process 0 is the caller and the others are
+    forked from it. Workers send back what the fold reads, and the caller
+    folds every chunk in chunk order, so the report is the same for any W.
+    A worker's exception is raised again in the caller, and no worker
+    outlives the call.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     run = _engine(scenario, master_seed, coupled)
-    correct, alias, sq_sum = 0, 0, 0.0
-    pow_fwd, pow_fb = [], []
-    for start in range(0, trials, _CHUNK):
-        out = run(np.arange(start, min(start + _CHUNK, trials)))
-        correct += np.count_nonzero(out["correct"])
-        # |eps|^2 into a fresh trial-major buffer, whatever the engine's
-        # layout; the running sum (0.0 at first, which leaves squares
-        # unchanged) joins the chunk's first row, so the axis-0 sum adds
-        # trials in index order, as one sum over all would
-        sq = np.abs(out["eps"], out=np.empty(out["eps"].shape))
-        np.square(sq, out=sq)
-        sq[0] += sq_sum
-        sq_sum = np.sum(sq, axis=0)
-        alias += np.count_nonzero(out["alias"], axis=0)
-        pow_fwd.append(out["pow_fwd"])
-        pow_fb.append(out["pow_fb"])
-        del out, sq
+    chunks = -(-trials // _CHUNK)
+    workers = _workers(chunks)
+    pids, pipes = [], []
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _shard(run, trials, range(worker, chunks, workers), write_fd)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        correct, alias, sq_sum = 0, 0, 0.0
+        pow_fwd, pow_fb = [], []
+        for chunk in range(chunks):
+            count, sq, alias_count, fwd, fb = (
+                _receive(pipes[chunk % workers - 1], chunk) if chunk % workers
+                else _fold_inputs(run, trials, chunk))
+            correct += count
+            # the running sum (0.0 at first, which leaves squares unchanged)
+            # joins the chunk's first row, so the axis-0 sum adds trials in
+            # index order, as one sum over all would
+            sq[0] += sq_sum
+            sq_sum = np.sum(sq, axis=0)
+            del sq
+            alias += alias_count
+            pow_fwd.append(fwd)
+            pow_fb.append(fb)
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
     errors = int(trials - correct)
     lo, hi = wilson_interval(errors, trials)
     return MonteCarloReport(

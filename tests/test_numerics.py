@@ -473,3 +473,51 @@ def test_require_gain_snr_bounds():
     for bad in (0.0, 1e-200, math.nan):
         with pytest.raises(InfeasibleError, match="outside"):
             require_gain_snr(bad, "test", floor=1.0 / MAX_GAIN_SNR)
+
+
+def modulo_reduce_by_copies(x, spacing):
+    """modulo_reduce as one expression and two np.where copies: the
+    reference the in-place form must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    r = x - spacing * np.floor(x / spacing + 0.5)
+    half = 0.5 * spacing
+    r = np.where(r < -half, r + spacing, r)
+    r = np.where(r >= half, r - spacing, r)
+    return float(r) if r.ndim == 0 else r
+
+
+def test_modulo_in_place_matches_the_copying_form():
+    rng = np.random.default_rng(11)
+    spacings = [1.0, 1.7, 2.0, 0.1, 3.0 / 7.0, 1e-3, 12.5, np.sqrt(120.0)]
+    raw_misses = 0
+    for d in spacings:
+        # exact ties at +-d/2 and the few doubles around every k*d +- d/2,
+        # where the first rounding can leave the half-open range
+        edges = (np.arange(-60, 61) + 0.5) * d
+        near = [edges, -edges]
+        for direction in (np.inf, -np.inf):
+            step = edges
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                near.append(step)
+        xs = np.concatenate(near + [np.array([0.0, -0.0, d / 2, -d / 2]),
+                                    rng.uniform(-1e3, 1e3, 4096) * d])
+        raw = xs - d * np.floor(xs / d + 0.5)
+        raw_misses += np.count_nonzero((raw < -d / 2) | (raw >= d / 2))
+        assert modulo_reduce(xs, d).tobytes() == modulo_reduce_by_copies(xs, d).tobytes()
+        for x in xs[::97]:
+            got = modulo_reduce(float(x), d)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(modulo_reduce_by_copies(x, d)).tobytes()
+            assert isinstance(modulo_reduce(np.float64(x), d), float)
+            assert isinstance(modulo_reduce(np.array(x), d), float)
+    assert raw_misses > 0  # the range guards were exercised
+    # per-element spacings broadcast against x, as in the acceptance tests
+    xs = rng.uniform(-50, 50, (64, 5))
+    ds = rng.uniform(0.1, 5.0, 5)
+    assert modulo_reduce(xs, ds).tobytes() == modulo_reduce_by_copies(xs, ds).tobytes()
+    assert modulo_reduce(0.75, ds).tobytes() == modulo_reduce_by_copies(0.75, ds).tobytes()
+    # an integer spacing and an input array that must stay untouched
+    before = xs.copy()
+    assert modulo_reduce(xs, 3).tobytes() == modulo_reduce_by_copies(xs, 3).tobytes()
+    assert xs.tobytes() == before.tobytes()

@@ -1,7 +1,11 @@
 import importlib
 import math
+import os
+import pickle
 import runpy
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +250,121 @@ def test_monte_carlo_derives_once(monkeypatch, module, name, scenario):
     monkeypatch.setattr(module, name, counted)
     monte_carlo(scenario, 2 * _CHUNK + 1, master_seed=1)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# sharding: monte_carlo's chunks spread over the usable CPUs
+# ---------------------------------------------------------------------------
+
+def use_cpus(monkeypatch, count):
+    """Make monte_carlo see `count` usable CPUs; return the list that
+    records each fork it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def report_bytes(report):
+    """Each field of a report as bytes (an array's with its dtype and shape)."""
+    return {key: pickle.dumps(value) for key, value in vars(report).items()}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("scenario, coupled", [
+    (SC1, False), (SC2, False), (SC3, False), (SC1, True), (SC2, True),
+], ids=["scheme1", "scheme2", "scheme3", "scheme1_coupled", "scheme2_coupled"])
+def test_monte_carlo_is_byte_identical_on_any_cpu_count(monkeypatch, scenario, coupled, trials):
+    chunks = -(-trials // _CHUNK)
+    reports = {}
+    for cpus in (1, 2, 3):
+        forks = use_cpus(monkeypatch, cpus)
+        reports[cpus] = report_bytes(monte_carlo(scenario, trials, 11, coupled=coupled))
+        assert_no_child_left()
+        assert len(forks) == min(cpus, chunks) - 1
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+
+
+def fault_in(monkeypatch, where, fault):
+    """Make scheme 1's decode call fault() in the worker processes only
+    (where="worker") or in the caller only (where="caller")."""
+    caller = os.getpid()
+    decode = quasi_static.decode_midpoint
+
+    def faulty(*args):
+        if (os.getpid() == caller) == (where == "caller"):
+            fault()
+        return decode(*args)
+
+    monkeypatch.setattr(quasi_static, "decode_midpoint", faulty)
+
+
+def overflow():
+    return np.float64(1e308) * np.float64(10.0)
+
+
+def raise_custom():
+    raise LookupError("chunk failed in a worker")
+
+
+def warn():
+    warnings.warn("a worker warning", RuntimeWarning)
+
+
+@pytest.mark.parametrize("fault, errstate", [
+    (raise_custom, {}), (overflow, {"over": "raise"}), (warn, {}),
+], ids=["exception", "errstate", "warning_as_error"])
+def test_monte_carlo_raises_a_workers_error(monkeypatch, fault, errstate):
+    use_cpus(monkeypatch, 2)
+    with warnings.catch_warnings(), np.errstate(**errstate):
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as expected:
+            fault()
+        fault_in(monkeypatch, "worker", fault)
+        with pytest.raises(expected.type) as got:
+            monte_carlo(SC1, 2 * _CHUNK, master_seed=1)
+    assert got.type is expected.type
+    assert str(got.value) == str(expected.value)
+    assert_no_child_left()
+
+
+def test_monte_carlo_reaps_workers_when_the_caller_raises(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    fault_in(monkeypatch, "caller", raise_custom)
+    with pytest.raises(LookupError):
+        monte_carlo(SC1, 3 * _CHUNK, master_seed=1)
+    assert_no_child_left()
+
+
+def test_monte_carlo_reports_a_worker_that_died(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    fault_in(monkeypatch, "worker", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="chunk 1 ended without a result"):
+        monte_carlo(SC1, 2 * _CHUNK, master_seed=1)
+    assert_no_child_left()
+
+
+def test_monte_carlo_forks_nothing_beside_another_thread(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    sharded = report_bytes(monte_carlo(SC2, 2 * _CHUNK + 1, master_seed=4))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        forks = use_cpus(monkeypatch, 2)
+        report = monte_carlo(SC2, 2 * _CHUNK + 1, master_seed=4)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert report_bytes(report) == sharded
 
 
 # ---------------------------------------------------------------------------
