@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,8 @@ class QuasiStaticParams:
 
     feedback_gains[i] scales the receiver's estimate before the modulo
     feedback at time i+1 (1-based times 1..n-1); err_var_conservative[j]
-    is the worst-case error variance at time j+1 (1-based 1..n).
+    is the worst-case error variance at time j+1 (1-based 1..n). Both are
+    computed on first read, so a rate needs no n-long array.
     """
 
     n: int
@@ -76,10 +78,27 @@ class QuasiStaticParams:
     arg_var_bound: float         # bound on the modulo argument second moment
     power_gain: float            # transmit scaling sqrt(P / arg_var_bound)
     lattice_spacing: float       # sqrt(12 * P_tilde)
-    feedback_gains: np.ndarray
-    err_var_conservative: np.ndarray
+    gain_snr: float              # conservative gain^2 * SNR (0: no positive rate)
     rate: float
     no_positive_rate: bool
+
+    @cached_property
+    def _trajectories(self):
+        if self.no_positive_rate:
+            return np.zeros(0), np.zeros(0)
+        # log-domain evaluation; the trajectory spans hundreds of orders of
+        # magnitude at large blocklengths
+        a = self.scaled_err_var
+        log_ratio = -math.log1p(self.gain_snr * a / self.arg_var_bound)
+        log_err_var = -math.log(12.0 * self.gain_snr) + log_ratio * np.arange(self.n)
+        # late-time gains can exceed the double range at blocklengths far past
+        # anything simulatable; rate evaluation never touches them
+        with np.errstate(over="ignore"):
+            gains = np.exp(0.5 * (math.log(a) - log_err_var[: self.n - 1]))
+        return gains, np.exp(log_err_var)
+
+    feedback_gains = property(lambda self: self._trajectories[0])
+    err_var_conservative = property(lambda self: self._trajectories[1])
 
 
 def map_message(w, m):
@@ -173,27 +192,14 @@ def derive_params1(
     gain = csi.conservative_gain
     g2snr = gain * gain * snr
     if g2snr == 0.0:  # zero gain, or one whose squared SNR underflows
-        return QuasiStaticParams(
-            **common, feedback_gains=np.zeros(0), err_var_conservative=np.zeros(0),
-            rate=0.0, no_positive_rate=True,
-        )
+        return QuasiStaticParams(**common, gain_snr=0.0, rate=0.0, no_positive_rate=True)
     require_gain_snr(g2snr, "scheme 1")
 
-    # log-domain evaluation; the trajectory spans hundreds of orders of
-    # magnitude at large blocklengths
-    log_ratio = -math.log1p(g2snr * a / b)
-    log_err_var = -math.log(12.0 * g2snr) + log_ratio * np.arange(n)
-    err_var = np.exp(log_err_var)
-    # late-time gains can exceed the double range at blocklengths far past
-    # anything simulatable; rate evaluation never touches them
-    with np.errstate(over="ignore"):
-        gains = np.exp(0.5 * (math.log(a) - log_err_var[: n - 1]))
     l_factor = 4.0 * q_tail_inv(eps / 4.0) ** 2
     raw_rate = (n - 1) / (2.0 * n) * math.log2(1.0 + g2snr * a / b) \
         - 1.0 / (2.0 * n) * math.log2(l_factor / (12.0 * g2snr))
     return QuasiStaticParams(
-        **common, feedback_gains=gains, err_var_conservative=err_var,
-        rate=max(raw_rate, 0.0), no_positive_rate=False,
+        **common, gain_snr=g2snr, rate=max(raw_rate, 0.0), no_positive_rate=False,
     )
 
 

@@ -439,16 +439,25 @@ def _generator_rows(master_seed: int, indices, draws):
             out[start:stop] = block[:stop - start, :out.shape[1]]
 
 
-def _uniform_rows(master_seed: int, indices, tag: int, out):
-    """Fill out[r] with the first uniforms of trial indices[r]'s keyed
-    stream, as Generator.random(out=out[r]) would, if its rows are short:
-    rows of at most _SHORT_ROW words come from the vector pass. Longer rows
-    are faster from re-keyed generators; for those, return the draws that
-    _generator_rows takes to fill them (else none)."""
-    if out.shape[1] > _SHORT_ROW:
-        return [(tag, "random", out)]
-    _uniforms(_philox_raw(master_seed, indices, tag, out.shape[1]), out=out)
-    return []
+def _link_rows(master_seed: int, indices, params, noise_scale: float, dither_rows: int):
+    """Scaled, time-major dither and noise rows of a scheme-1 or scheme-2
+    run: .T views of (dither_rows, trials) uniforms on [-spacing/2,
+    spacing/2) and (n, trials) normals of variance noise_scale**2 * sigma2.
+    Dither rows of at most _SHORT_ROW words come from the vector pass, whose
+    temporaries are freed before the noise exists; longer ones are drawn
+    with the noise."""
+    t = len(indices)
+    dithers = np.empty((dither_rows, t)).T
+    draws = [(TAG_DITHER, "random", dithers)]
+    if dither_rows <= _SHORT_ROW:
+        _uniforms(_philox_raw(master_seed, indices, TAG_DITHER, dither_rows), out=dithers)
+        draws = []
+    noise = np.empty((params.n, t)).T
+    _generator_rows(master_seed, indices, [*draws, (TAG_NOISE, "standard_normal", noise)])
+    noise *= noise_scale * math.sqrt(params.sigma2)
+    dithers -= 0.5
+    dithers *= params.lattice_spacing
+    return dithers, noise
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +516,7 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
         t = len(indices)
         u, w, _ = environment(indices)
         u, w = u[:, 0], w[:, 0]
-        # time-major: column i of each .T view, all trials at time i, is contiguous
-        dithers = np.empty((n - 1, t)).T
-        # short rows come from the vector pass, whose temporaries are freed
-        # before the noise exists
-        draws = _uniform_rows(master_seed, indices, TAG_DITHER, dithers)
-        noise = np.empty((n, t)).T
-        _generator_rows(master_seed, indices, [*draws, (TAG_NOISE, "standard_normal", noise)])
-        noise *= scenario.noise_scale * math.sqrt(params.sigma2)
-        dithers -= 0.5
-        dithers *= params.lattice_spacing
+        dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 1)
         h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u)
         theta = qs.map_message(w, count)
         beta = qs.mmse_coefficients1(params, h)[0]  # the err_var trajectory goes unread
@@ -590,13 +590,8 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         beta, combined = tp.mmse_coefficients2(params, h1, h2, sign)[0::2]
         if not coupled:
             combined = None
-        dithers = np.zeros((n + 1, t)).T  # time-major, as in scheme 1
-        draws = _uniform_rows(master_seed, indices, TAG_DITHER, dithers[:, 2:n])
-        noise = np.empty((n, t)).T
-        _generator_rows(master_seed, indices, [*draws, (TAG_NOISE, "standard_normal", noise)])
-        noise *= scenario.noise_scale * math.sqrt(params.sigma2)
-        dithers[:, 2:n] -= 0.5
-        dithers[:, 2:n] *= params.lattice_spacing
+        # col k-3 holds the dither of the feedback at time k-1
+        dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 2)
         art *= math.sqrt(params.art_noise_var)
         theta = qs.map_message(w, count)
 
@@ -619,11 +614,11 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
             for k in range(3, n + 1):  # feedback at time k-1, forward step at time k
                 u_now = art if k == 4 else 0.0
                 u_prev = art if k == 5 else 0.0
-                x_t = qs.rx_feedback1(theta_hat, gam[k - 1], dithers[:, k - 1], p)
+                x_t = qs.rx_feedback1(theta_hat, gam[k - 1], dithers[:, k - 3], p)
                 y_t, z = link(x_t, k - 1)
                 # the artificial noise joins the modulo argument of the time-4 step
                 alias[:, k - 3] = _alias_event(gam[k - 1] * eps[:, k - 2] + z + u_now, half)
-                x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 1], sign, k, p,
+                x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 3], sign, k, p,
                                 art_noise=u_now)
                 y = h1 * x + h2 * x_prev + noise[:, k - 1]
                 y_dot = tp.rx_aux2(
@@ -692,8 +687,6 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
         theta = mp.map_complex(w_re, w_im, m_re, m_im)
 
         eps = np.zeros((t, blocks, k), dtype=complex)
-        cur = np.zeros((t, k), dtype=complex)
-        tail = np.zeros((t, num_paths - 1), dtype=complex)
         energy = np.zeros(t)
         theta_hat = np.zeros((t, k), dtype=complex)
         for b in range(1, blocks + 1):
@@ -702,22 +695,19 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
                 freq[:, live] = np.sqrt(6.0 * powers[live]) * theta[:, live]
             else:
                 freq[:, live] = np.sqrt(powers[live] / alphas[b - 2, live]) * cur[:, live]
-            time_block = idft(freq)
-            sent = mp.add_cyclic_prefix(time_block, num_paths)
+            sent = mp.add_cyclic_prefix(idft(freq), num_paths)
             energy += np.sum(np.abs(sent) ** 2, axis=1)
-            ext = np.concatenate([tail, sent], axis=1)
+            # the previous block's ISI lands only in the prefix, which the
+            # receiver drops, so each block is convolved alone
             received = np.zeros((t, block_len), dtype=complex)
             for l in range(num_paths):
-                received += taps[l] * ext[:, num_paths - 1 - l: num_paths - 1 - l + block_len]
+                received[:, l:] += taps[l] * sent[:, :block_len - l]
             received += noise[:, (b - 1) * block_len: b * block_len]
-            tail = sent[:, -(num_paths - 1):]
-            obs_freq = dft(mp.extract_payload(received, num_paths))
-            obs = np.zeros((t, k), dtype=complex)
-            obs[:, live] = obs_freq[:, live] / gains[live]
+            obs = dft(mp.extract_payload(received, num_paths))[:, live] / gains[live]
             if b == 1:
-                theta_hat[:, live] = obs[:, live] / np.sqrt(6.0 * powers[live])
+                theta_hat[:, live] = obs / np.sqrt(6.0 * powers[live])
             else:
-                theta_hat[:, live] = theta_hat[:, live] - betas[b - 1, live] * obs[:, live]
+                theta_hat[:, live] = theta_hat[:, live] - betas[b - 1, live] * obs
             cur = theta_hat - theta
             eps[:, b - 1, :] = cur
 

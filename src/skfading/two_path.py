@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,7 @@ class TwoPathParams:
     the feedback at time i (valid for 2 <= i <= n-1) and
     err_var_conservative[i] is the worst-case error variance at time i
     (valid for 2 <= i <= n). Index positions below 2 are zero padding.
+    Both are computed on first read, so a rate needs no n-long array.
     """
 
     n: int
@@ -86,10 +88,32 @@ class TwoPathParams:
     var_ratio_4: float
     var_ratio_star: float
     art_noise_var: float
-    feedback_gains: np.ndarray
-    err_var_conservative: np.ndarray
+    gain_energy: float  # g1^2 + g2^2 of the conservative gains (0: no positive rate)
     rate: float
     no_positive_rate: bool
+
+    @cached_property
+    def _trajectories(self):
+        if self.no_positive_rate:
+            return np.zeros(0), np.zeros(0)
+        n = self.n
+        # worst-case variance trajectory, time-indexed, entries 2..n; evaluated
+        # in the log domain because it spans many orders of magnitude at large n
+        log_var = np.zeros(n + 1)
+        log_var[2] = math.log(self.sigma2 / (12.0 * self.P * self.gain_energy))
+        log_var[3] = log_var[2] + math.log(self.var_ratio_3)
+        log_var[4:] = log_var[3] + math.log(self.var_ratio_star) * np.arange(1, n - 2)
+        err_var = np.exp(log_var)
+        err_var[:2] = 0.0
+        gains = np.zeros(n)
+        # late-time gains can exceed the double range at blocklengths far past
+        # anything simulatable; rate evaluation never touches them
+        with np.errstate(over="ignore"):
+            gains[2: n] = np.exp(0.5 * (math.log(self.scaled_err_var) - log_var[2: n]))
+        return gains, err_var
+
+    feedback_gains = property(lambda self: self._trajectories[0])
+    err_var_conservative = property(lambda self: self._trajectories[1])
 
 
 def sign_product(h1, h2):
@@ -205,12 +229,11 @@ def derive_params2(
     snr = P / sigma2
 
     g1, g2 = csi.conservative_gains
-    if g1 * g1 + g2 * g2 == 0.0:  # zero gains, or squares that underflow
+    energy = g1 * g1 + g2 * g2
+    if energy == 0.0:  # zero gains, or squares that underflow
         return TwoPathParams(
             **common, var_ratio_3=1.0, var_ratio_4=1.0, var_ratio_star=1.0,
-            art_noise_var=0.0,
-            feedback_gains=np.zeros(0), err_var_conservative=np.zeros(0),
-            rate=0.0, no_positive_rate=True,
+            art_noise_var=0.0, gain_energy=0.0, rate=0.0, no_positive_rate=True,
         )
     # the steady-state gain (g1 + g2 sqrt(rho_star))^2 is at most (g1 + g2)^2
     require_gain_snr((g1 + g2) * (g1 + g2) * snr, "scheme 2")
@@ -221,31 +244,14 @@ def derive_params2(
     rho_star = solve_rho_star(g1, g2, snr, a / b)
     art_var = calibrate_artificial_noise(g1, g2, rho3, rho_star, P, a / b, sigma2)
 
-    # worst-case variance trajectory, time-indexed, entries 2..n; evaluated
-    # in the log domain because it spans many orders of magnitude at large n
-    log_var = np.zeros(n + 1)
-    log_var[2] = math.log(sigma2 / (12.0 * P * (g1 * g1 + g2 * g2)))
-    log_var[3] = log_var[2] + math.log(rho3)
-    log_var[4:] = log_var[3] + math.log(rho_star) * np.arange(1, n - 2)
-    err_var = np.exp(log_var)
-    err_var[:2] = 0.0
-    gains = np.zeros(n)
-    # late-time gains can exceed the double range at blocklengths far past
-    # anything simulatable; rate evaluation never touches them
-    with np.errstate(over="ignore"):
-        gains[2: n] = np.exp(0.5 * (math.log(a) - log_var[2: n]))
-
     l_factor = 4.0 * q_tail_inv(eps / 4.0) ** 2
     steady = (g1 + g2 * math.sqrt(rho_star)) ** 2 * c
     raw_rate = (n - 3) / (2.0 * n) * math.log2(1.0 + steady) \
-        - 1.0 / (2.0 * n) * math.log2(
-            l_factor * rho3 / (12.0 * (g1 * g1 + g2 * g2) * snr)
-        )
+        - 1.0 / (2.0 * n) * math.log2(l_factor * rho3 / (12.0 * energy * snr))
     return TwoPathParams(
         **common, var_ratio_3=rho3, var_ratio_4=rho4, var_ratio_star=rho_star,
-        art_noise_var=art_var,
-        feedback_gains=gains, err_var_conservative=err_var,
-        rate=max(raw_rate, 0.0), no_positive_rate=False,
+        art_noise_var=art_var, gain_energy=energy, rate=max(raw_rate, 0.0),
+        no_positive_rate=False,
     )
 
 

@@ -271,6 +271,10 @@ def test_simulate_scheme3_alphabet_beyond_double_resolution(tmp_path, capsys):
     (SCHEME2_CONFIG, {"h2_hat": 1e160}),
     (SCHEME2_CONFIG, {"P": 1e300, "sigma2": 1e-9}),
     (SCHEME2_CONFIG, {"P_tilde": 1.7e308}),
+    # the alphabet check comes before any n-long array; the design
+    # trajectories once came first and failed to allocate 7.11 PiB (exit 1)
+    (SCHEME1_CONFIG, {"n": 1e15}),
+    (SCHEME2_CONFIG, {"n": 1e15}),
 ])
 def test_simulate_extreme_magnitudes_are_infeasible(tmp_path, capsys, base, change):
     cfg = write_json(tmp_path / "c.json", dict(base, **change))
@@ -563,6 +567,24 @@ def test_rate_sweep_huge_range_count(tmp_path, capsys, count):
     assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
                  "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
     assert "count must lie in [1, 1000000]" in capsys.readouterr().err
+
+
+def test_rate_sweep_huge_blocklength(tmp_path, capsys):
+    # theorems 1 and 2 are rated without their n-long design trajectories,
+    # as the perfect-CSI baselines are; they once exited 1 at N = 1e15 on a
+    # 7.11 PiB allocation
+    spec = {
+        "variable": "N", "values": [1e15],
+        "curves": ["theorem1", "fd_baseline", "theorem2", "tp_benchmark"],
+        "fixed": dict(FIG2_SPEC["fixed"], h1=0.9, h2=0.5, h1_hat=0.9, h2_hat=0.5),
+    }
+    out = tmp_path / "r.csv"
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    x, th1, fd, th2, tp = out.read_text().splitlines()[1].split(",")
+    assert x == "1e+15"
+    assert 0.0 < float(th1) < float(fd) and 0.0 < float(th2) < float(tp)
 
 
 @pytest.mark.parametrize("key,value", [

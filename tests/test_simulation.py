@@ -117,8 +117,10 @@ def test_noiseless_loop_scheme3():
     )
     out = run_trials(sc, 5, range(20))
     assert np.all(out["correct"])
-    # exact recovery already after block 1
-    assert np.max(np.abs(out["eps"][:, 0])) <= 1e-10
+    # exact recovery already after block 1, and every later block keeps it:
+    # no block may see another's ISI
+    assert out["eps"].shape[1] == sc.derive().blocks > 1
+    assert np.max(np.abs(out["eps"])) <= 1e-10
 
 
 def test_sigma2_zero_rejected():
@@ -206,17 +208,23 @@ SC1_MANY_SMALL = QuasiStaticScenario(
     h_hat=0.9, distortion=0.05, sigma2=1.0, P=10.0, P_tilde=10.0,
     sigma_z=1e-3, n=25, eps=1e-2,
 )
+# and sim_mp_block's, whose subchannel count the derive scans
+SC3_BLOCK = MultiPathScenario(h=(1.0, 0.5, 0.3), sigma2=1.0, P=10.0, n=64, eps=1e-2)
 
 
 def test_monte_carlo_working_set_is_one_chunk():
     # a run of three chunks holds no more than a run of one, up to 16 bytes
     # per trial of transmit powers. One chunk peaks at 11.8 MB for scheme 2
-    # (n = 80), 20.1 MB coupled and 3.9 MB for scheme 1 (n = 25); the bounds
-    # catch a whole-array copy, such as re-laying out a chunk's time-major
-    # rows (2.6 MB per (4096, 80) array), or scheme 2's 19.7 MB when the
-    # engine kept arrays it never reads (err_var, combined gains, z history)
+    # (n = 80), 20.1 MB coupled, 3.9 MB for scheme 1 (n = 25) and 18.4 MB
+    # for scheme 3; the bounds catch a whole-array copy, such as re-laying
+    # out a chunk's time-major rows (2.6 MB per (4096, 80) array), scheme
+    # 2's 19.7 MB when the engine kept arrays it never reads (err_var,
+    # combined gains, z history), or scheme 3's 21.4 MB when each block was
+    # convolved with the previous block's tail and its observations were
+    # scattered into a zero-filled (trials, K) array
     for scenario, coupled, bound in [
         (SC2_LARGE, False, 12.5e6), (SC2_LARGE, True, 21e6), (SC1_MANY_SMALL, False, 4.5e6),
+        (SC3_BLOCK, False, 19.5e6),
     ]:
         monte_carlo(scenario, 1, master_seed=1, coupled=coupled)  # lazy set-up stays out
         peaks = []

@@ -10,7 +10,9 @@ say so.
 import hashlib
 import itertools
 import json
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,8 +34,8 @@ from skfading.simulation import (
     _integer_plan,
     _integers,
     _keyed_streams,
+    _link_rows,
     _philox_raw,
-    _uniform_rows,
     monte_carlo,
     run_trials,
 )
@@ -294,14 +296,26 @@ def check_rows(draws, fill=fill_rows):
 
 @pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
 def test_uniform_rows_match_generator_random(words):
-    # rows up to 32 words come from the vector pass, longer ones from the
-    # re-keyed generators that _generator_rows runs
-    def fill(seed, indices, draws, arrays):
-        left = _uniform_rows(seed, indices, TAG_DITHER, arrays[0][:, 2:-1])
-        assert len(left) == (words > 32)
-        _generator_rows(seed, indices, left)
-
-    check_rows([(TAG_DITHER, "random", words)], fill)
+    # the scaled dither and noise rows of schemes 1 and 2: dither rows up to
+    # 32 words come from the vector pass, longer ones from the re-keyed
+    # generators that also draw the noise
+    params = SimpleNamespace(n=words + 2, sigma2=2.5, lattice_spacing=3.7)
+    std = 0.5 * math.sqrt(params.sigma2)
+    for key, (seed, first) in enumerate(KEYS):
+        counts = ROW_TRIALS if key == 0 else ROW_TRIALS[:-1]
+        indices = np.abs(first - np.arange(max(counts)))
+        expected = [
+            (np.array([fresh(seed, int(ix), TAG_DITHER).random(words) for ix in indices])
+             - 0.5) * params.lattice_spacing,
+            np.array([fresh(seed, int(ix), TAG_NOISE).standard_normal(params.n)
+                      for ix in indices]) * std,
+        ]
+        for trials in counts:
+            rows = _link_rows(seed, indices[:trials], params, 0.5, words)
+            for got, want in zip(rows, expected):
+                # time-major: the .T view of a C-contiguous (rows, trials) array
+                assert got.shape == (trials, want.shape[1]) and got.T.flags.c_contiguous
+                assert got.tobytes(order="C") == want[:trials].tobytes()
 
 
 @pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
