@@ -275,12 +275,26 @@ def test_simulate_scheme3_alphabet_beyond_double_resolution(tmp_path, capsys):
     # trajectories once came first and failed to allocate 7.11 PiB (exit 1)
     (SCHEME1_CONFIG, {"n": 1e15}),
     (SCHEME2_CONFIG, {"n": 1e15}),
+    (SCHEME3_CONFIG, {"n": 1e15}),
 ])
 def test_simulate_extreme_magnitudes_are_infeasible(tmp_path, capsys, base, change):
     cfg = write_json(tmp_path / "c.json", dict(base, **change))
     assert main(["simulate", "--config", cfg, "--trials", "1",
                  "--seed", "1"]) == EXIT_INFEASIBLE
     assert "infeasible parameters" in capsys.readouterr().err
+
+
+def test_simulate_scheme3_scan_beyond_its_limit(tmp_path, capsys):
+    # without subchannels, n = 1e15 admits about 1e15 counts: the scan over
+    # them never returned, and is now refused before it starts
+    cfg = {key: value for key, value in SCHEME3_CONFIG.items() if key != "subchannels"}
+    path = write_json(tmp_path / "c.json", dict(cfg, n=1e15))
+    assert main(["simulate", "--config", path, "--trials", "1",
+                 "--seed", "1"]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "infeasible parameters: scheme 3: n = 1000000000000000 admits 999999999999998 "
+        "subchannel counts, more than the 100000 one scan may walk; set subchannels\n"
+    )
 
 
 @pytest.mark.parametrize("change,trials,field", [
@@ -585,6 +599,24 @@ def test_rate_sweep_huge_blocklength(tmp_path, capsys):
     x, th1, fd, th2, tp = out.read_text().splitlines()[1].split(",")
     assert x == "1e+15"
     assert 0.0 < float(th1) < float(fd) and 0.0 < float(th2) < float(tp)
+
+
+def test_rate_sweep_theorem3_scan_beyond_its_limit(tmp_path, capsys):
+    # N = 1e15 admits about 1e15 subchannel counts: the scan over them never
+    # returned, and is now refused at once with a blank cell and a note
+    spec = {"variable": "N", "values": [60, 1e15],
+            "curves": ["theorem3", "theorem3_real_dim"],
+            "fixed": {"sigma2": 1.0, "P": 10.0, "eps": 1e-6, "h_re": [1.0, 0.5, 0.3]}}
+    out = tmp_path / "r.csv"
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec),
+                 "--out", str(out)]) == EXIT_OK
+    header, planned, refused = out.read_text().splitlines()
+    assert refused == "1e+15,,"
+    assert all(float(cell) > 0.0 for cell in planned.split(",")[1:])
+    reason = ("scheme 3: n = 1000000000000000 admits 999999999999996 subchannel counts, "
+              "more than the 100000 one scan may walk; set subchannels")
+    assert capsys.readouterr().err == "".join(
+        f"note: {label} infeasible at N=1e+15: {reason}\n" for label in spec["curves"])
 
 
 @pytest.mark.parametrize("key,value", [

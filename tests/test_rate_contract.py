@@ -10,11 +10,13 @@ out one K at a time, against which the batched scan is checked field by
 field.
 """
 
+import cmath
 import dataclasses
 import hashlib
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from skfading.multi_path import (
     plan_block,
 )
 from skfading.numerics import (
+    MAX_GAIN_SNR,
     InfeasibleError,
     channel_spectrum,
     q_tail,
@@ -404,6 +407,9 @@ WALK_CASES = {
     "dark": ((1.0, 0.95), 1.0, 1e-6, 1e-3, [40, 300]),
     # a margin below 12: a K with no whole block would rate above zero
     "coarse_eps": ((1.0, 0.5, 0.3), 1.0, 10.0, 0.9, [6, 7, 10, 40, 200]),
+    # gain^2 * SNR first exceeds 1e150 at K = 900, past counts the rate
+    # bound skips: the rows whose range reaches K = 900 still fail
+    "fails_at_900": ((1.0, 0.5, 0.3), 1.0, 1e150 / (3.24 * 899.5), 1e-6, [600, 1000]),
 }
 
 
@@ -463,3 +469,93 @@ def test_rate_sweep_matches_rows_planned_alone(tmp_path, capsys, case, curves):
     if case in ("N", "N_fails_at_51", "SNR", "K"):  # some rows are infeasible, not all
         assert err
         assert any(cell for row in out.splitlines()[1:] for cell in row.split(",")[1:])
+
+
+# ---------------------------------------------------------------------------
+# the rate bound by which the walk skips subchannel counts
+# ---------------------------------------------------------------------------
+
+# (taps, sigma2, P, eps, blocklengths): the channels above, and a complex one
+# whose peak power gain stays below (sum |h_l|)^2
+BOUND_CASES = {
+    **{case: (taps, sigma2, P, eps, [n])
+       for case, (taps, sigma2, P, n, eps) in SCAN_CASES.items()},
+    **{f"walk_{case}": spec for case, spec in WALK_CASES.items()},
+    "complex": ((0.2, -0.7, 0.1j, 0.3), 2.0, 100.0, 1e-4, [400]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_rate_bound_holds_at_every_k(case):
+    taps, sigma2, P, eps, ns = BOUND_CASES[case]
+    channel = MultiPathChannel(taps, sigma2, P)
+    bound = multi_path._RateBound(channel, eps)
+    rated = 0
+    for n in ns:
+        for k in range(channel.num_paths, n - channel.num_paths + 2):
+            try:
+                plan = plan_block_per_k(channel, n, eps, k)
+            except InfeasibleError:
+                continue
+            assert plan.rate <= bound.bounds(k, plan.union_margin)(n), (n, k)
+            rated += 1
+    assert rated
+
+
+@pytest.mark.parametrize("taps, sigma2, P, eps, outcomes", [
+    ((1.0, 0.5, 0.3), 1.0, P_FAILS_AT_51, 1e-6, {"skipped", "failed"}),
+    # G K P / sigma2 crosses 1e150 at K = 5, the true gain^2 * SNR at K = 6
+    ((1e75, 1e75 * cmath.exp(1j)), 1.0, 0.05, 1e-6, {"skipped", "walked", "failed"}),
+    ((1.0, 0.5), 1.0, 10.0, 1e-321, {"skipped", "failed"}),  # eps / 4K underflows
+    ((1e-165, 1e-165), 1.0, 6e307, 1e-6, {"failed"}),  # every power gain underflows
+    ((1e-160, 1e-160), 1e-9, 1.0, 1e-6, {"failed"}),  # sigma2 / gain overflows
+    ((1e-154, 1e-154), 1e-300, 1e-290, 1e-6, {"walked"}),  # subnormal sum |h_l|^2
+    ((1e150, 1e150), 1.0, 10.0, 1e-6, {"failed"}),  # (sum |h_l|)^2 overflows
+    ((1.0, 0.5), 1e-300, 1e150, 1e-6, {"failed"}),  # K P / sigma2 overflows
+], ids=["gain_snr", "complex", "tiny_eps", "underflow", "threshold", "subnormal",
+        "huge_taps", "snr_overflow"])
+def test_rate_bound_skips_only_what_passes_every_check(taps, sigma2, P, eps, outcomes):
+    # against an incumbent that no K beats, the feasibility certificate alone
+    # decides: a K that fails a check of the walk's batches is never skipped
+    channel = MultiPathChannel(taps, sigma2, P)
+    n = 400
+    bound = multi_path._RateBound(channel, eps, {n: SimpleNamespace(rate=math.inf)})
+    bound.margin = 1.0
+    seen = set()
+    for k in range(channel.num_paths, n - channel.num_paths + 2):
+        skipped = bound.rules_out(k)
+        try:
+            plan_block(channel, n, eps, k)
+        except (InfeasibleError, ValueError):
+            assert not skipped, k
+            seen.add("failed")
+        else:
+            seen.add("skipped" if skipped else "walked")
+    assert seen == outcomes
+
+
+def test_walk_skips_most_counts(monkeypatch):
+    # the bench walk admits K = 3, ..., 998; each K is laid out at most once
+    taps, sigma2, P, eps, ns = WALK_CASES["bench"]
+    built = []
+
+    def counted(h, size):
+        built.append(size)
+        return channel_spectrum(h, size)
+
+    monkeypatch.setattr(multi_path, "channel_spectrum", counted)
+    optimize_subchannel_counts(MultiPathChannel(taps, sigma2, P), ns, eps)
+    assert len(built) == len(set(built))
+    assert len(built) < 996 / 2
+
+
+def test_walk_refuses_more_counts_than_its_limit(monkeypatch):
+    monkeypatch.setattr(multi_path, "_MAX_WALK", 10)
+    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
+    # n = 14 admits K = 3, ..., 12, the limit; n = 15 admits one more
+    walked, refused, short = optimize_subchannel_counts(channel, [14, 15, 5], 1e-6)
+    assert_same_plan(walked, scan_per_k(channel, 14, 1e-6))
+    assert isinstance(refused, InfeasibleError)
+    assert str(refused) == ("scheme 3: n = 15 admits 11 subchannel counts, more than "
+                            "the 10 one scan may walk; set subchannels")
+    assert type(short) is ValueError
