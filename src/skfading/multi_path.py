@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -215,11 +216,18 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
     return _Layouts(batch, n, 1).plan(0)
 
 
-# The rate bound's relative slack, far above the rounding of the rates
+# The rate bound's relative slack, far above the rounding of the rates; the
+# capacity bound also takes it as an absolute slack in nats per subchannel
 _SLACK = 1e-9
 
-# A longer walk is refused: its time grows about as n^2 (taps 1, 0.5, 0.3
-# on one Xeon core: 0.12 s at n = 3000, 8.2 s at 3e4, 134 s at 1e5).
+# The capacity bound samples the channel's power gain at this many
+# frequencies (see _RateBound.capacity). Taps 1, 0.5, 0.3, P = 10: the walk
+# to n = 100 004 lays out 1430, 1255, 1174 and 1128 counts at 1024, 2048,
+# 4096 and 8192 (about 120 at n = 1000 from 1024 up); the grid costs 0.2 ms.
+_GRID = 4096
+
+# A longer walk is refused (taps 1, 0.5, 0.3, P = 10, one Xeon core: 0.018 s
+# at n = 3000, 0.054 s at 3e4, 0.15 s at 100 004, the longest accepted).
 _MAX_WALK = 100_000
 
 
@@ -231,9 +239,18 @@ class _RateBound:
     increasing in s. The SNRs sum to at most c = G K P / sigma2, with
     G = (sum |h_l|)^2 above every power gain, so Jensen's inequality over
     all K and over the m of positive rate gives, with a = 12 c / margin,
-        rate <= 2 [K g log2(1 + c / K) + max_{0 < m <= K} (m / 2n) log2(a / m)],
-    the max at m = min(K, a / e). The walk keeps best, each blocklength's
-    incumbent plan, and margin, the union margin of the last K built.
+        rate <= 2 [g S + max_{0 < m <= K} (m / 2n) log2(a / m)],
+    the max at m = min(K, a / e), where S = sum_k log2(1 + s_k) is at most
+    K log2(1 + c / K), and at most K per_k + spread by the dual of
+    water-filling: for rho = P / sigma2, any nu > 0 and any powers summing
+    to K P, sum_k ln(1 + s_k) <= nu K rho + sum_k psi(g_k), psi(g) =
+    ln t - 1 + 1 / t at t = max(g / nu, 1). The power gains g_k sample
+    F = |H(e^jw)|^2 at w = 2 pi k / K, a trigonometric polynomial of degree
+    L - 1, so psi(F), monotone in F, has at most 2 (L - 1) monotone arcs and
+    a total variation V <= 2 (L - 1) psi(G); sampled at K or at M points, its
+    mean is within V / K or V / M of the integral mean. The walk keeps best,
+    each blocklength's incumbent plan, and margin, the union margin of the
+    last K built.
     """
 
     def __init__(self, channel: MultiPathChannel, eps: float, best=None):
@@ -246,40 +263,83 @@ class _RateBound:
         self.certain = energy >= sys.float_info.min \
             and channel.sigma2 / energy * (1.0 + _SLACK) < math.inf
 
-    def bounds(self, k: int, margin: float):
-        """The bound at K = k as a function of n, for any margin up to K's."""
-        c = self.peak * (k * self.channel.P / self.channel.sigma2)
-        a = 12.0 * c / (margin * (1.0 - _SLACK))
-        m = min(k, a / math.e)
-        gain, fit = k * math.log2(1.0 + c / k), m * math.log2(a / m)
-        block_len = self.channel.num_paths + k - 1
-        return lambda n: max(((n // block_len - 1) * gain + fit) / n, 0.0) * (1.0 + _SLACK)
+    @cached_property
+    def capacity(self):
+        """(per_k, spread) with S <= K per_k + spread at every K, or
+        (inf, inf) where they are not finite. nu is one over the water level
+        of an M-point grid of F. psi is 1 / (4 nu)-Lipschitz, so an FFT's
+        rounding, about eps_machine G log2 K in a power gain, moves a psi by
+        well under the 256 eps_machine G / nu that per_k adds.
+        """
+        channel = self.channel
+        rho = channel.P / channel.sigma2
+        with np.errstate(all="ignore"):
+            grid = np.square(np.abs(np.fft.fft(channel.taps, n=_GRID)))
+            try:
+                nu = 1.0 / water_fill(grid, 1.0, _GRID * rho)[1]
+            except ValueError:  # InfeasibleError among them
+                return math.inf, math.inf
+            t = np.maximum(np.append(grid, self.peak) / nu, 1.0)
+            psi = np.log(t) - 1.0 + 1.0 / t
+            spread = 2 * (channel.num_paths - 1) * psi[-1]
+            per_k = nu * rho + psi[:-1].mean() + spread / _GRID \
+                + 256 * sys.float_info.epsilon * self.peak / nu
+            per_k, spread = ((float(x) * (1.0 + _SLACK) + _SLACK) / math.log(2)
+                             for x in (per_k, spread))
+        # inf or nan where either is not finite
+        return (per_k, spread) if math.isfinite(per_k + spread) else (math.inf, math.inf)
 
-    def rules_out(self, k: int) -> bool:
-        """Whether K = k surely passes every check of _Batch and can beat no
-        incumbent of a blocklength that admits it."""
-        c = self.peak * (k * self.channel.P / self.channel.sigma2)
-        if self.best is None or self.margin is None or not (
-                self.certain and 0.0 < c <= MAX_GAIN_SNR and self.eps / (4.0 * k) > 0.0):
-            return False
-        bound, block_len = self.bounds(k, self.margin), self.channel.num_paths + k - 1
-        return all(plan is not None and bound(n) <= plan.rate
-                   for n, plan in self.best.items() if n >= block_len)
+    def bounds(self, k, margin: float):
+        """The bound at K = k, an int or an array, as a function of n, for
+        any margin up to K's."""
+        per_k, spread = self.capacity
+        with np.errstate(all="ignore"):
+            c = self.peak * (k * self.channel.P / self.channel.sigma2)
+            a = 12.0 * c / (margin * (1.0 - _SLACK))
+            m = np.minimum(k, a / math.e)
+            gain = np.minimum(k * np.log2(1.0 + c / k), k * per_k + spread)
+            fit = m * np.log2(a / m)
+        block_len = self.channel.num_paths + k - 1
+
+        def bound(n):
+            with np.errstate(all="ignore"):
+                return np.maximum(((n // block_len - 1) * gain + fit) / n, 0.0) * (1.0 + _SLACK)
+        return bound
+
+    def rules_out(self, ks: np.ndarray) -> np.ndarray:
+        """Which K of ks surely pass every check of _Batch and can beat no
+        incumbent of a blocklength that admits them."""
+        if self.best is None or self.margin is None or not self.certain:
+            return np.zeros(ks.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            c = self.peak * (ks * self.channel.P / self.channel.sigma2)
+            out = (0.0 < c) & (c <= MAX_GAIN_SNR) & (self.eps / (4.0 * ks) > 0.0)
+        bound, block_len = self.bounds(ks, self.margin), self.channel.num_paths + ks - 1
+        for n, plan in self.best.items():
+            admits = n >= block_len
+            out &= ~admits if plan is None else ~admits | (bound(n) <= plan.rate)
+        return out
 
 
 def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
     """Batches of K = L, ..., last in ascending order, each of at most _BATCH
     elements: c rows from K = k are c * (k + c - 1) elements wide. Given the
-    incumbents best (see _RateBound), no batch holds a K that it rules out.
+    incumbents best (see _RateBound), no batch holds a K that it rules out:
+    each batch starts at the first K of a window of _BATCH counts that is
+    not ruled out and ends before the next one that is.
     """
     bound, k = _RateBound(channel, eps, best), channel.num_paths
     while k <= last:
-        if bound.rules_out(k):
-            k += 1
+        ruled = bound.rules_out(np.arange(k, min(k + _BATCH, last + 1)))
+        start = int(ruled.argmin())
+        if ruled[start]:  # the whole window is ruled out
+            k += len(ruled)
             continue
+        # up to the first ruled-out K past start, else the window's end
+        width = int(ruled[start:].argmax()) or len(ruled) - start
+        k += start
         rows = max((math.isqrt((k - 1) ** 2 + 4 * _BATCH) - (k - 1)) // 2, 1)
-        end = min(k + rows, last + 1)
-        stop = next((j for j in range(k + 1, end) if bound.rules_out(j)), end)
+        stop = k + min(rows, width)
         batch = _Batch(channel, eps, range(k, stop))
         yield batch
         bound.margin = float(batch.margins[-1]) if len(batch.ks) else bound.margin

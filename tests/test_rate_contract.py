@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -413,6 +414,26 @@ WALK_CASES = {
 }
 
 
+def random_walks(count=8):
+    """Seeded random channels of L = 2, ..., 5 taps, real and then complex,
+    with P from 1e-2 to 1e3 and eps from 1e-8 to 1e-1 (log-spaced, shuffled)."""
+    rng = np.random.default_rng(2006)
+    powers = rng.permutation(np.geomspace(1e-2, 1e3, count))
+    epss = rng.permutation(np.geomspace(1e-8, 1e-1, count))
+    walks = {}
+    for i in range(count):
+        taps = rng.normal(size=2 + i % 4)
+        if i >= count // 2:
+            taps = taps + 1j * rng.normal(size=taps.size)
+        n = int(rng.integers(300, 900))
+        walks[f"random{i}"] = (tuple(taps.tolist()), float(rng.uniform(0.5, 2.0)),
+                               float(powers[i]), float(epss[i]), [n, n // 3])
+    return walks
+
+
+WALK_CASES.update(random_walks())
+
+
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
 def test_shared_walk_bit_equal_to_scans_alone(case):
     taps, sigma2, P, eps, ns = WALK_CASES[case]
@@ -502,28 +523,52 @@ def test_rate_bound_holds_at_every_k(case):
     assert rated
 
 
-@pytest.mark.parametrize("taps, sigma2, P, eps, outcomes", [
-    ((1.0, 0.5, 0.3), 1.0, P_FAILS_AT_51, 1e-6, {"skipped", "failed"}),
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_capacity_bound_holds_at_every_k(case):
+    # the water-filled sum of log2(1 + SNR) over K subchannels, which the
+    # rate bound takes at most K per_k + spread
+    taps, sigma2, P, eps, _ = BOUND_CASES[case]
+    channel = MultiPathChannel(taps, sigma2, P)
+    per_k, spread = multi_path._RateBound(channel, eps).capacity
+    assert per_k < math.inf and spread < math.inf
+    for k in range(channel.num_paths, 301):
+        gains = np.square(np.abs(channel_spectrum(channel.taps, k)))
+        powers, _ = water_fill(gains, sigma2, k * P)
+        assert np.log2(1.0 + gains * powers / sigma2).sum() <= k * per_k + spread, k
+
+
+# (taps, sigma2, P, eps, outcomes): channels with extreme taps, P, sigma2 or eps
+SKIP_CASES = {
+    "gain_snr": ((1.0, 0.5, 0.3), 1.0, P_FAILS_AT_51, 1e-6, {"skipped", "failed"}),
     # G K P / sigma2 crosses 1e150 at K = 5, the true gain^2 * SNR at K = 6
-    ((1e75, 1e75 * cmath.exp(1j)), 1.0, 0.05, 1e-6, {"skipped", "walked", "failed"}),
-    ((1.0, 0.5), 1.0, 10.0, 1e-321, {"skipped", "failed"}),  # eps / 4K underflows
-    ((1e-165, 1e-165), 1.0, 6e307, 1e-6, {"failed"}),  # every power gain underflows
-    ((1e-160, 1e-160), 1e-9, 1.0, 1e-6, {"failed"}),  # sigma2 / gain overflows
-    ((1e-154, 1e-154), 1e-300, 1e-290, 1e-6, {"walked"}),  # subnormal sum |h_l|^2
-    ((1e150, 1e150), 1.0, 10.0, 1e-6, {"failed"}),  # (sum |h_l|)^2 overflows
-    ((1.0, 0.5), 1e-300, 1e150, 1e-6, {"failed"}),  # K P / sigma2 overflows
-], ids=["gain_snr", "complex", "tiny_eps", "underflow", "threshold", "subnormal",
-        "huge_taps", "snr_overflow"])
-def test_rate_bound_skips_only_what_passes_every_check(taps, sigma2, P, eps, outcomes):
+    "complex": ((1e75, 1e75 * cmath.exp(1j)), 1.0, 0.05, 1e-6, {"skipped", "walked", "failed"}),
+    "tiny_eps": ((1.0, 0.5), 1.0, 10.0, 1e-321, {"skipped", "failed"}),  # eps / 4K underflows
+    "underflow": ((1e-165, 1e-165), 1.0, 6e307, 1e-6, {"failed"}),  # every power gain underflows
+    "threshold": ((1e-160, 1e-160), 1e-9, 1.0, 1e-6, {"failed"}),  # sigma2 / gain overflows
+    "subnormal": ((1e-154, 1e-154), 1e-300, 1e-290, 1e-6, {"walked"}),  # subnormal sum |h_l|^2
+    "huge_taps": ((1e150, 1e150), 1.0, 10.0, 1e-6, {"failed"}),  # (sum |h_l|)^2 overflows
+    "snr_overflow": ((1.0, 0.5), 1e-300, 1e150, 1e-6, {"failed"}),  # K P / sigma2 overflows
+}
+
+# the channels whose capacity bound is not finite: their grid's power gains
+# underflow, every noise threshold overflows, or M P / sigma2 overflows
+CAPACITY_FALLS_BACK = {"underflow", "threshold", "snr_overflow"}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_rate_bound_skips_only_what_passes_every_check(case):
     # against an incumbent that no K beats, the feasibility certificate alone
     # decides: a K that fails a check of the walk's batches is never skipped
+    taps, sigma2, P, eps, outcomes = SKIP_CASES[case]
     channel = MultiPathChannel(taps, sigma2, P)
     n = 400
     bound = multi_path._RateBound(channel, eps, {n: SimpleNamespace(rate=math.inf)})
     bound.margin = 1.0
+    ks = np.arange(channel.num_paths, n - channel.num_paths + 2)
+    ruled = bound.rules_out(ks)
+    assert ruled.dtype == bool and ruled.shape == ks.shape
     seen = set()
-    for k in range(channel.num_paths, n - channel.num_paths + 2):
-        skipped = bound.rules_out(k)
+    for k, skipped in zip(ks.tolist(), ruled.tolist()):
         try:
             plan_block(channel, n, eps, k)
         except (InfeasibleError, ValueError):
@@ -534,8 +579,21 @@ def test_rate_bound_skips_only_what_passes_every_check(taps, sigma2, P, eps, out
     assert seen == outcomes
 
 
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_capacity_bound_falls_back_without_a_warning(case):
+    taps, sigma2, P, eps, _ = SKIP_CASES[case]
+    channel = MultiPathChannel(taps, sigma2, P)
+    bound = multi_path._RateBound(channel, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        per_k, spread = bound.capacity
+        bound.bounds(np.arange(channel.num_paths, 400), 1.0)(400)
+    assert ((per_k, spread) == (math.inf, math.inf)) == (case in CAPACITY_FALLS_BACK)
+
+
 def test_walk_skips_most_counts(monkeypatch):
-    # the bench walk admits K = 3, ..., 998; each K is laid out at most once
+    # the bench walk admits K = 3, ..., 998 and n = 10 000 admits 9996;
+    # each K is laid out at most once
     taps, sigma2, P, eps, ns = WALK_CASES["bench"]
     built = []
 
@@ -544,9 +602,21 @@ def test_walk_skips_most_counts(monkeypatch):
         return channel_spectrum(h, size)
 
     monkeypatch.setattr(multi_path, "channel_spectrum", counted)
-    optimize_subchannel_counts(MultiPathChannel(taps, sigma2, P), ns, eps)
-    assert len(built) == len(set(built))
-    assert len(built) < 996 / 2
+    for blocklengths, most in ((ns, 150), ([10_000], 500)):
+        built.clear()
+        optimize_subchannel_counts(MultiPathChannel(taps, sigma2, P), blocklengths, eps)
+        assert len(built) == len(set(built))
+        assert len(built) < most, blocklengths
+
+
+def test_walk_in_one_batch_never_builds_the_capacity_bound(monkeypatch):
+    # sim_mp_block's n = 64 lays out K = 3, ..., 62 in its first batch
+    def unbuilt(self):
+        raise AssertionError("capacity bound built")
+
+    monkeypatch.setattr(multi_path._RateBound, "capacity", property(unbuilt))
+    plan = optimize_subchannel_count(MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0), 64, 1e-2)
+    assert plan.rate > 0
 
 
 def test_walk_refuses_more_counts_than_its_limit(monkeypatch):
