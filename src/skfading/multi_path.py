@@ -395,11 +395,12 @@ def optimize_subchannel_count(channel: MultiPathChannel, n: int, eps: float) -> 
 # ---------------------------------------------------------------------------
 
 def sub_message_sizes(plan: BlockPlan):
-    """Integer alphabet sizes floor(2^(n * rate)) per component.
+    """Integer alphabet sizes floor(2^(n * rate)) per subchannel, one for
+    each of its two components.
 
     Simulation needs integer alphabets, so the analytical per-component
-    rates are floored; the achieved rate reported alongside is what the
-    integer alphabets actually carry.
+    rates are floored; the achieved rate returned alongside, (sizes,
+    achieved), is what the integer alphabets actually carry.
     """
     bits = plan.n * plan.sub_rate_half
     sizes = np.maximum(np.floor(np.power(2.0, bits)), 1.0)
@@ -408,30 +409,26 @@ def sub_message_sizes(plan: BlockPlan):
             "sub-message alphabet exceeds double-precision midpoint resolution; "
             "reduce n or the rate for simulation"
         )
-    m_re = sizes.astype(np.int64)
-    m_im = sizes.astype(np.int64)
-    achieved = float(np.sum(np.log2(m_re) + np.log2(m_im)) / plan.n)
-    return m_re, m_im, achieved
+    sizes = sizes.astype(np.int64)
+    return sizes, float(2 * np.sum(np.log2(sizes)) / plan.n)
 
 
-def map_complex(w_re, w_im, m_re, m_im):
-    """Map component indices to complex midpoints on the unit square grid.
+def map_complex(w_re, w_im, m):
+    """Map component indices to complex midpoints on the unit square grid,
+    both components from the alphabet 1..m.
 
     Broadcasts over arrays of indices and alphabet sizes (one column per
     subchannel); scalar input gives a complex number.
     """
-    theta = map_message(w_re, m_re) + 1j * map_message(w_im, m_im)
+    theta = map_message(w_re, m) + 1j * map_message(w_im, m)
     return complex(theta) if np.ndim(theta) == 0 else theta
 
 
-def decode_complex(theta_hat, m_re, m_im):
+def decode_complex(theta_hat, m):
     """Nearest-midpoint decision per component of a complex estimate; the
-    alphabet sizes may be arrays that broadcast against theta_hat."""
+    alphabet size may be an array that broadcasts against theta_hat."""
     theta_hat = np.asarray(theta_hat)
-    return (
-        decode_midpoint(theta_hat.real, m_re),
-        decode_midpoint(theta_hat.imag, m_im),
-    )
+    return decode_midpoint(theta_hat.real, m), decode_midpoint(theta_hat.imag, m)
 
 
 # ---------------------------------------------------------------------------

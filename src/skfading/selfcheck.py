@@ -160,9 +160,10 @@ def _check_coupled_cancellation() -> CheckResult:
 def _check_stream_contract() -> CheckResult:
     """Scheme 2's streams at n = 80 for 300 trials, against fresh
     Generator(Philox(key=...)) draws: the environment from the vector pass,
-    its artificial normal by the ziggurat tables taken from numpy (the
-    check that guards other numpy builds), and the dither and noise rows
-    of the re-keyed generators. The residual counts differing draws."""
+    its artificial normal by the ziggurat tables that the vector pass reads
+    from this install's numpy (the check that guards a numpy whose
+    standard_normal draws otherwise), and the dither and noise rows of the
+    re-keyed generators. The residual counts differing draws."""
     seed, indices, size = 2024, np.arange(300), 2_840_761
     u, w, art = _env_stream(seed, 2, [size], normal=True)(indices)
     dithers, noise = np.empty((78, 300)).T, np.empty((80, 300)).T

@@ -11,10 +11,11 @@ Every stream is drawn exactly as Generator(Philox(key=philox_key(seed,
 index, tag))) would draw it (the v1 stream contract), in one of two ways:
 - short streams, in one vectorised Philox4x64-10 pass over a whole batch
   with numpy's own transforms: every trial's environment (TAG_ENV: gain
-  uniforms, message integers, scheme 3's per-component alphabets and
-  scheme 2's artificial-noise normal, by numpy's ziggurat from the next
-  whole word) and dither rows of at most _SHORT_ROW words (scheme 1 at
-  small n);
+  uniforms, message integers, two per subchannel in scheme 3, and scheme
+  2's artificial-noise normal, by numpy's ziggurat from the next whole
+  word, with the layer tables read once per process from the installed
+  numpy's own generator) and dither rows of at most _SHORT_ROW words
+  (scheme 1 at small n);
 - rows of normals (TAG_NOISE) and longer dither rows, where the vector
   pass is slower, from one loop (_generator_rows) that re-keys one Philox
   through its state for every trial and row; an engine passes all such
@@ -42,6 +43,7 @@ holds one chunk's working set of its own.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import pickle
@@ -57,7 +59,6 @@ from . import multi_path as mp
 from . import quasi_static as qs
 from . import two_path as tp
 from .numerics import InfeasibleError, dft, idft, philox_key
-from .ziggurat import ziggurat_normals
 
 __all__ = [
     "TAG_NOISE",
@@ -321,6 +322,47 @@ def _uniforms(raw, out=None):
     return np.multiply(raw >> 11, 2.0 ** -53, out=out)
 
 
+@functools.cache
+def _ziggurat_tables():
+    """numpy's ziggurat tables (Marsaglia and Tsang, J. Stat. Softw. 2000),
+    read from this install's generator: (wi, ki), the 256 layer widths on
+    the scale of the 52-bit magnitude and the acceptance thresholds.
+
+    A Philox whose buffer holds the words ((1 << 9) | idx, 0, ...) makes
+    standard_normal() return 1 * wi[idx]: magnitude 1 passes layer idx's
+    threshold, and layer 1, whose ki is 0, passes its wedge test on the
+    zero word. ki[i] = round(wi[i - 1] / wi[i] * 2**52), with wi[255]
+    before layer 0, and ki[1] = 0, as numpy's ki_double is built."""
+    bitgen, gen, state, _ = _rekeyable(0)
+    state["buffer_pos"] = 0
+    wi = np.empty(256)
+    for idx in range(256):
+        state["buffer"] = [(1 << 9) | idx, 0, 0, 0]
+        bitgen.state = state
+        wi[idx] = gen.standard_normal()
+    ki = np.rint(np.roll(wi, 1) / wi * 2.0 ** 52).astype(np.uint64)
+    ki[1] = 0
+    wi.flags.writeable = ki.flags.writeable = False
+    return wi, ki
+
+
+def _ziggurat_normals(words):
+    """Generator.standard_normal() of each raw word, where that one word
+    decides it, by numpy's layout: the layer idx = word & 0xff, the sign bit
+    8 and the 52-bit magnitude rabs = word >> 9 give x = +-rabs * wi[idx],
+    accepted iff rabs < ki[idx]. Otherwise (about 1.5% of words: layer 0's
+    tail, a wedge, every word of layer 1) numpy draws further words.
+
+    Returns (x, accepted), two arrays of words' shape; x is numpy's draw
+    wherever accepted holds and meaningless elsewhere."""
+    wi, ki = _ziggurat_tables()
+    idx = (words & 0xFF).astype(np.intp)
+    rabs = (words >> 9) & ((1 << 52) - 1)
+    x = rabs * wi[idx]
+    np.negative(x, out=x, where=(words & 0x100).astype(bool))
+    return x, rabs < ki[idx]
+
+
 def _integer_plan(sizes, word: int):
     """Where Generator.integers(1, size + 1) reads each alphabet size in
     turn, drawn from a stream that has used its first `word` raw words and
@@ -403,7 +445,7 @@ def _env_stream(master_seed: int, uniforms: int, sizes, normal: bool = False):
         w, redo = _integers(raw, plan)
         art = None
         if normal:
-            art, accepted = ziggurat_normals(raw[:, used])
+            art, accepted = _ziggurat_normals(raw[:, used])
             redo |= ~accepted
         rows = np.flatnonzero(redo)
         for r, gen in zip(rows.tolist(), _keyed_streams(master_seed, indices[rows], TAG_ENV)):
@@ -656,14 +698,14 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
     if coupled:
         raise ValueError("the coupled system is defined for schemes 1 and 2 only")
     plan = scenario.derive()
-    m_re, m_im, _ = mp.sub_message_sizes(plan)
+    sizes, _ = mp.sub_message_sizes(plan)
     k = plan.subchannels
     num_paths = plan.num_paths
     blocks = plan.blocks
     block_len = plan.block_len
     taps = np.asarray(scenario.h, dtype=complex)
     # one message draw per component, interleaved (re_1, im_1, re_2, ...)
-    environment = _env_stream(master_seed, 0, np.column_stack([m_re, m_im]).ravel())
+    environment = _env_stream(master_seed, 0, np.repeat(sizes, 2))
     live = np.flatnonzero(plan.powers > 0)
     gains = plan.gains
     powers = plan.powers
@@ -684,7 +726,7 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
         _generator_rows(master_seed, indices, [(TAG_NOISE, "standard_normal", noise.view(float))])
         noise *= scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
         w_re, w_im = w[:, 0::2], w[:, 1::2]
-        theta = mp.map_complex(w_re, w_im, m_re, m_im)
+        theta = mp.map_complex(w_re, w_im, sizes)
 
         eps = np.zeros((t, blocks, k), dtype=complex)
         energy = np.zeros(t)
@@ -711,7 +753,7 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
             cur = theta_hat - theta
             eps[:, b - 1, :] = cur
 
-        got_re, got_im = mp.decode_complex(theta_hat[:, live], m_re[live], m_im[live])
+        got_re, got_im = mp.decode_complex(theta_hat[:, live], sizes[live])
         return {
             "correct": np.all((got_re == w_re[:, live]) & (got_im == w_im[:, live]), axis=1),
             "eps": eps,

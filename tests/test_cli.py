@@ -789,11 +789,12 @@ def test_selfcheck_detects_perturbed_fixed_point(monkeypatch):
 
 
 def test_selfcheck_detects_a_ziggurat_table_off_by_one_ulp(monkeypatch):
-    import skfading.ziggurat as zg
+    import skfading.simulation as sim
 
-    # every layer width one ulp wider, as a numpy build with other tables
-    # would draw its normals
-    monkeypatch.setattr(zg, "_WI", np.nextafter(zg._WI, 1.0))
+    # every layer width one ulp wider than the cached table, as a numpy
+    # build with other tables would draw its normals
+    wi, ki = sim._ziggurat_tables()
+    monkeypatch.setattr(sim, "_ziggurat_tables", lambda: (np.nextafter(wi, 1.0), ki))
     by_name = {r.name: r for r in run_selfcheck()}
     assert not by_name["keyed-stream contract"].passed
     assert all(r.passed for name, r in by_name.items() if name != "keyed-stream contract")

@@ -149,16 +149,17 @@ def test_optimize_subchannel_count_minimal_blocklength():
 def test_split_rate_bookkeeping():
     channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
     plan = plan_block(channel, 60, 1e-2, 4)
-    m_re, m_im, achieved = sub_message_sizes(plan)
+    sizes, achieved = sub_message_sizes(plan)
+    assert sizes.shape == (plan.subchannels,)
     assert achieved <= plan.rate + 1e-12
     # flooring loses at most K log2-levels per component pair
     assert plan.rate - achieved <= 2 * plan.subchannels / plan.n + 1e-12
 
 
 def test_map_complex_examples():
-    assert map_complex(1, 1, 2, 2) == pytest.approx(-0.25 - 0.25j)
-    theta = map_complex(3, 2, 4, 8)
-    assert theta.real == pytest.approx(-0.5 + 5 / 8)
+    assert map_complex(1, 1, 2) == pytest.approx(-0.25 - 0.25j)
+    theta = map_complex(3, 2, 8)
+    assert theta.real == pytest.approx(-0.5 + 5 / 16)
     assert theta.imag == pytest.approx(-0.5 + 3 / 16)
 
 
@@ -174,33 +175,32 @@ def test_map_complex_second_moment():
 
 
 def test_map_complex_grid_spacing():
-    m_re, m_im = 4, 8
-    grid = np.array([[map_complex(a, b, m_re, m_im) for b in range(1, m_im + 1)]
-                     for a in range(1, m_re + 1)])
-    assert np.allclose(np.diff(grid.real, axis=0), 1 / m_re)
-    assert np.allclose(np.diff(grid.imag, axis=1), 1 / m_im)
+    m = 8
+    grid = np.array([[map_complex(a, b, m) for b in range(1, m + 1)]
+                     for a in range(1, m + 1)])
+    assert np.allclose(np.diff(grid.real, axis=0), 1 / m)
+    assert np.allclose(np.diff(grid.imag, axis=1), 1 / m)
 
 
 def test_decode_complex_matches_brute_force():
-    m_re, m_im = 5, 3
-    mids_re = np.array([-0.5 + (2 * a - 1) / (2 * m_re) for a in range(1, m_re + 1)])
-    mids_im = np.array([-0.5 + (2 * b - 1) / (2 * m_im) for b in range(1, m_im + 1)])
+    m = 5
+    mids = np.array([-0.5 + (2 * a - 1) / (2 * m) for a in range(1, m + 1)])
     rng = np.random.default_rng(1)
     for _ in range(500):
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        got = decode_complex(z, m_re, m_im)
+        got = decode_complex(z, m)
         brute = (
-            int(np.argmin(np.abs(z.real - mids_re))) + 1,
-            int(np.argmin(np.abs(z.imag - mids_im))) + 1,
+            int(np.argmin(np.abs(z.real - mids))) + 1,
+            int(np.argmin(np.abs(z.imag - mids))) + 1,
         )
         assert got == brute
 
 
 def test_decode_complex_exact_and_boundary():
-    theta = map_complex(2, 3, 4, 4)
-    assert decode_complex(theta, 4, 4) == (2, 3)
+    theta = map_complex(2, 3, 4)
+    assert decode_complex(theta, 4) == (2, 3)
     off = theta + (1 / 8 + 1e-6) * 1j
-    assert decode_complex(off, 4, 4) == (2, 4)
+    assert decode_complex(off, 4) == (2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +302,25 @@ def test_channel_validation():
 
 def test_decode_joint_roundtrip():
     # the message decodes when every subchannel's component pair does
-    m_re, m_im = np.array([4, 1, 8]), np.array([2, 1, 4])
+    m = np.array([4, 1, 8])
     rng = np.random.default_rng(55)
-    w_re = rng.integers(1, m_re + 1, size=(300, 3))
-    w_im = rng.integers(1, m_im + 1, size=(300, 3))
-    thetas = map_complex(w_re, w_im, m_re, m_im)
+    w_re = rng.integers(1, m + 1, size=(300, 3))
+    w_im = rng.integers(1, m + 1, size=(300, 3))
+    thetas = map_complex(w_re, w_im, m)
     for k in range(3):
-        got_re, got_im = decode_complex(thetas[:, k], int(m_re[k]), int(m_im[k]))
+        got_re, got_im = decode_complex(thetas[:, k], int(m[k]))
         assert np.array_equal(got_re, w_re[:, k])
         assert np.array_equal(got_im, w_im[:, k])
     # one component past its half spacing flips that subchannel's decision
-    shifted = map_complex(2, 1, 4, 2) + 1.0 / 4
-    assert decode_complex(shifted, 4, 2) != (2, 1)
+    shifted = map_complex(2, 1, 4) + 1.0 / 4
+    assert decode_complex(shifted, 4) != (2, 1)
 
 
 def test_map_complex_broadcasts_like_scalar_calls():
-    m_re, m_im = np.array([4, 1, 8]), np.array([2, 1, 16])
+    m = np.array([4, 1, 16])
     rng = np.random.default_rng(8)
-    w_re = rng.integers(1, m_re + 1, size=(50, 3))
-    w_im = rng.integers(1, m_im + 1, size=(50, 3))
-    grid = map_complex(w_re, w_im, m_re, m_im)
+    w_re = rng.integers(1, m + 1, size=(50, 3))
+    w_im = rng.integers(1, m + 1, size=(50, 3))
+    grid = map_complex(w_re, w_im, m)
     for (r, k), theta in np.ndenumerate(grid):
-        assert theta == map_complex(int(w_re[r, k]), int(w_im[r, k]),
-                                    int(m_re[k]), int(m_im[k]))
+        assert theta == map_complex(int(w_re[r, k]), int(w_im[r, k]), int(m[k]))

@@ -6,6 +6,7 @@ import runpy
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,21 @@ def test_scheme2_power_budget():
 def test_scheme2_dep_within_design():
     report = monte_carlo(SC2, 20_000, master_seed=73)
     assert report.wilson_hi <= 1.5 * SC2.eps
+
+
+def test_scheme2_aliasing_within_budget_per_iteration():
+    # sim_tp_large at n = 30 in the coupled system: each of the n - 2
+    # iterations may alias with probability eps / (2 (n - 2)). The config
+    # with h1_hat 0.5 and h2_hat 0.9 (art_noise_var 0.378 against 0.083
+    # here) fails this at its time-4 step, which carries the artificial
+    # noise, at every trial count from 105 573 to 200 000 at seed 1
+    sc = replace(SC2_LARGE, n=30)
+    trials = 110_000
+    report = monte_carlo(sc, trials, master_seed=1, coupled=True)
+    budget = sc.eps / (2 * (sc.n - 2))
+    counts = np.rint(report.aliasing_rate_per_iteration * trials).astype(int)
+    assert len(counts) == sc.n - 2
+    assert all(wilson_interval(int(c), trials)[0] <= budget for c in counts)
 
 
 def test_scheme2_negative_path_matches_positive_statistics():

@@ -11,6 +11,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from skfading import simulation, ziggurat
+from skfading import simulation
 from skfading.cli import EXIT_OK, main
 from skfading.numerics import philox_key
 from skfading.simulation import (
@@ -36,10 +39,11 @@ from skfading.simulation import (
     _keyed_streams,
     _link_rows,
     _philox_raw,
+    _ziggurat_normals,
+    _ziggurat_tables,
     monte_carlo,
     run_trials,
 )
-from skfading.ziggurat import ziggurat_normals
 
 SIMULATE_CASES = {
     # h drawn from the ball: the environment stream draws gain and message
@@ -342,8 +346,9 @@ KI_DIGEST = "565295797825931547a1036f5b012a247be54abbe077c39fe06c8ed1e9d0a5a9"
 def test_ziggurat_tables_are_numpys():
     # ki is derived from wi; layer 1 never accepts, so no draw would show a
     # wrong wi[1] except through ki[2], and only at its threshold
-    assert sha256(ziggurat._WI.astype("<f8").tobytes()) == WI_DIGEST
-    assert sha256(ziggurat._KI.astype("<u8").tobytes()) == KI_DIGEST
+    wi, ki = _ziggurat_tables()
+    assert sha256(wi.astype("<f8").tobytes()) == WI_DIGEST
+    assert sha256(ki.astype("<u8").tobytes()) == KI_DIGEST
 
 
 @pytest.mark.parametrize("used", range(10))
@@ -352,12 +357,44 @@ def test_ziggurat_normal_after_raw_words(used):
     # alone wherever that word decides it
     for seed, first in KEYS:
         indices = np.abs(first - np.arange(400))
-        x, accepted = ziggurat_normals(_philox_raw(seed, indices, TAG_ENV, used + 1)[:, used])
+        x, accepted = _ziggurat_normals(_philox_raw(seed, indices, TAG_ENV, used + 1)[:, used])
         assert 0 < np.count_nonzero(~accepted) < 20
         for ix, value, ok in zip(indices.tolist(), x.tolist(), accepted.tolist()):
             ref = fresh(seed, ix, TAG_ENV)
             ref.bit_generator.random_raw(used)
             assert not ok or value == ref.standard_normal()
+
+
+def test_only_scheme_2_builds_the_ziggurat_tables(monkeypatch, tmp_path):
+    # importing every module leaves the cache empty
+    probe = ("import skfading.cli, skfading.selfcheck\n"
+             "from skfading.simulation import _ziggurat_tables\n"
+             "assert _ziggurat_tables.cache_info().currsize == 0")
+    package_root = os.path.dirname(os.path.dirname(simulation.__file__))
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env=dict(os.environ, PYTHONPATH=package_root))
+
+    def unbuilt():
+        raise AssertionError("ziggurat tables built")
+
+    monkeypatch.setattr(simulation, "_ziggurat_tables", unbuilt)
+    # two chunks each, so a forked worker runs one of them
+    cfg, spec = tmp_path / "c.json", tmp_path / "s.json"
+    for case in ("scheme1", "scheme3_small_alphabets"):
+        cfg.write_text(json.dumps(SIMULATE_CASES[case]))
+        assert main(["simulate", "--config", str(cfg), "--trials", "5000", "--seed", "3",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    spec.write_text(json.dumps({
+        "variable": "N", "values": [25, 100],
+        "curves": ["theorem1", "theorem2", "fd_baseline", "tp_benchmark", "theorem3"],
+        "fixed": {"sigma2": 1.0, "P": 10.0, "P_tilde": 10.0, "sigma_z": 1e-3, "eps": 1e-6,
+                  "h": 0.9, "h_hat": 0.9, "distortion": 0.05, "h1": 0.9, "h2": 0.5,
+                  "h1_hat": 0.9, "h2_hat": 0.5, "h_re": [1.0, 0.5, 0.3]},
+    }))
+    assert main(["rate-sweep", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+    scheme2 = {k: v for k, v in SIMULATE_CASES["scheme2"].items() if k != "scheme"}
+    with pytest.raises(AssertionError, match="ziggurat tables built"):
+        run_trials(TwoPathScenario(**scheme2), 1, range(10))
 
 
 # (uniforms, alphabet sizes) before scheme 2's artificial normal: a 32-bit
@@ -380,7 +417,7 @@ def test_env_stream_normal_matches_fresh_generators(layout):
     seed, indices = 2024, np.arange(70_000)
     plan, used = _integer_plan(sizes, uniforms)
     raw = _philox_raw(seed, indices, TAG_ENV, used + 1)
-    accepted = ziggurat_normals(raw[:, used])[1]
+    accepted = _ziggurat_normals(raw[:, used])[1]
     layer = raw[:, used] & 0xFF
     assert set(layer[accepted].tolist()) == set(range(256)) - {1}
     assert np.any(~accepted & (layer == 0)) and np.any(~accepted & (layer > 1))
