@@ -114,8 +114,8 @@ class _Batch:
 
     A K's spectrum, union margin and water fill do not depend on the
     blocklength, so one batch serves every n whose scan reaches it (see
-    _Layouts). A K that fails the gain checks ends the batch before it:
-    error holds what it raised, and the rows below it still serve the
+    best). A K that fails the gain checks ends the batch before it: error
+    holds what it raised, and the rows below it still serve the
     blocklengths whose scans stop short of that K.
     """
 
@@ -149,6 +149,7 @@ class _Batch:
             margins[row] = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
             self.spectra.append(gains)
         self.ks, self.margins = ks, margins
+        self.block_lens = np.arange(len(ks)) + (channel.num_paths + ks.start - 1)
         self.powers, self.levels = water_fill(
             power_gains, channel.sigma2, [k * channel.P for k in ks]
         )
@@ -160,47 +161,64 @@ class _Batch:
         self.gain_terms = np.log2(1.0 + snrs)
         self.margin_terms = np.log2(margins[self.row_of] / (12.0 * snrs))
 
+    def half_rates(self, ns) -> np.ndarray:
+        """The per-component rates of every row at each n of ns, zero past
+        the row's K and at its dark entries, with the float operations of
+        laying K out alone (Python integers past int64, as n // block_len)."""
+        try:
+            column = np.array(ns, dtype=np.int64)[:, None]
+        except OverflowError:  # n beyond int64, which only plan_block takes
+            column = np.array(ns, dtype=object)[:, None]
+        twice = 2.0 * column.astype(float)
+        growth = (column // self.block_lens - 1).astype(float) / twice
+        raw = growth[:, self.row_of]
+        raw *= self.gain_terms
+        raw -= 1.0 / twice * self.margin_terms
+        half = np.zeros((len(ns),) + self.active.shape)
+        half[:, self.active] = np.maximum(raw, 0.0, out=raw)
+        return half
 
-class _Layouts:
-    """Block layouts of a batch's first rows at one blocklength n.
+    def best(self, ns, incumbents) -> list:
+        """The best plan of each blocklength in ns over its incumbent and the
+        rows it admits (at least one), ties to the smaller K."""
+        channel, ks, half = self.channel, self.ks, self.half_rates(ns)
+        admitted = [n - channel.num_paths + 2 - ks.start for n in ns]
+        plans = list(incumbents)
+        for i, (row, rate) in enumerate(_best_rows(half, ks, admitted)):
+            if plans[i] is None or rate > plans[i].rate:
+                k, n = ks[row], ns[i]
+                plans[i] = BlockPlan(
+                    n=n, eps=self.eps, num_paths=channel.num_paths, subchannels=k,
+                    block_len=channel.num_paths + k - 1, blocks=n // (channel.num_paths + k - 1),
+                    gains=self.spectra[row], powers=self.powers[row, :k].copy(),
+                    water_level=float(self.levels[row]), union_margin=float(self.margins[row]),
+                    sub_rate_half=half[i, row, :k].copy(), rate=rate,
+                    sigma2=channel.sigma2, P=channel.P,
+                )
+        return plans
 
-    Each row's arrays are zero-padded past its own K; the rate formula runs
-    on the active entries of those rows, and each rate is summed over its
-    row's own K entries, so every field is bit-equal to laying K out alone.
+
+def _best_rows(half, ks, admitted) -> list:
+    """(row, rate) of the best of each blocklength's first admitted rows of
+    half, one per K of ks, ties to the smaller K. The rate is float(2.0 *
+    half[i, row, :K].sum()), as laying K out alone sums it; a sum over the
+    padded row is within about 1e-12 relative of it for at most _BATCH
+    non-negative terms (Higham 2002, sec. 4.2), so only the rows within
+    _SLACK of the best such sum are summed over their K.
     """
-
-    def __init__(self, batch: _Batch, n: int, rows: int):
-        self.batch, self.n = batch, n
-        ks = batch.ks[:rows]
-        # Python integers: n may exceed what int64 holds
-        self.blocks = [n // (batch.channel.num_paths + k - 1) for k in ks]
-        growth = np.array([(blocks - 1) / (2.0 * n) for blocks in self.blocks])
-        count = int(np.count_nonzero(batch.active[:rows]))
-        raw = growth[batch.row_of[:count]] * batch.gain_terms[:count] \
-            - 1.0 / (2.0 * n) * batch.margin_terms[:count]
-        self.half = np.zeros((rows, batch.active.shape[1]))
-        self.half[batch.active[:rows]] = np.maximum(raw, 0.0)
-        self.rates = [float(2.0 * self.half[row, :k].sum()) for row, k in enumerate(ks)]
-
-    def best(self, incumbent):
-        """The plan of the best rate here if it beats the incumbent plan (or
-        there is none), else the incumbent; ties go to the smaller K."""
-        rate = max(self.rates)
-        if incumbent is None or rate > incumbent.rate:
-            return self.plan(self.rates.index(rate))
-        return incumbent
-
-    def plan(self, row: int) -> BlockPlan:
-        batch = self.batch
-        channel, k = batch.channel, batch.ks[row]
-        return BlockPlan(
-            n=self.n, eps=batch.eps, num_paths=channel.num_paths, subchannels=k,
-            block_len=channel.num_paths + k - 1, blocks=self.blocks[row],
-            gains=batch.spectra[row], powers=batch.powers[row, :k].copy(),
-            water_level=float(batch.levels[row]), union_margin=float(batch.margins[row]),
-            sub_rate_half=self.half[row, :k].copy(), rate=self.rates[row],
-            sigma2=channel.sigma2, P=channel.P,
-        )
+    if len(ks) < 2:  # nothing to choose between
+        pairs = [(i, 0) for i in range(len(half))]
+    else:
+        sums = half.sum(axis=2)
+        sums[np.arange(len(ks)) >= np.array(admitted)[:, None]] = -math.inf
+        near = sums >= sums.max(axis=1, keepdims=True) * (1.0 - _SLACK)
+        pairs = zip(*(index.tolist() for index in np.nonzero(near)))
+    best = [None] * len(half)
+    for i, row in pairs:
+        rate = float(2.0 * half[i, row, :ks[row]].sum())
+        if best[i] is None or rate > best[i][1]:
+            best[i] = row, rate
+    return best
 
 
 def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) -> BlockPlan:
@@ -213,7 +231,8 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
     batch = _Batch(channel, eps, range(subchannels, subchannels + 1))
     if batch.error is not None:
         raise batch.error
-    return _Layouts(batch, n, 1).plan(0)
+    (plan,) = batch.best([n], [None])
+    return plan
 
 
 # The rate bound's relative slack, far above the rounding of the rates; the
@@ -258,6 +277,7 @@ class _RateBound:
         magnitudes = [abs(t) for t in channel.h]
         total, energy = sum(magnitudes), sum(m * m for m in magnitudes)
         self.channel, self.eps, self.best, self.margin = channel, eps, best, None
+        self.open, self.first = np.zeros((len(best or ()), 0), dtype=bool), 0
         self.peak = total * total * (1.0 + _SLACK)
         # Parseval puts every K's peak power gain in [energy, peak]
         self.certain = energy >= sys.float_info.min \
@@ -308,17 +328,25 @@ class _RateBound:
 
     def rules_out(self, ks: np.ndarray) -> np.ndarray:
         """Which K of ks surely pass every check of _Batch and can beat no
-        incumbent of a blocklength that admits them."""
-        if self.best is None or self.margin is None or not self.certain:
+        incumbent of a blocklength that admits them. Sets open: per n of
+        best, the K of ks it admits that no bound closes (a NaN one closes
+        none). Best rates only rise, so a K stays closed: ks, which start at
+        or past the last call's, keep its verdicts."""
+        ns = np.array(list(self.best or ()), dtype=np.int64)[:, None]
+        opened = ns >= self.channel.num_paths + ks - 1
+        carried = self.open[:, int(ks[0]) - self.first:][:, :len(ks)]
+        opened[:, :carried.shape[1]] &= carried
+        self.open, self.first = opened, int(ks[0])
+        if not self.best or self.margin is None or not self.certain:
             return np.zeros(ks.shape, dtype=bool)
         with np.errstate(all="ignore"):
             c = self.peak * (ks * self.channel.P / self.channel.sigma2)
             out = (0.0 < c) & (c <= MAX_GAIN_SNR) & (self.eps / (4.0 * ks) > 0.0)
-        bound, block_len = self.bounds(ks, self.margin), self.channel.num_paths + ks - 1
-        for n, plan in self.best.items():
-            admits = n >= block_len
-            out &= ~admits if plan is None else ~admits | (bound(n) <= plan.rate)
-        return out
+        rates = [-math.inf if plan is None else plan.rate for plan in self.best.values()]
+        # one bound, at every n, on the K still open to some n
+        live = np.flatnonzero(opened.any(axis=0))
+        opened[:, live] &= ~(self.bounds(ks[live], self.margin)(ns) <= np.array(rates)[:, None])
+        return out & ~opened.any(axis=0)
 
 
 def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
@@ -326,7 +354,8 @@ def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
     elements: c rows from K = k are c * (k + c - 1) elements wide. Given the
     incumbents best (see _RateBound), no batch holds a K that it rules out:
     each batch starts at the first K of a window of _BATCH counts that is
-    not ruled out and ends before the next one that is.
+    not ruled out and ends before the next one that is, paired with the n of
+    best to which one of its K is open.
     """
     bound, k = _RateBound(channel, eps, best), channel.num_paths
     while k <= last:
@@ -341,7 +370,8 @@ def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
         rows = max((math.isqrt((k - 1) ** 2 + 4 * _BATCH) - (k - 1)) // 2, 1)
         stop = k + min(rows, width)
         batch = _Batch(channel, eps, range(k, stop))
-        yield batch
+        contends = bound.open[:, start:start + len(batch.ks)].any(axis=1)
+        yield batch, [n for n, open_ in zip(best or (), contends) if open_]
         bound.margin = float(batch.margins[-1]) if len(batch.ks) else bound.margin
         del batch  # freed before the next batch is built
         k = stop
@@ -350,13 +380,13 @@ def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
 def optimize_subchannel_counts(channel: MultiPathChannel, ns, eps: float) -> list:
     """The best plan of each blocklength in ns, from one scan of K.
 
-    The batches of the longest blocklength's scan are built once and rated
-    at every n that they reach; a K that _RateBound rules out would lose
-    to, or tie with, a smaller K, so it is skipped. Each entry is the
-    BlockPlan that scanning its n alone returns (best rate, ties to smaller
-    K), or the exception that scan raises, so one infeasible n leaves the
-    others planned. An eps outside (0, 1) raises ValueError for the whole
-    call, and an n that admits over _MAX_WALK counts is infeasible.
+    The batches of the longest blocklength's scan are built once, each
+    rated in one pass at the n it may win; a K that _RateBound rules out
+    would lose to, or tie with, a smaller K, so it is skipped. Each entry is
+    the BlockPlan that scanning its n alone returns (best rate, ties to
+    smaller K), or the exception that scan raises, so one infeasible n
+    leaves the others planned. An eps outside (0, 1) raises ValueError for
+    the whole call, and an n that admits over _MAX_WALK counts is infeasible.
     """
     num_paths = channel.num_paths
     results = {}
@@ -369,11 +399,8 @@ def optimize_subchannel_counts(channel: MultiPathChannel, ns, eps: float) -> lis
                 f"more than the {_MAX_WALK} one scan may walk; set subchannels"
             )
     best = {n: None for n in ns if n not in results}
-    for batch in _scan(channel, eps, max(best, default=0) - num_paths + 1, best):
-        for n, plan in best.items():
-            rows = min(len(batch.ks), n - num_paths + 2 - batch.ks.start)
-            if rows > 0:
-                best[n] = _Layouts(batch, n, rows).best(plan)
+    for batch, open_ns in _scan(channel, eps, max(best, default=0) - num_paths + 1, best):
+        best.update(zip(open_ns, batch.best(open_ns, [best[n] for n in open_ns])))
         if batch.error is not None:
             failed = batch.ks.start + len(batch.ks)
             results.update((n, batch.error) for n in best if n - num_paths + 1 >= failed)

@@ -90,11 +90,12 @@ def q_tail_inv(p: float) -> float:
     lo, hi = 0.0, 8.0
     while q_tail(hi) > p:
         lo, hi = hi, 2.0 * hi
+    erfc, sqrt2 = math.erfc, _SQRT2
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if q_tail(mid) > p:
+        if 0.5 * erfc(mid / sqrt2) > p:  # q_tail(mid), as mid is finite
             lo = mid
         else:
             hi = mid
@@ -191,8 +192,7 @@ def channel_spectrum(h, size: int) -> np.ndarray:
         raise ValueError("channel_spectrum requires at least one tap")
     if size < h.size:
         raise ValueError(f"size {size} is smaller than the tap count {h.size}")
-    padded = np.concatenate([h, np.zeros(size - h.size, dtype=complex)])
-    return np.fft.fft(padded)
+    return np.fft.fft(h, n=size)
 
 
 def circulant_matrix(first_col) -> np.ndarray:
@@ -230,13 +230,13 @@ def water_fill(gains, noise_var: float, total_power):
             raise ValueError("2-D gains must have nonempty rows")
     elif g.ndim != 1 or g.size == 0:
         raise ValueError("gains must be a nonempty 1-D sequence")
-    if not ((g >= 0) & (g < math.inf)).all():
+    if g.size and not (0.0 <= g.min() and g.max() < math.inf):
         raise ValueError("gains must be finite and nonnegative")
     if not (noise_var > 0 and math.isfinite(noise_var)):
         raise ValueError(f"noise variance must be positive, got {noise_var!r}")
     # a scalar, or one total per row
     total = np.asarray(total_power, dtype=float).reshape(-1, 1)
-    if not ((total > 0) & (total < math.inf)).all():
+    if total.size and not (0.0 < total.min() and total.max() < math.inf):
         raise ValueError(f"total power must be positive, got {total_power!r}")
     rows = g.reshape(-1, g.shape[-1])
     # an unusable channel's threshold is +inf: it sorts past the usable ones;
@@ -244,8 +244,7 @@ def water_fill(gains, noise_var: float, total_power):
     thresholds = np.full(rows.shape, np.inf)
     with np.errstate(over="ignore"):
         np.divide(noise_var, rows, out=thresholds, where=rows > 0)
-    usable = thresholds < math.inf
-    counts = usable.sum(axis=1)
+    counts = (thresholds < math.inf).sum(axis=1)
     if not counts.all():
         if not rows.any(axis=1).all():
             raise InfeasibleError("water_fill: all channel gains are zero")
@@ -264,12 +263,11 @@ def water_fill(gains, noise_var: float, total_power):
     fits[:, :-2] &= candidates[:, :-1] <= tsorted[:, 1:]
     last = (np.arange(rows.shape[0]), np.minimum(fits.argmax(axis=1), counts - 1))
     level = candidates[last]
-    # the active channels are the usable ones up to the last active
+    # the active channels are the usable ones up to the last active (finite)
     # threshold; a tie with it past the cut only occurs where the level
     # equals it, and then level - threshold is the inactive +0.0
     powers = np.zeros(rows.shape)
     live = thresholds <= tsorted[last][:, None]
-    live &= usable
     np.subtract(level[:, None], thresholds, out=powers, where=live)
     if g.ndim == 1:
         return powers[0], float(level[0])

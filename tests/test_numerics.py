@@ -354,6 +354,21 @@ def test_channel_spectrum_rejects_short_size():
         channel_spectrum([1.0, 2.0, 3.0], 2)
 
 
+def test_channel_spectrum_bit_equal_to_zero_padded_fft():
+    # the FFT pads the taps to the size itself, with the bits of padding first
+    rng = np.random.default_rng(2002)
+    for num_taps in range(2, 7):
+        for kind in ("real", "complex"):
+            taps = rng.normal(size=num_taps)
+            if kind == "complex":
+                taps = taps + 1j * rng.normal(size=num_taps)
+            for size in range(num_taps, 301):
+                padded = np.concatenate([taps, np.zeros(size - num_taps)]).astype(complex)
+                got = channel_spectrum(taps, size)
+                assert got.dtype == complex and got.shape == (size,)
+                assert got.tobytes() == np.fft.fft(padded).tobytes(), (num_taps, kind, size)
+
+
 def test_spectral_decomposition_roundtrip():
     gains = channel_spectrum([0.3, -0.7, 0.2], 6)
     assert isinstance(gains, np.ndarray) and gains.shape == (6,)

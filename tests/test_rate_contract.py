@@ -327,22 +327,69 @@ SCAN_CASES = {
 }
 
 
+def row_plan(batch, n, row):
+    """A batch row's plan at n, from the batch's fields and one-pass rates."""
+    k, channel, block_len = batch.ks[row], batch.channel, int(batch.block_lens[row])
+    half = batch.half_rates([n])[0, row]
+    assert not half[k:].any()
+    return BlockPlan(
+        n=n, eps=batch.eps, num_paths=channel.num_paths, subchannels=k,
+        block_len=block_len, blocks=n // block_len, gains=batch.spectra[row],
+        powers=batch.powers[row, :k], water_level=float(batch.levels[row]),
+        union_margin=float(batch.margins[row]), sub_rate_half=half[:k],
+        rate=float(2.0 * half[:k].sum()), sigma2=channel.sigma2, P=channel.P,
+    )
+
+
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_scan_bit_equal_to_per_k_plans(case):
     taps, sigma2, P, n, eps = SCAN_CASES[case]
     channel = MultiPathChannel(taps, sigma2, P)
     ks, widest = [], 0
-    for batch in multi_path._scan(channel, eps, n - channel.num_paths + 1):
-        layouts = multi_path._Layouts(batch, n, len(batch.ks))
+    for batch, _ in multi_path._scan(channel, eps, n - channel.num_paths + 1):
         widest = max(widest, len(batch.ks))
         for row, k in enumerate(batch.ks):
             ref = plan_block_per_k(channel, n, eps, k)
-            assert_same_plan(layouts.plan(row), ref)
+            assert_same_plan(row_plan(batch, n, row), ref)
             assert_same_plan(plan_block(channel, n, eps, k), ref)
             ks.append(k)
     assert ks == list(range(channel.num_paths, n - channel.num_paths + 2))
     assert widest > 1  # the batches do hold several K
     assert_same_plan(optimize_subchannel_count(channel, n, eps), scan_per_k(channel, n, eps))
+
+
+def test_row_choice_sums_each_row_over_its_own_k():
+    # K = 9, ..., 16 zero-padded to 16: a padded row's sum takes a[8] into its
+    # first pairwise accumulator, the sum over K = 9 adds it last
+    ks = range(9, 17)
+    rng = np.random.default_rng(9)
+
+    def sums(row):  # padded, then over K = 9
+        return np.append(row, np.zeros(7)).sum(), row.sum()
+
+    # a row and a reordering of it: the padded sums rank them one way, the
+    # sums over K = 9 the other
+    first = second = None
+    while second is None:
+        first = rng.random(9)
+        for _ in range(500):
+            other = rng.permutation(first)
+            if sums(other)[1] > sums(first)[1] and sums(other)[0] < sums(first)[0]:
+                second = other
+                break
+    half = np.zeros((3, len(ks), 16))
+    half[0, 0, :9] = first
+    half[0, 1, :9] = second
+    # an exact tie between K = 11 and K = 12, both above the other rows
+    half[1, :2] = half[0, :2]
+    half[1, 2, 0] = half[1, 3, 0] = 100.0
+    # the best row, K = 13, lies past the last admitted one
+    half[2] = half[1]
+    half[2, 4, 0] = 200.0
+    assert half[0].sum(axis=1).argmax() == 0  # the padded sums pick the first row
+    got = multi_path._best_rows(half, ks, [8, 8, 4])
+    assert got == [(1, 2.0 * second.sum()), (2, 200.0), (2, 200.0)]
+    assert all(type(rate) is float for _, rate in got)
 
 
 @pytest.mark.parametrize("taps, P, n", [
@@ -411,6 +458,8 @@ WALK_CASES = {
     # gain^2 * SNR first exceeds 1e150 at K = 900, past counts the rate
     # bound skips: the rows whose range reaches K = 900 still fail
     "fails_at_900": ((1.0, 0.5, 0.3), 1.0, 1e150 / (3.24 * 899.5), 1e-6, [600, 1000]),
+    # many blocklengths: each batch is rated at every one that it can win
+    "many_n": ((1.0, 0.5, 0.3), 1.0, 9.3, 1e-6, list(range(100, 1201, 100))),
 }
 
 
@@ -490,6 +539,32 @@ def test_rate_sweep_matches_rows_planned_alone(tmp_path, capsys, case, curves):
     if case in ("N", "N_fails_at_51", "SNR", "K"):  # some rows are infeasible, not all
         assert err
         assert any(cell for row in out.splitlines()[1:] for cell in row.split(",")[1:])
+
+
+@pytest.mark.parametrize("spec, rows", [
+    ({"variable": "K", "values": [3, 10, 40],
+      "fixed": dict(ORACLE_FIXED, n=10**20)},
+     ["3,1.93314668061", "10,2.91394010826", "40,3.330412394"]),
+    ({"variable": "N", "values": [1e15, 1e18, 1e20],
+      "fixed": dict(ORACLE_FIXED, subchannels=10)},
+     ["1e+15,2.91394010826", "1e+18,2.91394010826", "1e+20,2.91394010826"]),
+], ids=["K", "N"])
+def test_plans_beyond_int64(tmp_path, capsys, spec, rows):
+    # only plan_block takes an n beyond int64: n // block_len neither wraps
+    # nor raises, and each plan is the per-K oracle's
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(spec, curves=["theorem3"])))
+    assert main(["rate-sweep", "--spec", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["x,theorem3", *rows] and err == ""
+    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
+    # n = 3002 m - 1 just past int64 rounds up past 3002 m as a double, so
+    # float arithmetic would count one block too many
+    for n, k in ((10**20, 3), (10**20, 40), (10**15, 10), (10**18, 10),
+                 (9223372036854778981, 3000)):
+        plan = plan_block(channel, n, 1e-6, k)
+        assert_same_plan(plan, plan_block_per_k(channel, n, 1e-6, k))
+        assert plan.blocks == n // (k + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +692,48 @@ def test_walk_in_one_batch_never_builds_the_capacity_bound(monkeypatch):
     monkeypatch.setattr(multi_path._RateBound, "capacity", property(unbuilt))
     plan = optimize_subchannel_count(MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0), 64, 1e-2)
     assert plan.rate > 0
+
+
+def test_walk_rates_each_batch_once_and_bounds_each_window_once(monkeypatch):
+    # 100 blocklengths: each batch is rated at all the blocklengths it can
+    # win in one call, and each rule-out window evaluates the bound once
+    calls = {"batches": 0, "ratings": 0, "windows": 0, "bounds": 0, "evaluations": 0}
+    widest = []
+
+    def counted(method, name):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    def best(self, ns, incumbents):
+        calls["ratings"] += 1
+        widest.append(len(ns))
+        return rate(self, ns, incumbents)
+
+    def bounds(self, k, margin):
+        calls["bounds"] += 1
+        bound = build(self, k, margin)
+
+        def evaluated(n):
+            calls["evaluations"] += 1
+            return bound(n)
+        return evaluated
+
+    rate, build = multi_path._Batch.best, multi_path._RateBound.bounds
+    monkeypatch.setattr(multi_path._Batch, "__init__",
+                        counted(multi_path._Batch.__init__, "batches"))
+    monkeypatch.setattr(multi_path._Batch, "best", best)
+    monkeypatch.setattr(multi_path._RateBound, "rules_out",
+                        counted(multi_path._RateBound.rules_out, "windows"))
+    monkeypatch.setattr(multi_path._RateBound, "bounds", bounds)
+    ns = list(range(100, 10_001, 100))
+    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
+    plans = optimize_subchannel_counts(channel, ns, 1e-6)
+    assert all(isinstance(plan, BlockPlan) for plan in plans)
+    assert 0 < calls["ratings"] <= calls["batches"] < calls["windows"]
+    assert max(widest) > 1
+    assert 0 < calls["bounds"] == calls["evaluations"] < calls["windows"]
 
 
 def test_walk_refuses_more_counts_than_its_limit(monkeypatch):
