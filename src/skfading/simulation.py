@@ -30,19 +30,21 @@ run_trials, the one entry point to the closed loop, runs any set of trial
 indices in lockstep through the scheme's engine; schemes 1 and 2 store each
 per-iteration array time-major (generators fill it through _generator_rows'
 trial-major buffer), so every loop step reads and writes contiguous rows.
-monte_carlo derives once and folds 4096-trial chunks into running totals,
-squaring errors into a trial-major buffer so that the sum adds trials in
-index order: its memory is one chunk's arrays (11.8 MB at n = 80) plus the
-two power vectors, 16 bytes per trial. The chunks run on every CPU in the
-process's affinity mask: workers forked after the derive run every W-th
-chunk and pipe back what the fold reads, and the caller folds all chunks in
-chunk order, so the report is the same bytes for any CPU count. Each worker
-holds one chunk's working set of its own.
+monte_carlo derives once and folds chunks of at most 4096 trials into
+running totals, squaring errors into a trial-major buffer so that the sum
+adds trials in index order: its memory is one chunk's arrays (11.8 MB at
+n = 80) plus the two power vectors, 16 bytes per trial. W processes, the
+CPUs in the affinity mask up to one per started 4096 trials, run as many
+chunks each, equal to within one trial: workers forked after the derive run
+every W-th chunk and pipe back what the fold reads, and the caller folds
+all chunks in chunk order, so the report is the same bytes for any CPU
+count. Each worker holds one chunk's working set of its own.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -87,7 +89,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # 4.0 ms for 32-word rows against 6.8 ms re-keyed, ties near 48 words and
 # takes twice as long at 78 (scheme 2's dithers at n = 80)
 _SHORT_ROW = 32
-_CHUNK = 4096  # trials per engine run in monte_carlo: the smallest at full speed
+_CHUNK = 4096  # the most trials that one engine run in monte_carlo takes
 _BLOCK = 256  # trials per buffer of generator draws into time-major rows
 
 
@@ -717,6 +719,7 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
         for it in range(1, blocks + 1):
             alphas[it - 1, col], _ = mp.variance_lemma3(plan, int(col), it)
         betas[1:, col] = mp.mmse_gain_mp(plan, int(col), alphas[:-1, col])
+    live = slice(None) if len(live) == k else live  # views, not index-array copies
 
     def run(indices):
         t = len(indices)
@@ -731,27 +734,28 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
         eps = np.zeros((t, blocks, k), dtype=complex)
         energy = np.zeros(t)
         theta_hat = np.zeros((t, k), dtype=complex)
+        freq = np.zeros((t, k), dtype=complex)  # dead subchannels stay 0
+        payload, tap = np.empty((t, k), dtype=complex), np.empty((t, k), dtype=complex)
+        cur = theta
         for b in range(1, blocks + 1):
-            freq = np.zeros((t, k), dtype=complex)
-            if b == 1:
-                freq[:, live] = np.sqrt(6.0 * powers[live]) * theta[:, live]
-            else:
-                freq[:, live] = np.sqrt(powers[live] / alphas[b - 2, live]) * cur[:, live]
+            freq[:, live] = np.sqrt(6.0 * powers[live] if b == 1
+                                    else powers[live] / alphas[b - 2, live]) * cur[:, live]
             sent = mp.add_cyclic_prefix(idft(freq), num_paths)
-            energy += np.sum(np.abs(sent) ** 2, axis=1)
+            mag = np.abs(sent)
+            energy += np.sum(np.square(mag, out=mag), axis=1)
             # the previous block's ISI lands only in the prefix, which the
-            # receiver drops, so each block is convolved alone
-            received = np.zeros((t, block_len), dtype=complex)
+            # receiver drops, so each block's payload is convolved alone
+            payload[...] = 0.0
             for l in range(num_paths):
-                received[:, l:] += taps[l] * sent[:, :block_len - l]
-            received += noise[:, (b - 1) * block_len: b * block_len]
-            obs = dft(mp.extract_payload(received, num_paths))[:, live] / gains[live]
+                payload += np.multiply(taps[l], sent[:, num_paths - 1 - l:block_len - l], out=tap)
+            payload += mp.extract_payload(noise[:, (b - 1) * block_len: b * block_len], num_paths)
+            obs = dft(payload)[:, live]
+            obs /= gains[live]
             if b == 1:
                 theta_hat[:, live] = obs / np.sqrt(6.0 * powers[live])
             else:
-                theta_hat[:, live] = theta_hat[:, live] - betas[b - 1, live] * obs
-            cur = theta_hat - theta
-            eps[:, b - 1, :] = cur
+                theta_hat[:, live] -= np.multiply(betas[b - 1, live], obs, out=obs)
+            cur = np.subtract(theta_hat, theta, out=eps[:, b - 1, :])
 
         got_re, got_im = mp.decode_complex(theta_hat[:, live], sizes[live])
         return {
@@ -793,29 +797,33 @@ def run_trials(scenario: Scenario, master_seed: int, indices, coupled: bool = Fa
     return _engine(scenario, master_seed, coupled)(indices)
 
 
-def _fold_inputs(run, trials: int, chunk: int):
-    """What monte_carlo's fold reads of one chunk: (correct count, |eps|^2,
-    aliasing counts per iteration, forward powers, feedback powers).
+def _fold_inputs(run, span):
+    """What monte_carlo's fold reads of the trials in span: (correct count,
+    |eps|^2, aliasing counts per iteration, forward powers, feedback powers).
 
     |eps|^2 goes into a fresh trial-major buffer, whatever the engine's
     layout, so that an axis-0 sum over it adds trials in index order."""
-    out = run(np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, trials)))
+    out = run(np.arange(*span))
     sq = np.abs(out["eps"], out=np.empty(out["eps"].shape))
     np.square(sq, out=sq)
     return (np.count_nonzero(out["correct"]), sq, np.count_nonzero(out["alias"], axis=0),
             out["pow_fwd"], out["pow_fb"])
 
 
-def _shard(run, trials: int, chunks, fd: int):
+def _shard(run, spans, fd: int):
     """A forked worker's whole life: pickle the fold inputs of each of its
     chunks, in order, down the pipe fd, or the exception that stopped it
     (one that cannot be pickled ends the stream early); then end the
     process, never returning into the caller's code."""
     try:
+        # keep the heap freed between chunks (glibc): trimmed, each chunk faulted it in again
+        with contextlib.suppress(AttributeError, OSError):
+            ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+            ctypes.CDLL(None).mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
         with open(fd, "wb") as pipe:
             try:
-                for chunk in chunks:
-                    pickle.dump(_fold_inputs(run, trials, chunk), pipe)
+                for span in spans:
+                    pickle.dump(_fold_inputs(run, span), pipe)
                     pipe.flush()
             except BaseException as exc:  # noqa: B036 - the caller raises it again
                 pickle.dump(exc, pipe)
@@ -845,6 +853,13 @@ def _workers(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
+def _chunk_plan(trials: int):
+    """monte_carlo's process count W and its chunks' (start, stop) spans."""
+    workers = _workers(-(-trials // _CHUNK))
+    chunks = workers * -(-trials // (workers * _CHUNK))
+    return workers, [(trials * c // chunks, trials * (c + 1) // chunks) for c in range(chunks)]
+
+
 def monte_carlo(
     scenario: Scenario, trials: int, master_seed: int, coupled: bool = False
 ) -> MonteCarloReport:
@@ -854,20 +869,20 @@ def monte_carlo(
     (scenario, trials, master_seed); execution order and chunking cannot
     change a single bit of it.
 
-    The scenario is derived once; its 4096-trial chunks are then spread over
-    W processes, W the number of CPUs in this process's affinity mask (at
-    most one per chunk; 1 while another thread runs): chunk c runs in
-    process c mod W, where process 0 is the caller and the others are
-    forked from it. Workers send back what the fold reads, and the caller
-    folds every chunk in chunk order, so the report is the same for any W.
-    A worker's exception is raised again in the caller, and no worker
-    outlives the call.
+    The scenario is derived once; the trials are then cut into W *
+    ceil(trials / (W * _CHUNK)) contiguous chunks, equal to within one
+    trial, for W processes: the CPUs in the affinity mask, at most one per
+    started _CHUNK (a fork and wait cost about 5 ms), 1 while another
+    thread runs. Chunk c runs in process c mod W, process 0 the caller and
+    the others forked from it. Workers send back what the fold reads, and
+    the caller folds every chunk in chunk order, so the report is the same
+    for any W. A worker's exception is raised again in the caller, and no
+    worker outlives the call.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     run = _engine(scenario, master_seed, coupled)
-    chunks = -(-trials // _CHUNK)
-    workers = _workers(chunks)
+    workers, spans = _chunk_plan(trials)
     pids, pipes = [], []
     try:
         for worker in range(1, workers):
@@ -876,16 +891,16 @@ def monte_carlo(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _shard(run, trials, range(worker, chunks, workers), write_fd)
+                    _shard(run, spans[worker::workers], write_fd)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
         correct, alias, sq_sum = 0, 0, 0.0
         pow_fwd, pow_fb = [], []
-        for chunk in range(chunks):
+        for chunk, span in enumerate(spans):
             count, sq, alias_count, fwd, fb = (
                 _receive(pipes[chunk % workers - 1], chunk) if chunk % workers
-                else _fold_inputs(run, trials, chunk))
+                else _fold_inputs(run, span))
             correct += count
             # the running sum (0.0 at first, which leaves squares unchanged)
             # joins the chunk's first row, so the axis-0 sum adds trials in

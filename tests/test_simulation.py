@@ -2,6 +2,8 @@ import importlib
 import math
 import os
 import pickle
+import platform
+import resource
 import runpy
 import threading
 import tracemalloc
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skfading import multi_path, quasi_static, two_path
+from skfading import multi_path, quasi_static, simulation, two_path
 from skfading.numerics import InfeasibleError
 from skfading.quasi_static import message_size
 from skfading.simulation import (
@@ -21,6 +23,7 @@ from skfading.simulation import (
     MultiPathScenario,
     QuasiStaticScenario,
     TwoPathScenario,
+    _chunk_plan,
     _keyed_streams,
     monte_carlo,
     run_trials,
@@ -214,12 +217,12 @@ SC3_BLOCK = MultiPathScenario(h=(1.0, 0.5, 0.3), sigma2=1.0, P=10.0, n=64, eps=1
 
 
 def test_monte_carlo_working_set_is_one_chunk():
-    # a run of three chunks holds no more than a run of one, up to 16 bytes
-    # per trial of transmit powers. One chunk peaks at 11.8 MB for scheme 2
-    # (n = 80), 20.1 MB coupled, 3.9 MB for scheme 1 (n = 25) and 18.4 MB
-    # for scheme 3; the bounds catch a whole-array copy, such as re-laying
-    # out a chunk's time-major rows (2.6 MB per (4096, 80) array), scheme
-    # 2's 19.7 MB when the engine kept arrays it never reads (err_var,
+    # a run of three chunks or more holds no more than a run of one, up to
+    # 16 bytes per trial of transmit powers. One chunk peaks at 11.8 MB for
+    # scheme 2 (n = 80), 20.1 MB coupled, 3.9 MB for scheme 1 (n = 25) and
+    # 17.9 MB for scheme 3; the bounds catch a whole-array copy, such as
+    # re-laying out a chunk's time-major rows (2.6 MB per (4096, 80) array),
+    # scheme 2's 19.7 MB when the engine kept arrays it never reads (err_var,
     # combined gains, z history), or scheme 3's 21.4 MB when each block was
     # convolved with the previous block's tail and its observations were
     # scattered into a zero-filled (trials, K) array
@@ -284,10 +287,22 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("trials", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-@pytest.mark.parametrize("scenario, coupled", [
-    (SC1, False), (SC2, False), (SC3, False), (SC1, True), (SC2, True),
-], ids=["scheme1", "scheme2", "scheme3", "scheme1_coupled", "scheme2_coupled"])
+# every scheme at 1, _CHUNK, _CHUNK + 1 and 3 * _CHUNK + 5 trials, and scheme 3
+# at sim_mp_block's 10 000, whose balanced chunks (4 of 2500 on 2 CPUs, 3 of
+# 3333 or 3334 on 3) start where no 4096-trial chunk did. SC3 has every
+# subchannel live; the engine's path for a dead one is pinned by the
+# scheme3_small_alphabets digest (3 of 4 live) in test_stream_contract.py
+CPU_COUNT_CASES = [
+    pytest.param(scenario, coupled, trials, id=f"{name}-{trials}")
+    for name, scenario, coupled in [
+        ("scheme1", SC1, False), ("scheme2", SC2, False), ("scheme3", SC3, False),
+        ("scheme1_coupled", SC1, True), ("scheme2_coupled", SC2, True),
+    ]
+    for trials in (1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+] + [pytest.param(SC3, False, 10_000, id="scheme3-10000")]
+
+
+@pytest.mark.parametrize("scenario, coupled, trials", CPU_COUNT_CASES)
 def test_monte_carlo_is_byte_identical_on_any_cpu_count(monkeypatch, scenario, coupled, trials):
     chunks = -(-trials // _CHUNK)
     reports = {}
@@ -298,6 +313,52 @@ def test_monte_carlo_is_byte_identical_on_any_cpu_count(monkeypatch, scenario, c
         assert len(forks) == min(cpus, chunks) - 1
     assert reports[2] == reports[1]
     assert reports[3] == reports[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 2000, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 10_000, 60_000])
+def test_chunk_plan_balances_whole_processes(monkeypatch, trials, cpus):
+    forks = use_cpus(monkeypatch, cpus)
+    workers, spans = _chunk_plan(trials)
+    assert workers == min(cpus, -(-trials // _CHUNK))
+    starts, stops = zip(*spans)
+    assert starts[0] == 0 and stops[-1] == trials and starts[1:] == stops[:-1]
+    sizes = [stop - start for start, stop in spans]
+    assert max(sizes) - min(sizes) <= 1 and 0 < min(sizes) and max(sizes) <= _CHUNK
+    assert len(spans) % workers == 0
+
+    # monte_carlo runs that plan: a stand-in engine reports each trial's
+    # index as its power and its error, so the report shows every trial
+    # folded once, and a run of at most one _CHUNK forks nothing
+    def engine(scenario, master_seed, coupled):
+        def run(indices):
+            t = len(indices)
+            return {"correct": np.ones(t, dtype=bool), "eps": indices[:, None].astype(complex),
+                    "alias": np.zeros((t, 0), dtype=bool), "pow_fwd": indices.astype(float),
+                    "pow_fb": np.zeros(t)}
+        return run
+
+    monkeypatch.setattr(simulation, "_engine", engine)
+    report = monte_carlo(SC1, trials, master_seed=1)
+    assert_no_child_left()
+    assert len(forks) == workers - 1
+    assert report.avg_forward_power == (trials - 1) / 2
+    assert report.mean_var_trajectory.tolist() == [sum(i * i for i in range(trials)) / trials]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")
+def test_a_worker_faults_its_heap_in_once(monkeypatch):
+    # a worker keeps the heap each chunk frees for the next; trimmed at
+    # glibc's defaults it was faulted in again by every chunk, and a worker
+    # of four 4096-trial chunks took about 3.3 times the minor page faults
+    # of a worker of one
+    use_cpus(monkeypatch, 2)
+    faults = []
+    for trials in (2 * _CHUNK, 8 * _CHUNK):  # one chunk per process, then four
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        monte_carlo(SC3_BLOCK, trials, master_seed=1)
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+    assert faults[1] < 1.5 * faults[0], faults
 
 
 def fault_in(monkeypatch, where, fault):

@@ -95,10 +95,13 @@ COUPLED_DIGESTS = {
 
 
 # these pin how monte_carlo folds its chunks into one report: 45 001 trials
-# span eleven 4096-trial chunks, and 8193 trials two chunks and a single
-# trial; the 45 001-trial digests were recorded with an implementation that
+# span twelve chunks of 3750 or 3751 trials on two CPUs (eleven of 4091 on
+# one), and 8193 trials four chunks of 2048 or 2049 (three of 2731 on one);
+# the 45 001-trial digests were recorded with an implementation that
 # concatenated every chunk's full per-trial arrays and reduced them once,
-# the 8193-trial ones with 20 000-trial chunks folded one at a time
+# the 8193-trial ones (whose case names date from fixed 4096-trial chunks,
+# the last holding a single trial) with 20 000-trial chunks folded one at a
+# time
 MULTI_CHUNK_SCHEME3 = MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24,
                                         eps=1e-2, subchannels=3)
 MULTI_CHUNK_CASES = {
