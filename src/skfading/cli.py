@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -125,13 +126,34 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top-level JSON object expected")
     return data
+
+
+def _check_out(path) -> None:
+    """Reject an --out path that names a directory or lies in a missing
+    one, before any work runs."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"cannot write {path}: not a file path in an existing directory")
+
+
+def _emit(text: str, path) -> None:
+    """Write a command's output to path, or to stdout when path is unset."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +261,7 @@ def _theorem3_plans(label: str, fixed: dict, variable: str, points: list) -> lis
 
 
 def cmd_rate_sweep(spec_path: str, out_path):
+    _check_out(out_path)
     spec = _load_json(spec_path)
     variable = _require(spec, "variable", "sweep spec")
     if variable not in SWEEP_VARIABLES:
@@ -278,12 +301,7 @@ def cmd_rate_sweep(spec_path: str, out_path):
                       file=sys.stderr)
                 cells.append("")
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", out_path)
     return EXIT_OK
 
 
@@ -349,6 +367,7 @@ def _scenario_from_config(cfg: dict):
 
 
 def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path):
+    _check_out(out_path)
     cfg = _load_json(config_path)
     if trials < 1:
         raise ConfigError("trials must be positive")
@@ -377,12 +396,7 @@ def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path
         # config is finite since _load_json)
         if key != "config_echo" and not np.all(np.isfinite(value)):
             raise InfeasibleError(f"report field '{key}' is not finite ({value!r})")
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
     if check and report.wilson_hi > scenario.eps:
         print(
             f"check failed: Wilson upper bound {report.wilson_hi:.3e} exceeds "

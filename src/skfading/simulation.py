@@ -17,9 +17,12 @@ index, tag))) would draw it (the v1 stream contract), in one of two ways:
   numpy's own generator) and dither rows of at most _SHORT_ROW words
   (scheme 1 at small n);
 - rows of normals (TAG_NOISE) and longer dither rows, where the vector
-  pass is slower, from one loop (_generator_rows) that re-keys one Philox
-  through its state for every trial and row; an engine passes all such
-  rows in one call (scheme 2 at n = 80: its dithers and its noise).
+  pass is slower, from one Philox re-keyed through its state for every
+  trial and row (_keyed_streams): schemes 1 and 2 pass all such rows of a
+  run to one loop (_generator_rows) that fills their time-major arrays
+  (scheme 2 at n = 80: its dithers and its noise); scheme 3 fills each
+  tile's trial-major noise rows straight from one _keyed_streams iterator
+  over the run.
 A trial whose environment the pass cannot decide (a Lemire draw that numpy
 might have rejected, leftover below the alphabet size, or a normal off the
 ziggurat's fast path) draws its whole environment again from its re-keyed
@@ -30,6 +33,9 @@ run_trials, the one entry point to the closed loop, runs any set of trial
 indices in lockstep through the scheme's engine; schemes 1 and 2 store each
 per-iteration array time-major (generators fill it through _generator_rows'
 trial-major buffer), so every loop step reads and writes contiguous rows.
+Scheme 3 draws its environment for the whole run and then runs its closed
+loop _BLOCK trials at a time, in tile buffers that it reuses, so that each
+block step's arrays stay in cache; only the per-trial outputs span the run.
 monte_carlo derives once and folds chunks of at most 4096 trials into
 running totals, squaring errors into a trial-major buffer so that the sum
 adds trials in index order: its memory is one chunk's arrays (11.8 MB at
@@ -90,7 +96,11 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # takes twice as long at 78 (scheme 2's dithers at n = 80)
 _SHORT_ROW = 32
 _CHUNK = 4096  # the most trials that one engine run in monte_carlo takes
-_BLOCK = 256  # trials per buffer of generator draws into time-major rows
+# trials per buffer of generator draws into time-major rows (schemes 1 and
+# 2) and per tile of the scheme-3 closed loop, whose complex noise (256 KB
+# at n = 64: 4 blocks of 16 samples) and (256, K) step arrays stay in a
+# core's L2 cache
+_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -724,42 +734,52 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
     def run(indices):
         t = len(indices)
         w = environment(indices)[1]
-        noise = np.empty((t, blocks * block_len), dtype=complex)
-        # each row's normals fill its complex noise as (re, im) pairs
-        _generator_rows(master_seed, indices, [(TAG_NOISE, "standard_normal", noise.view(float))])
-        noise *= scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
-        w_re, w_im = w[:, 0::2], w[:, 1::2]
-        theta = mp.map_complex(w_re, w_im, sizes)
-
         eps = np.zeros((t, blocks, k), dtype=complex)
         energy = np.zeros(t)
-        theta_hat = np.zeros((t, k), dtype=complex)
-        freq = np.zeros((t, k), dtype=complex)  # dead subchannels stay 0
-        payload, tap = np.empty((t, k), dtype=complex), np.empty((t, k), dtype=complex)
-        cur = theta
-        for b in range(1, blocks + 1):
-            freq[:, live] = np.sqrt(6.0 * powers[live] if b == 1
-                                    else powers[live] / alphas[b - 2, live]) * cur[:, live]
-            sent = mp.add_cyclic_prefix(idft(freq), num_paths)
-            mag = np.abs(sent)
-            energy += np.sum(np.square(mag, out=mag), axis=1)
-            # the previous block's ISI lands only in the prefix, which the
-            # receiver drops, so each block's payload is convolved alone
-            payload[...] = 0.0
-            for l in range(num_paths):
-                payload += np.multiply(taps[l], sent[:, num_paths - 1 - l:block_len - l], out=tap)
-            payload += mp.extract_payload(noise[:, (b - 1) * block_len: b * block_len], num_paths)
-            obs = dft(payload)[:, live]
-            obs /= gains[live]
-            if b == 1:
-                theta_hat[:, live] = obs / np.sqrt(6.0 * powers[live])
-            else:
-                theta_hat[:, live] -= np.multiply(betas[b - 1, live], obs, out=obs)
-            cur = np.subtract(theta_hat, theta, out=eps[:, b - 1, :])
+        correct = np.empty(t, dtype=bool)
+        # the closed loop runs a tile of _BLOCK trials at a time in these buffers
+        tile = min(_BLOCK, t)
+        noise_tile = np.empty((tile, blocks * block_len), dtype=complex)
+        # theta_hat, freq, payload, tap; dead subchannels stay 0 in the first two
+        step_tile = np.zeros((4, tile, k), dtype=complex)
+        streams = _keyed_streams(master_seed, indices, TAG_NOISE)
+        for start in range(0, t, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, t))
+            noise = noise_tile[:rows.stop - start]
+            theta_hat, freq, payload, tap = step_tile[:, :len(noise)]
+            # each row's normals fill its complex noise as (re, im) pairs
+            for row, gen in zip(noise.view(float), streams):
+                gen.standard_normal(out=row)
+            noise *= scenario.noise_scale * math.sqrt(plan.sigma2 / 2.0)
+            w_re, w_im = w[rows, 0::2], w[rows, 1::2]
+            theta = mp.map_complex(w_re, w_im, sizes)
+            cur = theta
+            for b in range(1, blocks + 1):
+                freq[:, live] = np.sqrt(6.0 * powers[live] if b == 1
+                                        else powers[live] / alphas[b - 2, live]) * cur[:, live]
+                sent = mp.add_cyclic_prefix(idft(freq), num_paths)
+                mag = np.abs(sent)
+                energy[rows] += np.sum(np.square(mag, out=mag), axis=1)
+                # the previous block's ISI lands only in the prefix, which the
+                # receiver drops, so each block's payload is convolved alone
+                payload[...] = 0.0
+                for l in range(num_paths):
+                    payload += np.multiply(taps[l], sent[:, num_paths - 1 - l:block_len - l],
+                                           out=tap)
+                payload += mp.extract_payload(noise[:, (b - 1) * block_len: b * block_len],
+                                              num_paths)
+                obs = dft(payload)[:, live]
+                obs /= gains[live]
+                if b == 1:
+                    theta_hat[:, live] = obs / np.sqrt(6.0 * powers[live])
+                else:
+                    theta_hat[:, live] -= np.multiply(betas[b - 1, live], obs, out=obs)
+                cur = np.subtract(theta_hat, theta, out=eps[rows, b - 1, :])
 
-        got_re, got_im = mp.decode_complex(theta_hat[:, live], sizes[live])
+            got_re, got_im = mp.decode_complex(theta_hat[:, live], sizes[live])
+            correct[rows] = np.all((got_re == w_re[:, live]) & (got_im == w_im[:, live]), axis=1)
         return {
-            "correct": np.all((got_re == w_re[:, live]) & (got_im == w_im[:, live]), axis=1),
+            "correct": correct,
             "eps": eps,
             "alias": np.zeros((t, 0), dtype=bool),  # no modulo layer, nothing aliases
             "pow_fwd": energy / scenario.n,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from skfading import cli
 from skfading.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -107,6 +109,54 @@ def test_simulate_malformed_config(tmp_path):
     cfg = write_json(tmp_path / "c.json", missing)
     assert main(["simulate", "--config", cfg, "--trials", "10",
                  "--seed", "1"]) == EXIT_BAD_CONFIG
+
+
+def command_argv(tmp_path, command, out=None, inputs=None):
+    """argv of a small valid simulate or rate-sweep run; inputs replaces its
+    config or spec path, out adds --out."""
+    if command == "simulate":
+        argv = ["simulate", "--config", inputs or write_json(tmp_path / "c.json", SCHEME1_CONFIG),
+                "--trials", "10", "--seed", "1"]
+    else:
+        argv = ["rate-sweep", "--spec", inputs or write_json(tmp_path / "s.json", FIG2_SPEC)]
+    return argv + (["--out", str(out)] if out is not None else [])
+
+
+def forbid_work(monkeypatch):
+    """Make any trial or sweep cell fail the command with exit 1."""
+    def work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("monte_carlo", "_eval_curve", "_theorem3_plans"):
+        monkeypatch.setattr(cli, name, work)
+
+
+@pytest.mark.parametrize("command", ["simulate", "rate-sweep"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_or_spec_is_a_config_error(tmp_path, capsys, command, kind):
+    inputs = tmp_path / "inputs"
+    if kind == "directory":
+        inputs.mkdir()
+    else:
+        inputs.write_bytes(b'{"scheme": "\xff"}')
+    assert main(command_argv(tmp_path, command, inputs=str(inputs))) == EXIT_BAD_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "rate-sweep"])
+@pytest.mark.parametrize("out", ["missing/out", "."], ids=["missing_directory", "directory"])
+def test_bad_out_path_fails_before_any_work(tmp_path, monkeypatch, capsys, command, out):
+    forbid_work(monkeypatch)
+    assert main(command_argv(tmp_path, command, out=tmp_path / out)) == EXIT_BAD_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails writes")
+@pytest.mark.parametrize("command", ["simulate", "rate-sweep"])
+def test_out_write_failure_is_a_config_error(tmp_path, capsys, command):
+    assert main(command_argv(tmp_path, command, out="/dev/full")) == EXIT_BAD_CONFIG
+    assert "No space left" in capsys.readouterr().err
 
 
 def test_simulate_infeasible_config(tmp_path):

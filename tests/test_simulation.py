@@ -219,16 +219,17 @@ SC3_BLOCK = MultiPathScenario(h=(1.0, 0.5, 0.3), sigma2=1.0, P=10.0, n=64, eps=1
 def test_monte_carlo_working_set_is_one_chunk():
     # a run of three chunks or more holds no more than a run of one, up to
     # 16 bytes per trial of transmit powers. One chunk peaks at 11.8 MB for
-    # scheme 2 (n = 80), 20.1 MB coupled, 3.9 MB for scheme 1 (n = 25) and
-    # 17.9 MB for scheme 3; the bounds catch a whole-array copy, such as
-    # re-laying out a chunk's time-major rows (2.6 MB per (4096, 80) array),
-    # scheme 2's 19.7 MB when the engine kept arrays it never reads (err_var,
-    # combined gains, z history), or scheme 3's 21.4 MB when each block was
-    # convolved with the previous block's tail and its observations were
-    # scattered into a zero-filled (trials, K) array
+    # scheme 2 (n = 80), 20.1 MB coupled, 3.9 MB for scheme 1 (n = 25) and,
+    # for scheme 3, 5.8 MB at n = 64 and 37.4 MB at n = 400 (K = 38), where
+    # the (trials, blocks, K) errors and their squares take 37.3 MB. The
+    # bounds catch a whole-array copy, such as re-laying out a chunk's
+    # time-major rows (2.6 MB per (4096, 80) array), scheme 2's 19.7 MB when
+    # the engine kept arrays it never reads (err_var, combined gains, z
+    # history), or scheme 3's 17.9 MB (77.7 MB at n = 400) when its closed
+    # loop ran on whole-chunk arrays rather than 256-trial tiles
     for scenario, coupled, bound in [
         (SC2_LARGE, False, 12.5e6), (SC2_LARGE, True, 21e6), (SC1_MANY_SMALL, False, 4.5e6),
-        (SC3_BLOCK, False, 19.5e6),
+        (SC3_BLOCK, False, 8e6), (replace(SC3_BLOCK, n=400), False, 45e6),
     ]:
         monte_carlo(scenario, 1, master_seed=1, coupled=coupled)  # lazy set-up stays out
         peaks = []
@@ -242,6 +243,26 @@ def test_monte_carlo_working_set_is_one_chunk():
         one_chunk, three_chunks = peaks
         assert one_chunk < bound, (scenario.scheme_id, coupled, one_chunk)
         assert three_chunks <= one_chunk + 1e6, (scenario.scheme_id, coupled)
+
+
+# a plan with a dead subchannel (3 of 4 live), where the engine selects the
+# live ones by an index array; every subchannel of SC3_BLOCK is live, and
+# there it selects them by a slice
+SC3_DEAD = MultiPathScenario(h=(1.0, 0.95), sigma2=1.0, P=0.5, n=60, eps=1e-2, subchannels=4)
+
+
+@pytest.mark.parametrize("scenario, live", [(SC3_BLOCK, 14), (SC3_DEAD, 3)],
+                         ids=["all_live", "one_dead"])
+def test_scheme3_trials_do_not_depend_on_their_tile(scenario, live):
+    # the engine runs 256 trials at a time: runs that end inside, at and
+    # past a tile edge give each trial the bits it gets alone
+    assert np.count_nonzero(scenario.derive().powers) == live
+    alone = [run_trials(scenario, 5, [ix]) for ix in range(700)]
+    for trials in (1, 255, 256, 257, 700):
+        together = run_trials(scenario, 5, np.arange(trials))
+        for key, value in together.items():
+            assert value.tobytes() == b"".join(a[key].tobytes() for a in alone[:trials]), \
+                (trials, key)
 
 
 @pytest.mark.parametrize("module, name, scenario", [
