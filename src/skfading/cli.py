@@ -7,6 +7,7 @@ parameters, 4 check-mode failure (observed error rate too high).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -427,7 +428,9 @@ def cmd_selfcheck() -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built on first use, then reused by every main() call."""
     parser = argparse.ArgumentParser(
         prog="skfading",
         description="Feedback coding schemes for fading channels: closed-form "

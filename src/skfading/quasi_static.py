@@ -271,20 +271,28 @@ def mmse_coefficients1(params: QuasiStaticParams, h):
     batch of channels can be prepared at once. Returns (beta, err_var) with
     beta[..., i] applied at time i+2 and err_var[..., j] the variance at
     time j+1, as views of time-major arrays: beta[..., i] is contiguous.
+    One pass: each step writes into those rows and forms scale * scale * var
+    once, in the textbook recursion's float operations and order (same bits).
     """
     if params.no_positive_rate:
         raise InfeasibleError("parameters flag no positive rate; nothing to iterate")
     h = np.asarray(h, dtype=float)
-    alpha = params.power_gain
-    sigma2 = params.sigma2
-    n = params.n
-    var = np.broadcast_to(sigma2 / (12.0 * params.P * h * h), h.shape).copy()
-    beta = np.empty((n - 1,) + h.shape)
-    err_var = np.empty((n,) + h.shape)
-    err_var[0] = var
+    n, sigma2 = params.n, params.sigma2
+    beta, err_var = np.empty((n - 1,) + h.shape), np.empty((n,) + h.shape)
+    err_var[0, ...] = sigma2 / (12.0 * params.P * h * h)
+    h_alpha = h * params.power_gain
+    prod = np.empty(h.shape)
     for i in range(n - 1):
-        scale = h * alpha * params.feedback_gains[i]
-        beta[i] = scale * var / (scale * scale * var + sigma2)
-        var = var / (1.0 + scale * scale * var / sigma2)
-        err_var[i + 1] = var
+        # [i, ...] keeps a 0-d row a view that out= can write through; beta's
+        # row holds scale, and the next variance's row 1 + prod / sigma2
+        var, b, nxt = err_var[i, ...], beta[i, ...], err_var[i + 1, ...]
+        np.multiply(h_alpha, params.feedback_gains[i], out=b)
+        np.multiply(b, b, out=prod)
+        prod *= var  # scale * scale * var, shared by both updates
+        b *= var
+        np.divide(prod, sigma2, out=nxt)
+        prod += sigma2
+        b /= prod
+        nxt += 1.0
+        np.divide(var, nxt, out=nxt)
     return np.moveaxis(beta, 0, -1), np.moveaxis(err_var, 0, -1)

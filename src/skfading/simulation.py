@@ -53,6 +53,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -231,9 +232,13 @@ def _stream_keys(master_seed: int, indices, tag: int):
 
     philox_key checks the fields once per batch, at the smallest and the
     largest index, so an index outside [0, 2**56) raises ValueError rather
-    than wrapping onto another trial's key.
+    than wrapping onto another trial's key; one that is not an integer (a
+    float, bool or complex) raises TypeError rather than being truncated.
     """
     ix = np.asarray(indices)
+    if ix.size and ix.dtype.kind not in "iu" and (ix.dtype.kind != "O" or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in ix.flat)):
+        raise TypeError(f"trial indices must be integers, got {ix.dtype} {ix.ravel()[:3]}")
     lo, hi = (int(ix.min()), int(ix.max())) if ix.size else (0, 0)
     philox_key(master_seed, lo, tag)
     philox_key(master_seed, hi, tag)
@@ -892,7 +897,7 @@ def monte_carlo(
     The scenario is derived once; the trials are then cut into W *
     ceil(trials / (W * _CHUNK)) contiguous chunks, equal to within one
     trial, for W processes: the CPUs in the affinity mask, at most one per
-    started _CHUNK (a fork and wait cost about 5 ms), 1 while another
+    started _CHUNK (a fork and wait cost about 2 ms), 1 while another
     thread runs. Chunk c runs in process c mod W, process 0 the caller and
     the others forked from it. Workers send back what the fold reads, and
     the caller folds every chunk in chunk order, so the report is the same

@@ -348,6 +348,8 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
     time-major arrays: beta[..., i] (contiguous) applies at time i+1 (valid
     2..n-1), err_var[..., i] is the true coupled error variance at time i
     (2..n), combined_gain[..., i] the two-path gain on the error at time i+1.
+    One pass: each step writes into those rows and forms alpha**2 * xi * xi *
+    var once, in the textbook recursion's float operations and order (same bits).
     """
     if params.no_positive_rate:
         raise InfeasibleError("parameters flag no positive rate; nothing to iterate")
@@ -359,21 +361,28 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
     alpha = params.power_gain
     sigma2 = params.sigma2
     beta, err_var, combined = (np.zeros((n + 1,) + shape) for _ in range(3))
-    var = np.broadcast_to(
-        sigma2 / (12.0 * params.P * (h1 * h1 + h2 * h2)), shape
-    ).copy()
-    err_var[2] = var
+    err_var[2, ...] = sigma2 / (12.0 * params.P * (h1 * h1 + h2 * h2))
+    # phase_factor(sign, k) * h is sign * h for odd k and h itself for even k
+    signed_h1, signed_h2 = sign * h1, sign * h2
+    prod = np.empty(shape)
     for i in range(2, n):
-        if i == 2:
-            xi = phase_factor(sign, 1) * h1 * params.feedback_gains[2]
-        else:
-            xi = (
-                phase_factor(sign, i - 1) * h1 * params.feedback_gains[i]
-                + phase_factor(sign, i - 2) * h2 * params.feedback_gains[i - 1]
-            )
+        # [i, ...] keeps a 0-d row a view that out= can write through; the
+        # next variance's row holds the terms that form it until it is written
+        xi, b = combined[i, ...], beta[i, ...]
+        var, nxt = err_var[i, ...], err_var[i + 1, ...]
+        np.multiply(signed_h1 if i % 2 == 0 else h1, params.feedback_gains[i], out=xi)
+        if i > 2:
+            np.multiply(signed_h2 if i % 2 else h2, params.feedback_gains[i - 1], out=nxt)
+            xi += nxt
         noise = sigma2 + (params.art_noise_var if i == 3 else 0.0)
-        combined[i] = xi
-        beta[i] = alpha * xi * var / (alpha * alpha * xi * xi * var + noise)
-        var = var / (1.0 + alpha * alpha * xi * xi * var / noise)
-        err_var[i + 1] = var
+        np.multiply(xi, alpha * alpha, out=prod)
+        prod *= xi
+        prod *= var  # alpha * alpha * xi * xi * var, shared by both updates
+        np.multiply(xi, alpha, out=b)
+        b *= var
+        np.divide(prod, noise, out=nxt)
+        prod += noise
+        b /= prod
+        nxt += 1.0
+        np.divide(var, nxt, out=nxt)
     return tuple(np.moveaxis(a, 0, -1) for a in (beta, err_var, combined))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 
@@ -848,3 +849,56 @@ def test_selfcheck_detects_a_ziggurat_table_off_by_one_ulp(monkeypatch):
     by_name = {r.name: r for r in run_selfcheck()}
     assert not by_name["keyed-stream contract"].passed
     assert all(r.passed for name, r in by_name.items() if name != "keyed-stream contract")
+
+
+# ---------------------------------------------------------------------------
+# entry point
+# ---------------------------------------------------------------------------
+
+def test_parser_is_not_built_at_import():
+    code = ("import skfading.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main() builds its parser once per process; each call of this sequence
+    # must give what a freshly built parser gives
+    cfg = write_json(tmp_path / "c.json", SCHEME1_CONFIG)
+    spec = write_json(tmp_path / "s.json", FIG2_SPEC)
+    out = tmp_path / "r.json"
+    calls = [
+        ["simulate", "--config", cfg, "--trials", "x", "--seed", "1"],
+        ["simulate", "--config", cfg, "--trials", "50", "--seed", "1", "--out", str(out)],
+        ["simulate", "--config", cfg, "--trials", "50", "--seed", "1"],
+        ["rate-sweep", "--spec", spec],
+    ]
+
+    def run_calls():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((code, captured.out, captured.err, written))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = run_calls()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_calls()
+    assert reused == fresh
+    rejected, to_file, to_stdout, sweep = reused
+    assert rejected[0] == ("SystemExit", 2) and rejected[1] == ""
+    assert "usage:" in rejected[2] and "--trials" in rejected[2]
+    assert to_file[:2] == (EXIT_OK, "") and json.loads(to_file[3])["trials"] == 50
+    # no --out: the report goes to stdout, not to the previous call's path
+    assert to_stdout == (EXIT_OK, to_file[3].decode(), "", None)
+    assert sweep[0] == EXIT_OK and sweep[1].startswith("x,theorem1,")

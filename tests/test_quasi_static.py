@@ -347,6 +347,55 @@ def test_mmse_coefficients_broadcast():
     assert err[1].tolist() == e1.tolist()
 
 
+def mmse_coefficients1_reference(params, h):
+    """The textbook recursion mmse_coefficients1 runs in one pass: a fresh
+    array per operation, in the same operations and order."""
+    h = np.asarray(h, dtype=float)
+    alpha = params.power_gain
+    sigma2 = params.sigma2
+    n = params.n
+    var = np.broadcast_to(sigma2 / (12.0 * params.P * h * h), h.shape).copy()
+    beta = np.empty((n - 1,) + h.shape)
+    err_var = np.empty((n,) + h.shape)
+    err_var[0] = var
+    for i in range(n - 1):
+        scale = h * alpha * params.feedback_gains[i]
+        beta[i] = scale * var / (scale * scale * var + sigma2)
+        var = var / (1.0 + scale * scale * var / sigma2)
+        err_var[i + 1] = var
+    return np.moveaxis(beta, 0, -1), np.moveaxis(err_var, 0, -1)
+
+
+def same_bits(got, ref):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    return got.shape == ref.shape and np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 80])
+@pytest.mark.parametrize("h", [
+    0.9, -0.7, np.float64(1.2), np.array(0.9), np.array([0.7, -0.9, 1.1, 1e-3]),
+    np.array([[0.5], [0.8]]),
+], ids=["float", "negative", "float64", "0-d", "1-d", "2-d"])
+def test_mmse_coefficients1_matches_textbook_recursion(n, h):
+    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), n, 1e-2)
+    got = mmse_coefficients1(params, h)
+    ref = mmse_coefficients1_reference(params, h)
+    assert len(got) == len(ref) == 2
+    for a, b in zip(got, ref):
+        assert same_bits(a, b)
+
+
+def test_mmse_coefficients1_zero_gain_matches_textbook_recursion():
+    # h = 0 makes the initial variance infinite; both forms reach the same
+    # non-finite values through the same operations
+    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), 12, 1e-2)
+    with np.errstate(all="ignore"):
+        got = mmse_coefficients1(params, np.array([0.0, 0.9]))
+        ref = mmse_coefficients1_reference(params, np.array([0.0, 0.9]))
+    for a, b in zip(got, ref):
+        assert same_bits(a, b)
+
+
 # ---------------------------------------------------------------------------
 # classical iteration (the test-local oracle in classical_sk.py)
 # ---------------------------------------------------------------------------

@@ -242,6 +242,37 @@ def test_run_trials_rejects_out_of_range_index(scenario, indices):
         run_trials(scenario, 2024, indices)
 
 
+@pytest.mark.parametrize("scenario", [
+    COUPLED_CASES["scheme1"], COUPLED_CASES["scheme2"], MULTI_CHUNK_SCHEME3,
+], ids=["scheme1", "scheme2", "scheme3"])
+@pytest.mark.parametrize("indices", [
+    [1.5], np.array([1.9]), [True], [-0.5], [2.7], [0, 1.0], [1j],
+    np.array([1, 2.5], dtype=object), np.array([True], dtype=object),
+], ids=["1.5", "array_1.9", "True", "-0.5", "2.7", "int_and_float", "complex",
+        "object_float", "object_bool"])
+def test_run_trials_rejects_non_integer_index(scenario, indices):
+    # a cast to uint64 would truncate 1.5 and True onto trial 1's key and
+    # -0.5 onto trial 0's, running another trial's draws without an error
+    with pytest.raises(TypeError):
+        run_trials(scenario, 2024, indices)
+
+
+@pytest.mark.parametrize("scenario", [
+    COUPLED_CASES["scheme1"], COUPLED_CASES["scheme2"], MULTI_CHUNK_SCHEME3,
+], ids=["scheme1", "scheme2", "scheme3"])
+def test_run_trials_integer_dtypes_draw_the_same_trials(scenario):
+    indices = [0, 7, 2**31 - 1, 5]
+    ref = run_trials(scenario, 2024, np.array(indices, dtype=np.int64))
+    for index_set in (np.array(indices, dtype=np.int32), np.array(indices, dtype=np.uint64),
+                      np.array(indices, dtype=object), indices):
+        got = run_trials(scenario, 2024, index_set)
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+    empty = run_trials(scenario, 2024, [])
+    assert len(empty["correct"]) == 0
+
+
 def raw_rows(seed, indices, tag, words):
     return np.array([Philox(key=philox_key(seed, int(ix), tag)).random_raw(words)
                      for ix in indices], dtype=np.uint64).reshape(len(indices), words)

@@ -13,6 +13,7 @@ from skfading.two_path import (
     derive_params2,
     init_estimate,
     mmse_coefficients2,
+    phase_factor,
     pilot_sign,
     rate_tp_benchmark,
     rx_aux2,
@@ -387,6 +388,60 @@ def test_mmse_coefficients2_broadcast():
         for got, ref in zip(arrays, scalar):
             assert ref.shape == (params.n + 1,)
             assert got[i, j].tolist() == ref.tolist()
+
+
+def mmse_coefficients2_reference(params, h1, h2, sign):
+    """The textbook recursion mmse_coefficients2 runs in one pass: a fresh
+    array per operation, in the same operations and order."""
+    h1 = np.asarray(h1, dtype=float)
+    h2 = np.asarray(h2, dtype=float)
+    sign = np.asarray(sign, dtype=float)
+    shape = np.broadcast_shapes(h1.shape, h2.shape, sign.shape)
+    n = params.n
+    alpha = params.power_gain
+    sigma2 = params.sigma2
+    beta, err_var, combined = (np.zeros((n + 1,) + shape) for _ in range(3))
+    var = np.broadcast_to(
+        sigma2 / (12.0 * params.P * (h1 * h1 + h2 * h2)), shape
+    ).copy()
+    err_var[2] = var
+    for i in range(2, n):
+        if i == 2:
+            xi = phase_factor(sign, 1) * h1 * params.feedback_gains[2]
+        else:
+            xi = (
+                phase_factor(sign, i - 1) * h1 * params.feedback_gains[i]
+                + phase_factor(sign, i - 2) * h2 * params.feedback_gains[i - 1]
+            )
+        noise = sigma2 + (params.art_noise_var if i == 3 else 0.0)
+        combined[i] = xi
+        beta[i] = alpha * xi * var / (alpha * alpha * xi * xi * var + noise)
+        var = var / (1.0 + alpha * alpha * xi * xi * var / noise)
+        err_var[i + 1] = var
+    return tuple(np.moveaxis(a, 0, -1) for a in (beta, err_var, combined))
+
+
+@pytest.mark.parametrize("n", [4, 5, 80])
+@pytest.mark.parametrize("h1,h2,sign", [
+    (0.9, 0.5, 1.0),
+    (0.9, -0.5, -1.0),
+    (np.array(0.9), np.array(-0.5), np.array(-1.0)),
+    (np.array([0.85, 0.9, -0.95]), np.array([0.45, -0.5, 0.55]), np.array([1.0, -1.0, -1.0])),
+    # an h1 array, a scalar h2 and a sign array broadcast to (2, 3)
+    (np.array([0.8, 0.9, 1.0]), 0.5, np.array([[1.0], [-1.0]])),
+    (0.0, 0.5, 1.0),
+    (np.array([0.9, 0.9]), 0.0, np.array([1.0, -1.0])),
+], ids=["positive", "negative", "0-d", "1-d", "broadcast", "zero_h1", "zero_h2"])
+def test_mmse_coefficients2_matches_textbook_recursion(n, h1, h2, sign):
+    params = _params(n=n)
+    assert params.art_noise_var > 0.0  # the time-3 step adds it
+    got = mmse_coefficients2(params, h1, h2, sign)
+    ref = mmse_coefficients2_reference(params, h1, h2, sign)
+    assert len(got) == len(ref) == 3
+    for a, b in zip(got, ref):
+        # equal shapes and equal float64 bit patterns (-0.0 differs from 0.0)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_rx_feedback2_in_lattice_range():
