@@ -38,6 +38,7 @@ __all__ = [
     "tx_step1",
     "rx_update1",
     "rx_feedback1",
+    "mmse_steps1",
     "mmse_coefficients1",
 ]
 
@@ -263,30 +264,25 @@ def rx_feedback1(theta_hat, gain_i, dither_i, params: QuasiStaticParams):
     return modulo_reduce(gain_i * theta_hat + dither_i, params.lattice_spacing)
 
 
-def mmse_coefficients1(params: QuasiStaticParams, h):
-    """Receiver MMSE gains and the matching error-variance trajectory.
-
-    Uses the true h, which the receiver knows; the transmit-side gains in
-    ``params`` stay conservative. Broadcasts over an array of h values so a
-    batch of channels can be prepared at once. Returns (beta, err_var) with
-    beta[..., i] applied at time i+2 and err_var[..., j] the variance at
-    time j+1, as views of time-major arrays: beta[..., i] is contiguous.
-    One pass: each step writes into those rows and forms scale * scale * var
-    once, in the textbook recursion's float operations and order (same bits).
-    """
+def mmse_steps1(params: QuasiStaticParams, h):
+    """The receiver's MMSE recursion, one step at a time, driven by the true
+    h (the transmit-side gains in ``params`` stay conservative); broadcasts
+    over an array of h. Yields the error variance at time 1, then per step
+    i = 0..n-2 (beta, var): the gain applied at time i+2 and the variance at
+    time i+2, fresh arrays that later steps leave alone. Each step forms
+    scale * scale * var once, in the textbook recursion's float operations
+    and order (same bits)."""
     if params.no_positive_rate:
         raise InfeasibleError("parameters flag no positive rate; nothing to iterate")
     h = np.asarray(h, dtype=float)
-    n, sigma2 = params.n, params.sigma2
-    beta, err_var = np.empty((n - 1,) + h.shape), np.empty((n,) + h.shape)
-    err_var[0, ...] = sigma2 / (12.0 * params.P * h * h)
+    sigma2 = params.sigma2
+    var = sigma2 / (12.0 * params.P * h * h)
+    yield var
     h_alpha = h * params.power_gain
     prod = np.empty(h.shape)
-    for i in range(n - 1):
-        # [i, ...] keeps a 0-d row a view that out= can write through; beta's
-        # row holds scale, and the next variance's row 1 + prod / sigma2
-        var, b, nxt = err_var[i, ...], beta[i, ...], err_var[i + 1, ...]
-        np.multiply(h_alpha, params.feedback_gains[i], out=b)
+    for gain in params.feedback_gains:
+        # beta's array holds scale, and the next variance's 1 + prod / sigma2
+        b, nxt = np.multiply(h_alpha, gain, out=np.empty(h.shape)), np.empty(h.shape)
         np.multiply(b, b, out=prod)
         prod *= var  # scale * scale * var, shared by both updates
         b *= var
@@ -294,5 +290,17 @@ def mmse_coefficients1(params: QuasiStaticParams, h):
         prod += sigma2
         b /= prod
         nxt += 1.0
-        np.divide(var, nxt, out=nxt)
+        var = np.divide(var, nxt, out=nxt)
+        yield b, var
+
+
+def mmse_coefficients1(params: QuasiStaticParams, h):
+    """The rows of mmse_steps1 stored as (beta, err_var), with beta[..., i]
+    applied at time i+2 and err_var[..., j] the variance at time j+1, as
+    views of time-major arrays: beta[..., i] is contiguous."""
+    steps, shape = mmse_steps1(params, h), np.shape(h)
+    beta, err_var = np.empty((params.n - 1,) + shape), np.empty((params.n,) + shape)
+    err_var[0, ...] = next(steps)
+    for i, (b, var) in enumerate(steps):
+        beta[i, ...], err_var[i + 1, ...] = b, var
     return np.moveaxis(beta, 0, -1), np.moveaxis(err_var, 0, -1)

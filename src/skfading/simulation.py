@@ -38,13 +38,14 @@ loop _BLOCK trials at a time, in tile buffers that it reuses, so that each
 block step's arrays stay in cache; only the per-trial outputs span the run.
 monte_carlo derives once and folds chunks of at most 4096 trials into
 running totals, squaring errors into a trial-major buffer so that the sum
-adds trials in index order: its memory is one chunk's arrays (11.8 MB at
-n = 80) plus the two power vectors, 16 bytes per trial. W processes, the
-CPUs in the affinity mask up to one per started 4096 trials, run as many
-chunks each, equal to within one trial: workers forked after the derive run
-every W-th chunk and pipe back what the fold reads, and the caller folds
-all chunks in chunk order, so the report is the same bytes for any CPU
-count. Each worker holds one chunk's working set of its own.
+adds trials in index order: its memory is one chunk's arrays (9.3 MB at
+n = 80, with no stored MMSE gains) plus the two power vectors, 16 bytes
+per trial. W processes, the CPUs in the affinity mask up to one per
+started 4096 trials, run as many chunks each, equal to within one trial:
+workers forked after the derive run every W-th chunk and pipe back what
+the fold reads, and the caller folds all chunks in chunk order, so the
+report is the same bytes for any CPU count. Each worker holds one chunk's
+working set of its own.
 """
 
 from __future__ import annotations
@@ -578,7 +579,6 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
         dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 1)
         h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u)
         theta = qs.map_message(w, count)
-        beta = qs.mmse_coefficients1(params, h)[0]  # the err_var trajectory goes unread
         x1 = root12p * theta
 
         def closed_loop(p, link, partner):
@@ -594,13 +594,16 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
             eps[:, 0] = theta_hat - theta
             pow_fwd = x1 * x1
             pow_fb = np.zeros(t)
-            for i in range(n - 1):  # feedback at time i+1, forward step at time i+2
+            # each system steps its own MMSE recursion, one gain row at a time
+            steps = qs.mmse_steps1(p, h)
+            next(steps)  # the time-1 variance goes unread
+            for i, (beta, _) in enumerate(steps):  # feedback at time i+1, forward step at time i+2
                 x_t = qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], p)
                 y_t, z = link(x_t, i)
                 alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
                 x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], p)
                 y = h * x + noise[:, i + 1]
-                theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta[:, i], p)
+                theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta, p)
                 if partner:
                     expected = h * alpha * gam[i] * eps[:, i] + noise[:, i + 1]
                     residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
@@ -643,12 +646,6 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
         sign = tp.pilot_sign(h1, h2, params.sigma_z)
         pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
-        # the err_var trajectory goes unread, and only the partner reads
-        # combined; drawn before the dither and noise rows, so that both are
-        # freed (combined outside coupled mode) before those rows exist
-        beta, combined = tp.mmse_coefficients2(params, h1, h2, sign)[0::2]
-        if not coupled:
-            combined = None
         # col k-3 holds the dither of the feedback at time k-1
         dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 2)
         art *= math.sqrt(params.art_noise_var)
@@ -669,8 +666,12 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
             eps[:, 1] = eps[:, 0]
             pow_fwd = x1 * x1
             pow_fb = np.full(t, (2.0 * params.sigma_z) ** 2)  # pilot symbol
-            x_prev = ydot_prev = z_prev = 0.0  # nothing sent or received before time 3
-            for k in range(3, n + 1):  # feedback at time k-1, forward step at time k
+            # each system steps its own MMSE recursion, keeping the previous gain
+            # for rx_aux2; step k: feedback at time k-1, forward step at time k
+            steps = tp.mmse_steps2(p, h1, h2, sign)
+            next(steps)  # the time-2 variance goes unread
+            x_prev = ydot_prev = z_prev = beta_prev = 0.0  # nothing sent or received before time 3
+            for k, (beta, _, combined) in enumerate(steps, start=3):
                 u_now = art if k == 4 else 0.0
                 u_prev = art if k == 5 else 0.0
                 x_t = qs.rx_feedback1(theta_hat, gam[k - 1], dithers[:, k - 3], p)
@@ -681,21 +682,18 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
                                 art_noise=u_now)
                 y = h1 * x + h2 * x_prev + noise[:, k - 1]
                 y_dot = tp.rx_aux2(
-                    y, z, z_prev, ydot_prev, gam[k - 2], beta[:, k - 2], h1, h2, sign,
+                    y, z, z_prev, ydot_prev, gam[k - 2], beta_prev, h1, h2, sign,
                     k, p, art_noise=u_now, art_noise_prev=u_prev,
                 )
                 if partner:
-                    expected = alpha * combined[:, k - 1] * eps[:, k - 2] \
-                        + noise[:, k - 1] + u_now
+                    expected = alpha * combined * eps[:, k - 2] + noise[:, k - 1] + u_now
                     residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
                 else:  # the partner reports the original's powers
                     pow_fb += x_t * x_t
                     pow_fwd += x * x
-                theta_hat = theta_hat - beta[:, k - 1] * y_dot
+                theta_hat = theta_hat - beta * y_dot
                 eps[:, k - 1] = theta_hat - theta
-                x_prev = x
-                ydot_prev = y_dot
-                z_prev = z
+                x_prev, ydot_prev, z_prev, beta_prev = x, y_dot, z, beta
             return {
                 "correct": (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok,
                 "eps": eps,
@@ -817,8 +815,13 @@ def run_trials(scenario: Scenario, master_seed: int, indices, coupled: bool = Fa
     coupled=True (schemes 1 and 2) the loop is the modulo-free partner on
     the original's noise: the same step functions on an infinitely coarse
     lattice. "residual" then holds its largest noise-cancellation error over
-    the batch (0.0 for an empty one).
+    the batch (0.0 for an empty one). A bare index raises TypeError, a
+    nested set of indices ValueError.
     """
+    shape = np.shape(indices)
+    if len(shape) != 1:
+        raise (TypeError if not shape else ValueError)(
+            f"trial indices must be a 1-D sequence, got one of shape {shape}")
     return _engine(scenario, master_seed, coupled)(indices)
 
 

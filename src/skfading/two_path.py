@@ -40,6 +40,7 @@ __all__ = [
     "tx_step2",
     "rx_aux2",
     "rx_feedback2",
+    "mmse_steps2",
     "mmse_coefficients2",
     "phase_factor",
 ]
@@ -340,39 +341,30 @@ def rx_aux2(
     return y - direct - phase_factor(sign, k - 3) * h2 * alpha * relay_echo + art_noise
 
 
-def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
-    """Receiver MMSE gains driven by the true path gains.
-
-    Broadcasts over arrays of (h1, h2, sign). Returns (beta, err_var,
-    combined_gain), time-indexed on the last axis (length n+1) as views of
-    time-major arrays: beta[..., i] (contiguous) applies at time i+1 (valid
-    2..n-1), err_var[..., i] is the true coupled error variance at time i
-    (2..n), combined_gain[..., i] the two-path gain on the error at time i+1.
-    One pass: each step writes into those rows and forms alpha**2 * xi * xi *
-    var once, in the textbook recursion's float operations and order (same bits).
-    """
+def mmse_steps2(params: TwoPathParams, h1, h2, sign):
+    """The receiver's MMSE recursion, one step at a time, driven by the true
+    path gains; broadcasts over arrays of (h1, h2, sign). Yields the error
+    variance at time 2, then per step i = 2..n-1 (beta, var, combined_gain):
+    the gain applied at time i+1, the true coupled error variance at time
+    i+1 and the two-path gain on the error at time i+1, fresh arrays that
+    later steps leave alone. Each step forms alpha**2 * xi * xi * var once,
+    in the textbook recursion's float operations and order (same bits)."""
     if params.no_positive_rate:
         raise InfeasibleError("parameters flag no positive rate; nothing to iterate")
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    sign = np.asarray(sign, dtype=float)
-    shape = np.broadcast_shapes(h1.shape, h2.shape, sign.shape)
-    n = params.n
-    alpha = params.power_gain
-    sigma2 = params.sigma2
-    beta, err_var, combined = (np.zeros((n + 1,) + shape) for _ in range(3))
-    err_var[2, ...] = sigma2 / (12.0 * params.P * (h1 * h1 + h2 * h2))
+    h1, h2, sign = (np.asarray(a, dtype=float) for a in (h1, h2, sign))
+    shape = np.broadcast(h1, h2, sign).shape
+    alpha, sigma2, gam = params.power_gain, params.sigma2, params.feedback_gains
+    var = sigma2 / (12.0 * params.P * (h1 * h1 + h2 * h2))
+    yield var
     # phase_factor(sign, k) * h is sign * h for odd k and h itself for even k
     signed_h1, signed_h2 = sign * h1, sign * h2
     prod = np.empty(shape)
-    for i in range(2, n):
-        # [i, ...] keeps a 0-d row a view that out= can write through; the
-        # next variance's row holds the terms that form it until it is written
-        xi, b = combined[i, ...], beta[i, ...]
-        var, nxt = err_var[i, ...], err_var[i + 1, ...]
-        np.multiply(signed_h1 if i % 2 == 0 else h1, params.feedback_gains[i], out=xi)
+    for i in range(2, params.n):
+        # the next variance's array holds the terms that form it until it is written
+        xi, b, nxt = np.empty(shape), np.empty(shape), np.empty(shape)
+        np.multiply(signed_h1 if i % 2 == 0 else h1, gam[i], out=xi)
         if i > 2:
-            np.multiply(signed_h2 if i % 2 else h2, params.feedback_gains[i - 1], out=nxt)
+            np.multiply(signed_h2 if i % 2 else h2, gam[i - 1], out=nxt)
             xi += nxt
         noise = sigma2 + (params.art_noise_var if i == 3 else 0.0)
         np.multiply(xi, alpha * alpha, out=prod)
@@ -384,5 +376,19 @@ def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
         prod += noise
         b /= prod
         nxt += 1.0
-        np.divide(var, nxt, out=nxt)
+        var = np.divide(var, nxt, out=nxt)
+        yield b, var, xi
+
+
+def mmse_coefficients2(params: TwoPathParams, h1, h2, sign):
+    """The rows of mmse_steps2 stored as (beta, err_var, combined_gain),
+    time-indexed on the last axis (length n+1) as views of time-major
+    arrays: beta[..., i] (contiguous) applies at time i+1 (valid 2..n-1),
+    err_var[..., i] is the true coupled error variance at time i (2..n),
+    combined_gain[..., i] the two-path gain on the error at time i+1."""
+    steps, shape = mmse_steps2(params, h1, h2, sign), np.broadcast(h1, h2, sign).shape
+    beta, err_var, combined = (np.zeros((params.n + 1,) + shape) for _ in range(3))
+    err_var[2, ...] = next(steps)
+    for i, (b, var, xi) in enumerate(steps, start=2):
+        beta[i, ...], err_var[i + 1, ...], combined[i, ...] = b, var, xi
     return tuple(np.moveaxis(a, 0, -1) for a in (beta, err_var, combined))

@@ -14,6 +14,7 @@ from skfading.quasi_static import (
     map_message,
     message_size,
     mmse_coefficients1,
+    mmse_steps1,
     quantize_feedback,
     rate_fd_baseline,
     rx_feedback1,
@@ -394,6 +395,38 @@ def test_mmse_coefficients1_zero_gain_matches_textbook_recursion():
         ref = mmse_coefficients1_reference(params, np.array([0.0, 0.9]))
     for a, b in zip(got, ref):
         assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 80])
+@pytest.mark.parametrize("h", [
+    0.9, np.array(0.9), np.array([0.7, -0.9, 1.1, 1e-3]), np.array([[0.5], [0.8]]),
+    np.array([0.0, 0.9]),
+], ids=["float", "0-d", "1-d", "2-d", "zero_gain"])
+def test_mmse_steps1_rows_match_the_stored_and_textbook_recursions(n, h):
+    # the engine advances this recursion inside its closed loop: each row it
+    # yields keeps its bits through later steps and equals the matching row
+    # of mmse_coefficients1 and of the textbook recursion
+    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), n, 1e-2)
+    with np.errstate(all="ignore"):  # h = 0 starts from an infinite variance
+        steps = mmse_steps1(params, h)
+        first = np.asarray(next(steps))
+        rows = list(steps)
+        stored = mmse_coefficients1(params, h)
+        ref = mmse_coefficients1_reference(params, h)
+    assert len(rows) == n - 1
+    for beta, err_var in (stored, ref):
+        assert same_bits(first, err_var[..., 0])
+        for i, (b, var) in enumerate(rows):
+            assert same_bits(b, beta[..., i]) and same_bits(var, err_var[..., i + 1]), i
+
+
+def test_mmse_recursion1_needs_a_positive_rate():
+    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.05, 0.1), 12, 1e-2)
+    assert params.no_positive_rate
+    with pytest.raises(InfeasibleError):
+        next(mmse_steps1(params, 0.9))
+    with pytest.raises(InfeasibleError):
+        mmse_coefficients1(params, 0.9)
 
 
 # ---------------------------------------------------------------------------

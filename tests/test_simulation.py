@@ -218,17 +218,18 @@ SC3_BLOCK = MultiPathScenario(h=(1.0, 0.5, 0.3), sigma2=1.0, P=10.0, n=64, eps=1
 
 def test_monte_carlo_working_set_is_one_chunk():
     # a run of three chunks or more holds no more than a run of one, up to
-    # 16 bytes per trial of transmit powers. One chunk peaks at 11.8 MB for
-    # scheme 2 (n = 80), 20.1 MB coupled, 3.9 MB for scheme 1 (n = 25) and,
+    # 16 bytes per trial of transmit powers. One chunk peaks at 9.3 MB for
+    # scheme 2 (n = 80), 14.9 MB coupled, 3.9 MB for scheme 1 (n = 25) and,
     # for scheme 3, 5.8 MB at n = 64 and 37.4 MB at n = 400 (K = 38), where
     # the (trials, blocks, K) errors and their squares take 37.3 MB. The
     # bounds catch a whole-array copy, such as re-laying out a chunk's
-    # time-major rows (2.6 MB per (4096, 80) array), scheme 2's 19.7 MB when
-    # the engine kept arrays it never reads (err_var, combined gains, z
-    # history), or scheme 3's 17.9 MB (77.7 MB at n = 400) when its closed
-    # loop ran on whole-chunk arrays rather than 256-trial tiles
+    # time-major rows (2.6 MB per (4096, 80) array), scheme 2's 11.7 MB
+    # (20.0 MB coupled) when the engine stored the chunk's MMSE gains as
+    # (n, trials) arrays before its closed loop ran, or scheme 3's 17.9 MB
+    # (77.7 MB at n = 400) when its closed loop ran on whole-chunk arrays
+    # rather than 256-trial tiles
     for scenario, coupled, bound in [
-        (SC2_LARGE, False, 12.5e6), (SC2_LARGE, True, 21e6), (SC1_MANY_SMALL, False, 4.5e6),
+        (SC2_LARGE, False, 10.5e6), (SC2_LARGE, True, 16.5e6), (SC1_MANY_SMALL, False, 4.5e6),
         (SC3_BLOCK, False, 8e6), (replace(SC3_BLOCK, n=400), False, 45e6),
     ]:
         monte_carlo(scenario, 1, master_seed=1, coupled=coupled)  # lazy set-up stays out
@@ -243,6 +244,26 @@ def test_monte_carlo_working_set_is_one_chunk():
         one_chunk, three_chunks = peaks
         assert one_chunk < bound, (scenario.scheme_id, coupled, one_chunk)
         assert three_chunks <= one_chunk + 1e6, (scenario.scheme_id, coupled)
+
+
+@pytest.mark.parametrize("scenario, module, name", [
+    (SC1, quasi_static, "mmse_steps1"), (SC2, two_path, "mmse_steps2"),
+], ids=["scheme1", "scheme2"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["original", "coupled"])
+def test_closed_loops_step_their_own_mmse_recursion(monkeypatch, scenario, module, name,
+                                                     coupled):
+    # each closed loop (two in coupled mode) advances its own stepwise
+    # recursion and never builds the whole gain arrays of mmse_coefficients1/2
+    def whole(*args):
+        raise AssertionError("the engine built a whole gain trajectory")
+
+    monkeypatch.setattr(quasi_static, "mmse_coefficients1", whole)
+    monkeypatch.setattr(two_path, "mmse_coefficients2", whole)
+    calls, steps = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or steps(*args))
+    out = run_trials(scenario, 7, np.arange(20), coupled=coupled)
+    assert len(calls) == (2 if coupled else 1)
+    assert out["correct"].shape == (20,)
 
 
 # a plan with a dead subchannel (3 of 4 live), where the engine selects the

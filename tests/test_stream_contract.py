@@ -260,6 +260,20 @@ def test_run_trials_rejects_non_integer_index(scenario, indices):
 @pytest.mark.parametrize("scenario", [
     COUPLED_CASES["scheme1"], COUPLED_CASES["scheme2"], MULTI_CHUNK_SCHEME3,
 ], ids=["scheme1", "scheme2", "scheme3"])
+@pytest.mark.parametrize("indices, error", [
+    (5, TypeError), (np.int64(5), TypeError), (np.array(5), TypeError),
+    ([[0, 1]], ValueError), (np.zeros((2, 3), dtype=np.int64), ValueError),
+], ids=["int", "int64", "0-d", "nested", "2-d"])
+def test_run_trials_rejects_an_index_set_that_is_not_1d(scenario, indices, error):
+    # a bare index failed on len() inside the engine, and scheme 1 broadcast
+    # a nested set into numpy's "non-broadcastable output operand" error
+    with pytest.raises(error, match="trial indices must be a 1-D sequence"):
+        run_trials(scenario, 2024, indices)
+
+
+@pytest.mark.parametrize("scenario", [
+    COUPLED_CASES["scheme1"], COUPLED_CASES["scheme2"], MULTI_CHUNK_SCHEME3,
+], ids=["scheme1", "scheme2", "scheme3"])
 def test_run_trials_integer_dtypes_draw_the_same_trials(scenario):
     indices = [0, 7, 2**31 - 1, 5]
     ref = run_trials(scenario, 2024, np.array(indices, dtype=np.int64))

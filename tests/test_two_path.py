@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from skfading.two_path import (
     derive_params2,
     init_estimate,
     mmse_coefficients2,
+    mmse_steps2,
     phase_factor,
     pilot_sign,
     rate_tp_benchmark,
@@ -421,8 +423,12 @@ def mmse_coefficients2_reference(params, h1, h2, sign):
     return tuple(np.moveaxis(a, 0, -1) for a in (beta, err_var, combined))
 
 
-@pytest.mark.parametrize("n", [4, 5, 80])
-@pytest.mark.parametrize("h1,h2,sign", [
+def same_bits(got, ref):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    return got.shape == ref.shape and np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+MMSE2_GAINS = pytest.mark.parametrize("h1,h2,sign", [
     (0.9, 0.5, 1.0),
     (0.9, -0.5, -1.0),
     (np.array(0.9), np.array(-0.5), np.array(-1.0)),
@@ -432,6 +438,10 @@ def mmse_coefficients2_reference(params, h1, h2, sign):
     (0.0, 0.5, 1.0),
     (np.array([0.9, 0.9]), 0.0, np.array([1.0, -1.0])),
 ], ids=["positive", "negative", "0-d", "1-d", "broadcast", "zero_h1", "zero_h2"])
+
+
+@pytest.mark.parametrize("n", [4, 5, 80])
+@MMSE2_GAINS
 def test_mmse_coefficients2_matches_textbook_recursion(n, h1, h2, sign):
     params = _params(n=n)
     assert params.art_noise_var > 0.0  # the time-3 step adds it
@@ -439,9 +449,39 @@ def test_mmse_coefficients2_matches_textbook_recursion(n, h1, h2, sign):
     ref = mmse_coefficients2_reference(params, h1, h2, sign)
     assert len(got) == len(ref) == 3
     for a, b in zip(got, ref):
-        # equal shapes and equal float64 bit patterns (-0.0 differs from 0.0)
-        assert a.shape == b.shape
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 80])
+@MMSE2_GAINS
+def test_mmse_steps2_rows_match_the_stored_and_textbook_recursions(n, h1, h2, sign):
+    # the engine advances this recursion inside its closed loop: each row it
+    # yields keeps its bits through later steps and equals the matching row
+    # of mmse_coefficients2 and of the textbook recursion. n = 3 (a derived
+    # n = 4 cut short) takes only the time-2 step, n = 4 adds the time-3 step
+    # with its artificial noise and n = 5 a step of the other sign parity
+    params = replace(_params(n=4), n=3) if n == 3 else _params(n=n)
+    shape = np.broadcast_shapes(np.shape(h1), np.shape(h2), np.shape(sign))
+    steps = mmse_steps2(params, h1, h2, sign)
+    first = np.broadcast_to(next(steps), shape)
+    rows = list(steps)
+    assert len(rows) == n - 2
+    for beta, err_var, combined in (mmse_coefficients2(params, h1, h2, sign),
+                                    mmse_coefficients2_reference(params, h1, h2, sign)):
+        assert same_bits(first, err_var[..., 2])
+        for i, (b, var, xi) in enumerate(rows, start=2):
+            assert same_bits(b, beta[..., i]), i
+            assert same_bits(var, err_var[..., i + 1]), i
+            assert same_bits(xi, combined[..., i]), i
+
+
+def test_mmse_recursion2_needs_a_positive_rate():
+    params = _params(h1_hat=0.04, h2_hat=0.03, d=0.05)
+    assert params.no_positive_rate
+    with pytest.raises(InfeasibleError):
+        next(mmse_steps2(params, 0.9, 0.5, 1.0))
+    with pytest.raises(InfeasibleError):
+        mmse_coefficients2(params, 0.9, 0.5, 1.0)
 
 
 def test_rx_feedback2_in_lattice_range():
