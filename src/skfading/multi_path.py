@@ -25,7 +25,7 @@ from .numerics import (
     require_gain_snr,
     water_fill,
 )
-from .quasi_static import decode_midpoint, map_message
+from .quasi_static import MAX_ALPHABET_BITS, decode_midpoint, map_message
 
 __all__ = [
     "MultiPathChannel",
@@ -431,7 +431,7 @@ def sub_message_sizes(plan: BlockPlan):
     """
     bits = plan.n * plan.sub_rate_half
     sizes = np.maximum(np.floor(np.power(2.0, bits)), 1.0)
-    if np.any(bits > 50):
+    if np.any(bits > MAX_ALPHABET_BITS):
         raise InfeasibleError(
             "sub-message alphabet exceeds double-precision midpoint resolution; "
             "reduce n or the rate for simulation"

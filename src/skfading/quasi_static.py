@@ -26,6 +26,7 @@ from .numerics import (
 
 __all__ = [
     "TransmitterCsi",
+    "FeedbackLink",
     "QuasiStaticParams",
     "map_message",
     "decode_midpoint",
@@ -60,13 +61,16 @@ class TransmitterCsi:
 
 
 @dataclass(frozen=True)
-class QuasiStaticParams:
-    """Derived constants of the quantized-feedback scheme.
+class FeedbackLink:
+    """The modulo-lattice feedback link that schemes 1 and 2 share.
 
-    feedback_gains[i] scales the receiver's estimate before the modulo
-    feedback at time i+1 (1-based times 1..n-1); err_var_conservative[j]
-    is the worst-case error variance at time j+1 (1-based 1..n). Both are
-    computed on first read, so a rate needs no n-long array.
+    For iteration j = 0, 1, ..., one modulo feedback (column j of a trial's
+    alias and entry j of a report's aliasing_rate_per_iter),
+    feedback_gains[j] scales the receiver's estimate and
+    err_var_conservative[j] is its worst-case error variance; one last
+    variance follows the final iteration. A subclass gives the variances'
+    logarithm in _log_err_var. Both arrays are computed on first read, so a
+    rate needs no n-long array.
     """
 
     n: int
@@ -79,7 +83,6 @@ class QuasiStaticParams:
     arg_var_bound: float         # bound on the modulo argument second moment
     power_gain: float            # transmit scaling sqrt(P / arg_var_bound)
     lattice_spacing: float       # sqrt(12 * P_tilde)
-    gain_snr: float              # conservative gain^2 * SNR (0: no positive rate)
     rate: float
     no_positive_rate: bool
 
@@ -89,17 +92,26 @@ class QuasiStaticParams:
             return np.zeros(0), np.zeros(0)
         # log-domain evaluation; the trajectory spans hundreds of orders of
         # magnitude at large blocklengths
-        a = self.scaled_err_var
-        log_ratio = -math.log1p(self.gain_snr * a / self.arg_var_bound)
-        log_err_var = -math.log(12.0 * self.gain_snr) + log_ratio * np.arange(self.n)
+        log_var = self._log_err_var()
         # late-time gains can exceed the double range at blocklengths far past
         # anything simulatable; rate evaluation never touches them
         with np.errstate(over="ignore"):
-            gains = np.exp(0.5 * (math.log(a) - log_err_var[: self.n - 1]))
-        return gains, np.exp(log_err_var)
+            gains = np.exp(0.5 * (math.log(self.scaled_err_var) - log_var[:-1]))
+        return gains, np.exp(log_var)
 
     feedback_gains = property(lambda self: self._trajectories[0])
     err_var_conservative = property(lambda self: self._trajectories[1])
+
+
+@dataclass(frozen=True)
+class QuasiStaticParams(FeedbackLink):
+    """Scheme 1's derived constants; iteration j is the feedback at time j+1."""
+
+    gain_snr: float              # conservative gain^2 * SNR (0: no positive rate)
+
+    def _log_err_var(self):
+        log_ratio = -math.log1p(self.gain_snr * self.scaled_err_var / self.arg_var_bound)
+        return -math.log(12.0 * self.gain_snr) + log_ratio * np.arange(self.n)
 
 
 def map_message(w, m):
@@ -128,12 +140,15 @@ def decode_midpoint(theta_hat, m):
     return w
 
 
+MAX_ALPHABET_BITS = 50  # largest alphabet whose midpoints double precision tells apart
+
+
 def message_size(n: int, rate: float) -> int:
     """Integer alphabet size floor(2^(n rate)), at least 2."""
     if rate <= 0:
         return 2
     bits = n * rate
-    if bits > 50:
+    if bits > MAX_ALPHABET_BITS:
         raise InfeasibleError(
             f"message alphabet of 2^{bits:.1f} exceeds double-precision "
             "midpoint resolution; reduce n or the rate for simulation"
@@ -141,14 +156,12 @@ def message_size(n: int, rate: float) -> int:
     return max(int(math.floor(2.0 ** bits)), 2)
 
 
-def feedback_budget(sigma2: float, P: float, P_tilde: float, sigma_z: float,
-                    iterations: int, eps: float):
-    """Budget of the modulo-lattice feedback link of schemes 1 and 2, used
-    `iterations` times with aliasing probability eps / (4 iterations) each.
-
-    Returns (a, b, alpha, spacing), the QuasiStaticParams fields
-    scaled_err_var, arg_var_bound, power_gain and lattice_spacing.
-    """
+def feedback_budget(n: int, eps: float, sigma2: float, P: float, P_tilde: float,
+                    sigma_z: float, iterations: int) -> dict:
+    """The FeedbackLink fields other than rate and no_positive_rate: the
+    budget of the modulo-lattice feedback link of schemes 1 and 2 at
+    blocklength n, used `iterations` times with aliasing probability
+    eps / (4 iterations) each."""
     if not (0.0 < eps < 1.0):
         raise ValueError("target error probability must lie in (0, 1)")
     if sigma2 <= 0 or P <= 0 or P_tilde <= 0 or sigma_z < 0:
@@ -165,7 +178,9 @@ def feedback_budget(sigma2: float, P: float, P_tilde: float, sigma_z: float,
         )
     a = ((root3p - sigma_z) / q_tail_inv(eps / (4.0 * iterations))) ** 2
     b = (math.sqrt(a) + sigma_z) ** 2 + 1.5 * P_tilde * eps
-    return a, b, math.sqrt(P / b), math.sqrt(12.0 * P_tilde)
+    return dict(n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
+                scaled_err_var=a, arg_var_bound=b, power_gain=math.sqrt(P / b),
+                lattice_spacing=math.sqrt(12.0 * P_tilde))
 
 
 def derive_params1(
@@ -185,22 +200,21 @@ def derive_params1(
     """
     if n < 2:
         raise ValueError("blocklength must be at least 2")
-    a, b, alpha, spacing = feedback_budget(sigma2, P, P_tilde, sigma_z, n - 1, eps)
-    common = dict(n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
-                  scaled_err_var=a, arg_var_bound=b, power_gain=alpha, lattice_spacing=spacing)
+    link = feedback_budget(n, eps, sigma2, P, P_tilde, sigma_z, n - 1)
+    a, b = link["scaled_err_var"], link["arg_var_bound"]
     snr = P / sigma2
 
     gain = csi.conservative_gain
     g2snr = gain * gain * snr
     if g2snr == 0.0:  # zero gain, or one whose squared SNR underflows
-        return QuasiStaticParams(**common, gain_snr=0.0, rate=0.0, no_positive_rate=True)
+        return QuasiStaticParams(**link, gain_snr=0.0, rate=0.0, no_positive_rate=True)
     require_gain_snr(g2snr, "scheme 1")
 
     l_factor = 4.0 * q_tail_inv(eps / 4.0) ** 2
     raw_rate = (n - 1) / (2.0 * n) * math.log2(1.0 + g2snr * a / b) \
         - 1.0 / (2.0 * n) * math.log2(l_factor / (12.0 * g2snr))
     return QuasiStaticParams(
-        **common, gain_snr=g2snr, rate=max(raw_rate, 0.0), no_positive_rate=False,
+        **link, gain_snr=g2snr, rate=max(raw_rate, 0.0), no_positive_rate=False,
     )
 
 

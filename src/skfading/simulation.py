@@ -646,7 +646,6 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
         h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
         sign = tp.pilot_sign(h1, h2, params.sigma_z)
         pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
-        # col k-3 holds the dither of the feedback at time k-1
         dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 2)
         art *= math.sqrt(params.art_noise_var)
         theta = qs.map_message(w, count)
@@ -659,30 +658,30 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
 
         def closed_loop(p, link, partner):
             eps = np.zeros((n, t)).T
-            alias = np.zeros((n - 2, t), dtype=bool).T  # col i-2 holds the event at time i
+            alias = np.zeros((n - 2, t), dtype=bool).T
             residual = 0.0
             theta_hat = init.copy()
             eps[:, 0] = theta_hat - theta
             eps[:, 1] = eps[:, 0]
             pow_fwd = x1 * x1
             pow_fb = np.full(t, (2.0 * params.sigma_z) ** 2)  # pilot symbol
-            # each system steps its own MMSE recursion, keeping the previous gain
-            # for rx_aux2; step k: feedback at time k-1, forward step at time k
+            # each system steps its own MMSE recursion beside the feedback gains, keeping
+            # the previous ones for rx_aux2; step k: feedback k-3 at time k-1
             steps = tp.mmse_steps2(p, h1, h2, sign)
             next(steps)  # the time-2 variance goes unread
-            x_prev = ydot_prev = z_prev = beta_prev = 0.0  # nothing sent or received before time 3
-            for k, (beta, _, combined) in enumerate(steps, start=3):
+            x_prev = ydot_prev = z_prev = beta_prev = gain_prev = 0.0  # none before time 3
+            for k, ((beta, _, combined), gain) in enumerate(zip(steps, gam), start=3):
                 u_now = art if k == 4 else 0.0
                 u_prev = art if k == 5 else 0.0
-                x_t = qs.rx_feedback1(theta_hat, gam[k - 1], dithers[:, k - 3], p)
-                y_t, z = link(x_t, k - 1)
+                x_t = qs.rx_feedback1(theta_hat, gain, dithers[:, k - 3], p)
+                y_t, z = link(x_t, k - 3)
                 # the artificial noise joins the modulo argument of the time-4 step
-                alias[:, k - 3] = _alias_event(gam[k - 1] * eps[:, k - 2] + z + u_now, half)
-                x = tp.tx_step2(y_t, gam[k - 1], theta, dithers[:, k - 3], sign, k, p,
+                alias[:, k - 3] = _alias_event(gain * eps[:, k - 2] + z + u_now, half)
+                x = tp.tx_step2(y_t, gain, theta, dithers[:, k - 3], sign, k, p,
                                 art_noise=u_now)
                 y = h1 * x + h2 * x_prev + noise[:, k - 1]
                 y_dot = tp.rx_aux2(
-                    y, z, z_prev, ydot_prev, gam[k - 2], beta_prev, h1, h2, sign,
+                    y, z, z_prev, ydot_prev, gain_prev, beta_prev, h1, h2, sign,
                     k, p, art_noise=u_now, art_noise_prev=u_prev,
                 )
                 if partner:
@@ -693,7 +692,7 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
                     pow_fwd += x * x
                 theta_hat = theta_hat - beta * y_dot
                 eps[:, k - 1] = theta_hat - theta
-                x_prev, ydot_prev, z_prev, beta_prev = x, y_dot, z, beta
+                x_prev, ydot_prev, z_prev, beta_prev, gain_prev = x, y_dot, z, beta, gain
             return {
                 "correct": (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok,
                 "eps": eps,
@@ -704,7 +703,7 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
                 "residual": residual,
             }
 
-        return _original_or_partner(closed_loop, params, coupled, (n, t))
+        return _original_or_partner(closed_loop, params, coupled, (n - 2, t))
 
     return run
 
@@ -818,7 +817,10 @@ def run_trials(scenario: Scenario, master_seed: int, indices, coupled: bool = Fa
     the batch (0.0 for an empty one). A bare index raises TypeError, a
     nested set of indices ValueError.
     """
-    shape = np.shape(indices)
+    try:
+        shape = np.shape(indices)
+    except ValueError:  # numpy's inhomogeneous-shape error names no trial indices
+        raise ValueError("trial indices must be a 1-D sequence, got a ragged nested one") from None
     if len(shape) != 1:
         raise (TypeError if not shape else ValueError)(
             f"trial indices must be a 1-D sequence, got one of shape {shape}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .numerics import (
     require_gain_snr,
 )
 # the feedback link is scheme 1's, and so is its receiver symbol
-from .quasi_static import feedback_budget, quantize_feedback, rx_feedback1 as rx_feedback2
+from .quasi_static import (FeedbackLink, feedback_budget, quantize_feedback,
+                           rx_feedback1 as rx_feedback2)
 
 __all__ = [
     "TransmitterCsi2",
@@ -65,56 +65,21 @@ class TransmitterCsi2:
 
 
 @dataclass(frozen=True)
-class TwoPathParams:
-    """Derived constants of the two-path scheme.
+class TwoPathParams(FeedbackLink):
+    """Scheme 2's derived constants; iteration j is the feedback at time j+2."""
 
-    Arrays are indexed by time: feedback_gains[i] is the scaling used in
-    the feedback at time i (valid for 2 <= i <= n-1) and
-    err_var_conservative[i] is the worst-case error variance at time i
-    (valid for 2 <= i <= n). Index positions below 2 are zero padding.
-    Both are computed on first read, so a rate needs no n-long array.
-    """
-
-    n: int
-    eps: float
-    sigma2: float
-    P: float
-    P_tilde: float
-    sigma_z: float
-    scaled_err_var: float
-    arg_var_bound: float
-    power_gain: float
-    lattice_spacing: float
     var_ratio_3: float
     var_ratio_4: float
     var_ratio_star: float
     art_noise_var: float
     gain_energy: float  # g1^2 + g2^2 of the conservative gains (0: no positive rate)
-    rate: float
-    no_positive_rate: bool
 
-    @cached_property
-    def _trajectories(self):
-        if self.no_positive_rate:
-            return np.zeros(0), np.zeros(0)
-        n = self.n
-        # worst-case variance trajectory, time-indexed, entries 2..n; evaluated
-        # in the log domain because it spans many orders of magnitude at large n
-        log_var = np.zeros(n + 1)
-        log_var[2] = math.log(self.sigma2 / (12.0 * self.P * self.gain_energy))
-        log_var[3] = log_var[2] + math.log(self.var_ratio_3)
-        log_var[4:] = log_var[3] + math.log(self.var_ratio_star) * np.arange(1, n - 2)
-        err_var = np.exp(log_var)
-        err_var[:2] = 0.0
-        gains = np.zeros(n)
-        # late-time gains can exceed the double range at blocklengths far past
-        # anything simulatable; rate evaluation never touches them
-        with np.errstate(over="ignore"):
-            gains[2: n] = np.exp(0.5 * (math.log(self.scaled_err_var) - log_var[2: n]))
-        return gains, err_var
-
-    feedback_gains = property(lambda self: self._trajectories[0])
-    err_var_conservative = property(lambda self: self._trajectories[1])
+    def _log_err_var(self):
+        log_var = np.empty(self.n - 1)  # times 2..n: rho_3 once, then the steady ratio
+        log_var[0] = math.log(self.sigma2 / (12.0 * self.P * self.gain_energy))
+        log_var[1] = log_var[0] + math.log(self.var_ratio_3)
+        log_var[2:] = log_var[1] + math.log(self.var_ratio_star) * np.arange(1, self.n - 2)
+        return log_var
 
 
 def sign_product(h1, h2):
@@ -224,16 +189,15 @@ def derive_params2(
     """Derive the two-path scheme constants from public quantities."""
     if n < 4:
         raise ValueError("the two-path scheme needs blocklength at least 4")
-    a, b, alpha, spacing = feedback_budget(sigma2, P, P_tilde, sigma_z, n - 2, eps)
-    common = dict(n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
-                  scaled_err_var=a, arg_var_bound=b, power_gain=alpha, lattice_spacing=spacing)
+    link = feedback_budget(n, eps, sigma2, P, P_tilde, sigma_z, n - 2)
+    a, b = link["scaled_err_var"], link["arg_var_bound"]
     snr = P / sigma2
 
     g1, g2 = csi.conservative_gains
     energy = g1 * g1 + g2 * g2
     if energy == 0.0:  # zero gains, or squares that underflow
         return TwoPathParams(
-            **common, var_ratio_3=1.0, var_ratio_4=1.0, var_ratio_star=1.0,
+            **link, var_ratio_3=1.0, var_ratio_4=1.0, var_ratio_star=1.0,
             art_noise_var=0.0, gain_energy=0.0, rate=0.0, no_positive_rate=True,
         )
     # the steady-state gain (g1 + g2 sqrt(rho_star))^2 is at most (g1 + g2)^2
@@ -250,7 +214,7 @@ def derive_params2(
     raw_rate = (n - 3) / (2.0 * n) * math.log2(1.0 + steady) \
         - 1.0 / (2.0 * n) * math.log2(l_factor * rho3 / (12.0 * energy * snr))
     return TwoPathParams(
-        **common, var_ratio_3=rho3, var_ratio_4=rho4, var_ratio_star=rho_star,
+        **link, var_ratio_3=rho3, var_ratio_4=rho4, var_ratio_star=rho_star,
         art_noise_var=art_var, gain_energy=energy, rate=max(raw_rate, 0.0),
         no_positive_rate=False,
     )
@@ -362,9 +326,9 @@ def mmse_steps2(params: TwoPathParams, h1, h2, sign):
     for i in range(2, params.n):
         # the next variance's array holds the terms that form it until it is written
         xi, b, nxt = np.empty(shape), np.empty(shape), np.empty(shape)
-        np.multiply(signed_h1 if i % 2 == 0 else h1, gam[i], out=xi)
+        np.multiply(signed_h1 if i % 2 == 0 else h1, gam[i - 2], out=xi)
         if i > 2:
-            np.multiply(signed_h2 if i % 2 else h2, gam[i - 1], out=nxt)
+            np.multiply(signed_h2 if i % 2 else h2, gam[i - 3], out=nxt)
             xi += nxt
         noise = sigma2 + (params.art_noise_var if i == 3 else 0.0)
         np.multiply(xi, alpha * alpha, out=prod)

@@ -751,6 +751,23 @@ def test_rate_sweep_fixed_must_be_an_object(tmp_path, capsys, fixed):
     assert "'fixed' must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, inputs, extra, message", [
+    ("simulate", [SCHEME1_CONFIG], [], "top-level JSON object expected"),
+    ("simulate", SCHEME1_CONFIG, ["--trials", "0"], "trials must be positive"),
+    ("simulate", dict(SCHEME1_CONFIG, P=10**400), [], "P must be a finite number"),
+    ("rate-sweep", dict(FIG2_SPEC, values=5), [], "'values' must be a list or a range object"),
+    ("rate-sweep", dict(FIG2_SPEC, curves=[]), [], "'curves' must be a nonempty list"),
+], ids=["array_config", "zero_trials", "400_digit_integer", "scalar_values", "no_curves"])
+def test_config_errors_exit_before_any_work(tmp_path, monkeypatch, capsys, command, inputs,
+                                            extra, message):
+    forbid_work(monkeypatch)
+    argv = command_argv(tmp_path, command, inputs=write_json(tmp_path / "in.json", inputs))
+    assert main(argv + extra) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert message in err
+
+
 K_FIXED = {"sigma2": 1.0, "P": 10.0, "eps": 1e-4, "n": 120, "h_re": [0.9, 0.5]}
 
 

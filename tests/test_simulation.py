@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skfading import multi_path, quasi_static, simulation, two_path
+from skfading import multi_path, numerics, quasi_static, simulation, two_path
 from skfading.numerics import InfeasibleError
 from skfading.quasi_static import message_size
 from skfading.simulation import (
@@ -555,7 +555,7 @@ def test_coupled_variance_matches_closed_form_scheme2():
     report = monte_carlo(SC2, 50_000, master_seed=53, coupled=True)
     traj = report.mean_var_trajectory
     for i in range(2, SC2.n + 1):
-        assert traj[i - 1] == pytest.approx(params.err_var_conservative[i], rel=0.05)
+        assert traj[i - 1] == pytest.approx(params.err_var_conservative[i - 2], rel=0.05)
 
 
 def test_coupled_variance_ratio_hits_steady_state():
@@ -743,6 +743,34 @@ def test_scheme3_subchannel_cross_independence():
 def test_scheme3_message_size_consistency():
     params = SC1.derive()
     assert message_size(SC1.n, params.rate) >= 2
+
+
+CHANNEL2 = multi_path.MultiPathChannel(h=(0.9, 0.5), sigma2=1.0, P=10.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: quasi_static.TransmitterCsi(0.9, -0.1), "distortion bound must be nonnegative"),
+    (lambda: two_path.TransmitterCsi2(0.9, 0.5, -0.1), "distortion bound must be nonnegative"),
+    (lambda: quasi_static.feedback_budget(12, 1.5, 1.0, 10.0, 10.0, 1e-3, 11),
+     "target error probability"),
+    (lambda: quasi_static.derive_params1(1.0, 10.0, 10.0, 1e-3,
+                                         quasi_static.TransmitterCsi(0.9, 0.0), 1, 1e-2),
+     "blocklength must be at least 2"),
+    (lambda: quasi_static.rate_fd_baseline(0.0, 10.0, 50, 1e-3), "nonzero fading coefficient"),
+    (lambda: two_path.solve_rho_star(-0.1, 0.5, 10.0), "nonnegative"),
+    (lambda: two_path.rate_tp_benchmark(0.0, 0.5, 10.0, 50, 1e-3), "two nonzero paths"),
+    (lambda: two_path.rate_tp_benchmark(0.9, 0.5, 10.0, 3, 1e-3), "at least 4"),
+    (lambda: multi_path.add_cyclic_prefix(np.ones(8), 1), "at least two paths"),
+    (lambda: multi_path.variance_lemma3(SC3.derive(), 0, 0), "iteration index starts at 1"),
+    (lambda: numerics.channel_spectrum([], 8), "at least one tap"),
+    (lambda: multi_path.plan_block(CHANNEL2, 24, 1.5, 3), "target error probability"),
+    (lambda: wilson_interval(0, 0), "at least one trial"),
+], ids=["csi_distortion", "csi2_distortion", "budget_eps", "params1_n", "fd_baseline_h",
+        "rho_star_gain", "tp_benchmark_h1", "tp_benchmark_n", "cyclic_prefix_paths",
+        "lemma3_iteration", "spectrum_taps", "plan_block_eps", "wilson_no_trials"])
+def test_library_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_every_traced_name_resolves():

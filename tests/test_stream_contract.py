@@ -263,7 +263,8 @@ def test_run_trials_rejects_non_integer_index(scenario, indices):
 @pytest.mark.parametrize("indices, error", [
     (5, TypeError), (np.int64(5), TypeError), (np.array(5), TypeError),
     ([[0, 1]], ValueError), (np.zeros((2, 3), dtype=np.int64), ValueError),
-], ids=["int", "int64", "0-d", "nested", "2-d"])
+    ([[0, 1], [2]], ValueError),
+], ids=["int", "int64", "0-d", "nested", "2-d", "ragged"])
 def test_run_trials_rejects_an_index_set_that_is_not_1d(scenario, indices, error):
     # a bare index failed on len() inside the engine, and scheme 1 broadcast
     # a nested set into numpy's "non-broadcastable output operand" error

@@ -232,23 +232,23 @@ def test_derive_params2_closed_form_matches_recursion():
     sigma2, P = params.sigma2, params.P
     alpha = params.power_gain
     var = sigma2 / (12 * P * (g1 * g1 + g2 * g2))
-    assert params.err_var_conservative[2] == pytest.approx(var, rel=1e-12)
+    assert params.err_var_conservative[0] == pytest.approx(var, rel=1e-12)
     g = params.feedback_gains
-    var3 = var / (1 + g1 ** 2 * alpha ** 2 * g[2] ** 2 * var / sigma2)
-    assert params.err_var_conservative[3] == pytest.approx(var3, rel=1e-12)
+    var3 = var / (1 + g1 ** 2 * alpha ** 2 * g[0] ** 2 * var / sigma2)
+    assert params.err_var_conservative[1] == pytest.approx(var3, rel=1e-12)
     var_i = var3
     for i in range(4, 51):
-        xi = g1 * g[i - 1] + g2 * g[i - 2]
+        xi = g1 * g[i - 3] + g2 * g[i - 4]
         noise = sigma2 + (params.art_noise_var if i == 4 else 0.0)
         var_i = var_i / (1 + alpha ** 2 * xi ** 2 * var_i / noise)
-        assert params.err_var_conservative[i] == pytest.approx(var_i, rel=1e-10)
+        assert params.err_var_conservative[i - 2] == pytest.approx(var_i, rel=1e-10)
 
 
 def test_derive_params2_gain_identity():
     params = _params()
     a = params.scaled_err_var
     for i in range(2, params.n):
-        prod = params.feedback_gains[i] ** 2 * params.err_var_conservative[i]
+        prod = params.feedback_gains[i - 2] ** 2 * params.err_var_conservative[i - 2]
         assert prod == pytest.approx(a, rel=1e-12)
 
 
@@ -314,7 +314,7 @@ def test_benchmark_formula_direct():
 def test_tx_step2_reduces_to_single_path_shape():
     params = _params()
     theta, v = 0.1, 0.7
-    g = params.feedback_gains[5]
+    g = params.feedback_gains[3]
     fb = g * theta + v + 0.3
     plus = tx_step2(fb, g, theta, v, 1.0, 6, params)
     # with sign +1 the phase factor is 1 at every k
@@ -329,7 +329,7 @@ def test_tx_step2_bounded():
     params = _params()
     rng = np.random.default_rng(4)
     fb = rng.uniform(-50, 50, 5000)
-    x = tx_step2(fb, params.feedback_gains[3], 0.2, 0.1, -1.0, 5, params)
+    x = tx_step2(fb, params.feedback_gains[1], 0.2, 0.1, -1.0, 5, params)
     assert np.max(np.abs(x)) <= params.power_gain * params.lattice_spacing / 2
 
 
@@ -339,7 +339,7 @@ def test_rx_aux2_strips_known_terms():
     h1, h2, s = 0.9, 0.5, 1.0
     alpha = params.power_gain
     z_prev, z_prev2, ydot_prev = 0.11, -0.07, 0.23
-    g2_, b2_ = params.feedback_gains[2], 0.4
+    g2_, b2_ = params.feedback_gains[0], 0.4
     y = s * h1 * alpha * z_prev + s * h2 * alpha * (z_prev2 + g2_ * b2_ * ydot_prev)
     out = rx_aux2(y, z_prev, z_prev2, ydot_prev, g2_, b2_, h1, h2, s, 4, params)
     assert out == pytest.approx(0.0, abs=1e-12)
@@ -352,7 +352,7 @@ def test_mmse_coefficients2_constructive_gain():
     _, _, combined_neg = mmse_coefficients2(params, 0.9, -0.5, -1.0)
     g = params.feedback_gains
     for i in range(3, params.n):
-        want = 0.9 * g[i] + 0.5 * g[i - 1]
+        want = 0.9 * g[i - 2] + 0.5 * g[i - 3]
         assert abs(combined_pos[i]) == pytest.approx(want, rel=1e-12)
         assert abs(combined_neg[i]) == pytest.approx(want, rel=1e-12)
     # without the sign correction the paths would partially cancel
@@ -364,7 +364,7 @@ def test_mmse_coefficients2_true_equals_conservative_for_exact_csi():
     params = _params(d=0.0, sz=1e-3)
     _, err_true, _ = mmse_coefficients2(params, 0.9, 0.5, 1.0)
     for i in range(2, params.n + 1):
-        assert err_true[i] == pytest.approx(params.err_var_conservative[i], rel=1e-10)
+        assert err_true[i] == pytest.approx(params.err_var_conservative[i - 2], rel=1e-10)
 
 
 def test_mmse_coefficients2_steady_ratio_is_rho_star():
@@ -409,11 +409,11 @@ def mmse_coefficients2_reference(params, h1, h2, sign):
     err_var[2] = var
     for i in range(2, n):
         if i == 2:
-            xi = phase_factor(sign, 1) * h1 * params.feedback_gains[2]
+            xi = phase_factor(sign, 1) * h1 * params.feedback_gains[0]
         else:
             xi = (
-                phase_factor(sign, i - 1) * h1 * params.feedback_gains[i]
-                + phase_factor(sign, i - 2) * h2 * params.feedback_gains[i - 1]
+                phase_factor(sign, i - 1) * h1 * params.feedback_gains[i - 2]
+                + phase_factor(sign, i - 2) * h2 * params.feedback_gains[i - 3]
             )
         noise = sigma2 + (params.art_noise_var if i == 3 else 0.0)
         combined[i] = xi
@@ -487,5 +487,5 @@ def test_mmse_recursion2_needs_a_positive_rate():
 def test_rx_feedback2_in_lattice_range():
     params = _params()
     rng = np.random.default_rng(9)
-    out = rx_feedback2(rng.uniform(-5, 5, 1000), params.feedback_gains[4], 0.3, params)
+    out = rx_feedback2(rng.uniform(-5, 5, 1000), params.feedback_gains[2], 0.3, params)
     assert np.max(np.abs(out)) <= params.lattice_spacing / 2
