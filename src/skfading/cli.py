@@ -21,6 +21,7 @@ from . import two_path as tp
 from .numerics import InfeasibleError
 from .selfcheck import run_selfcheck
 from .simulation import (
+    MAX_TRIALS,
     MultiPathScenario,
     QuasiStaticScenario,
     TwoPathScenario,
@@ -372,6 +373,9 @@ def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path
     cfg = _load_json(config_path)
     if trials < 1:
         raise ConfigError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"trials must be at most 2**56, the size of the trial-index "
+                          f"field of a stream key, got {trials}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     scenario = _scenario_from_config(cfg)

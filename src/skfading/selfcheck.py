@@ -34,6 +34,7 @@ from .simulation import (
     TwoPathScenario,
     _env_stream,
     _generator_rows,
+    _keyed_streams,
     run_trials,
 )
 
@@ -158,18 +159,24 @@ def _check_coupled_cancellation() -> CheckResult:
 
 
 def _check_stream_contract() -> CheckResult:
-    """Scheme 2's streams at n = 80 for 300 trials, against fresh
+    """Scheme 2's streams at n = 80 for 300 trials, and scheme 3's 128-normal
+    noise rows of 300 trials at the largest seed, against fresh
     Generator(Philox(key=...)) draws: the environment from the vector pass,
     its artificial normal by the ziggurat tables that the vector pass reads
     from this install's numpy (the check that guards a numpy whose
-    standard_normal draws otherwise), and the dither and noise rows of the
-    re-keyed generators. The residual counts differing draws."""
-    seed, indices, size = 2024, np.arange(300), 2_840_761
+    standard_normal draws otherwise), and the rows of the generators that
+    _generator_rows and _keyed_streams re-key through the Philox's C state
+    (the check that guards a numpy whose Philox re-keys otherwise). The
+    residual counts differing draws."""
+    seed, seed3, indices, size = 2024, 2**64 - 1, np.arange(300), 2_840_761
     u, w, art = _env_stream(seed, 2, [size], normal=True)(indices)
     dithers, noise = np.empty((78, 300)).T, np.empty((80, 300)).T
     _generator_rows(seed, indices, [(TAG_DITHER, "random", dithers),
                                     (TAG_NOISE, "standard_normal", noise)])
-    got = np.column_stack([u, w.view(float), art, dithers, noise])
+    noise3 = np.empty((300, 128))
+    for row, gen in zip(noise3, _keyed_streams(seed3, indices, TAG_NOISE)):
+        gen.standard_normal(out=row)
+    got = np.column_stack([u, w.view(float), art, dithers, noise, noise3])
     expected = np.empty_like(got)
     for r, ix in enumerate(indices.tolist()):
         env, dither, fwd = (Generator(Philox(key=philox_key(seed, ix, tag)))
@@ -178,7 +185,9 @@ def _check_stream_contract() -> CheckResult:
         expected[r, 2] = np.int64(env.integers(1, size + 1)).view(float)
         expected[r, 3] = env.standard_normal()
         expected[r, 4:82] = dither.random(78)
-        expected[r, 82:] = fwd.standard_normal(80)
+        expected[r, 82:162] = fwd.standard_normal(80)
+        expected[r, 162:] = Generator(Philox(key=philox_key(seed3, ix, TAG_NOISE))
+                                      ).standard_normal(128)
     differing = np.count_nonzero(got.view(np.uint64) != expected.view(np.uint64))
     return CheckResult("keyed-stream contract", float(differing), 0.0)
 

@@ -17,12 +17,15 @@ index, tag))) would draw it (the v1 stream contract), in one of two ways:
   numpy's own generator) and dither rows of at most _SHORT_ROW words
   (scheme 1 at small n);
 - rows of normals (TAG_NOISE) and longer dither rows, where the vector
-  pass is slower, from one Philox re-keyed through its state for every
-  trial and row (_keyed_streams): schemes 1 and 2 pass all such rows of a
-  run to one loop (_generator_rows) that fills their time-major arrays
-  (scheme 2 at n = 80: its dithers and its noise); scheme 3 fills each
-  tile's trial-major noise rows straight from one _keyed_streams iterator
-  over the run.
+  pass is slower, from one Philox re-keyed for every trial and row by four
+  writes into its C state (_keyed_streams: the key's low word, the
+  counter, the buffer position and the spare 32-bit half; numpy's state
+  setter took about 2.6 times as long): schemes 1 and 2 pass all such
+  rows of a run to one loop (_generator_rows) that fills their time-major
+  arrays (scheme 2 at n = 80: its dithers and its noise); scheme 3 fills
+  each tile's trial-major noise rows straight from one _keyed_streams
+  iterator over the run. The struct layout is checked against numpy's own
+  state once per process (_philox_layout).
 A trial whose environment the pass cannot decide (a Lemire draw that numpy
 might have rejected, leftover below the alphabet size, or a normal off the
 ziggurat's fast path) draws its whole environment again from its re-keyed
@@ -60,7 +63,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -74,6 +77,7 @@ __all__ = [
     "TAG_NOISE",
     "TAG_DITHER",
     "TAG_ENV",
+    "MAX_TRIALS",
     "QuasiStaticScenario",
     "TwoPathScenario",
     "MultiPathScenario",
@@ -93,11 +97,13 @@ _M32 = (1 << 32) - 1
 # Philox4x64 round multipliers and key increments, as in numpy's Philox
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-# longest uniform row drawn by the vector pass: per 4096-trial chunk it takes
-# 4.0 ms for 32-word rows against 6.8 ms re-keyed, ties near 48 words and
-# takes twice as long at 78 (scheme 2's dithers at n = 80)
-_SHORT_ROW = 32
+# longest uniform row drawn by the vector pass, which works in 4-word blocks:
+# per 4096-trial chunk (2-core Xeon) it takes 2.7 / 3.4 / 4.4 ms for rows of
+# 24 / 28 / 29 words against 3.7 / 3.7 / 4.1 ms re-keyed, and 2.7 times as
+# long at 78 (scheme 2's dithers at n = 80)
+_SHORT_ROW = 28
 _CHUNK = 4096  # the most trials that one engine run in monte_carlo takes
+MAX_TRIALS = 1 << 56  # trial indices fill the 56-bit index field of a stream key
 # trials per buffer of generator draws into time-major rows (schemes 1 and
 # 2) and per tile of the scheme-3 closed loop, whose complex noise (256 KB
 # at n = 64: 4 blocks of 16 samples) and (256, K) step arrays stay in a
@@ -181,7 +187,10 @@ class MultiPathScenario:
         return mp.plan_block(channel, self.n, self.eps, self.subchannels)
 
 
-Scenario = Union[QuasiStaticScenario, TwoPathScenario, MultiPathScenario]
+# not typing.Union, whose cache keeps its arguments alive: through their
+# methods it held every earlier import's module namespace, about 0.35 MB of
+# live memory per import where perfbench re-imports the package
+Scenario = QuasiStaticScenario | TwoPathScenario | MultiPathScenario
 
 
 @dataclass
@@ -246,31 +255,80 @@ def _stream_keys(master_seed: int, indices, tag: int):
     return (ix.astype(np.uint64) << 8) | tag
 
 
+class _PhiloxState(ctypes.Structure):
+    """numpy's philox_state (numpy/random/src/philox/philox.h), the struct at
+    a Philox's ctypes.state_address: the counter and key pointers (into the
+    Philox object), then the buffered block of four words and the spare
+    32-bit half."""
+
+    _fields_ = [
+        ("ctr", ctypes.c_void_p),
+        ("key", ctypes.c_void_p),
+        ("buffer_pos", ctypes.c_int),
+        ("buffer", ctypes.c_uint64 * 4),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+@functools.cache
+def _philox_layout():
+    """_PhiloxState, once checked against this install's numpy.
+
+    The key and counter pointers of a keyed Philox must lie inside its
+    object before anything is read through them; then, after draws that
+    leave a spare 32-bit half, a partly used buffer and a counter past
+    block 1, every field must read what bitgen.state reports. Any mismatch
+    raises RuntimeError naming numpy's version."""
+    bitgen = Philox(key=(0x243F6A8885A308D3 << 64) | 0x13198A2E03707344)
+    c = _PhiloxState.from_address(bitgen.ctypes.state_address)
+    base, end = id(bitgen), id(bitgen) + type(bitgen).__basicsize__
+    agrees = all(addr and base <= addr and addr + 8 * words <= end
+                 for addr, words in ((c.key, 2), (c.ctr, 4)))
+    if agrees:
+        gen = Generator(bitgen)
+        gen.integers(1 << 32, dtype=np.uint32)
+        gen.random(6)
+        state = bitgen.state
+        agrees = (
+            list((ctypes.c_uint64 * 2).from_address(c.key)) == state["state"]["key"].tolist()
+            and list((ctypes.c_uint64 * 4).from_address(c.ctr)) == state["state"]["counter"].tolist()
+            and list(c.buffer) == state["buffer"].tolist()
+            and (c.buffer_pos, c.has_uint32, c.uinteger)
+            == (state["buffer_pos"], state["has_uint32"], state["uinteger"]))
+    if not agrees:
+        raise RuntimeError(
+            f"numpy {np.__version__}'s Philox state does not have the layout that "
+            f"skfading re-keys it through")
+    return _PhiloxState
+
+
 def _rekeyable(master_seed: int):
-    """A Philox, its Generator, and the Philox's state in Python lists, whose
-    key list's low word a caller sets before assigning the state back: the
-    state of a fresh Philox (zero counter, empty buffers) with the key
-    (low, master_seed). Philox output depends only on (key, counter), so the
-    generator then draws exactly what Generator(Philox(key=philox_key(
-    master_seed, index, tag))) would for low = index << 8 | tag."""
-    bitgen = Philox()
-    state = bitgen.state
-    state["buffer"] = state["buffer"].tolist()
-    inner = state["state"]
-    inner["counter"] = inner["counter"].tolist()
-    key = inner["key"] = [0, master_seed]
-    return bitgen, Generator(bitgen), state, key
+    """A Generator over a fresh Philox keyed (0, master_seed), and the
+    Philox's C state (_PhiloxState), which keeps the Philox alive."""
+    bitgen = Philox(key=master_seed << 64)
+    c = _philox_layout().from_address(bitgen.ctypes.state_address)
+    c.owner = bitgen  # the struct and the key and counter words live in it
+    return Generator(bitgen), c
 
 
 def _keyed_streams(master_seed: int, indices, tag: int):
     """Yield one generator per index, at the start of its keyed stream: a
-    single Philox re-keyed through its state (see _rekeyable). The same
-    generator object is re-keyed on the next step; draw from it before
-    advancing."""
-    bitgen, gen, state, key = _rekeyable(master_seed)
+    single Philox (see _rekeyable), re-keyed by four writes into its C
+    state. The low key word becomes index << 8 | tag, and the counter, the
+    buffer and the spare 32-bit half are emptied as in a fresh Philox.
+    Philox output depends only on (key, counter), so the generator then
+    draws exactly what Generator(Philox(key=philox_key(master_seed, index,
+    tag))) would. The same generator object is re-keyed on the next step;
+    draw from it before advancing."""
+    gen, c = _rekeyable(master_seed)
+    key = (ctypes.c_uint64 * 2).from_address(c.key)
+    ctr = (ctypes.c_uint64 * 4).from_address(c.ctr)
     for low in _stream_keys(master_seed, indices, tag).tolist():
         key[0] = low
-        bitgen.state = state
+        ctr[0] = 0
+        c.buffer_pos = 4
+        c.has_uint32 = 0  # a 32-bit draw may have left a spare half
         yield gen
 
 
@@ -351,12 +409,11 @@ def _ziggurat_tables():
     threshold, and layer 1, whose ki is 0, passes its wedge test on the
     zero word. ki[i] = round(wi[i - 1] / wi[i] * 2**52), with wi[255]
     before layer 0, and ki[1] = 0, as numpy's ki_double is built."""
-    bitgen, gen, state, _ = _rekeyable(0)
-    state["buffer_pos"] = 0
+    gen, c = _rekeyable(0)
     wi = np.empty(256)
     for idx in range(256):
-        state["buffer"] = [(1 << 9) | idx, 0, 0, 0]
-        bitgen.state = state
+        c.buffer[:] = (1 << 9) | idx, 0, 0, 0
+        c.buffer_pos = 0
         wi[idx] = gen.standard_normal()
     ki = np.rint(np.roll(wi, 1) / wi * 2.0 ** 52).astype(np.uint64)
     ki[1] = 0
@@ -480,22 +537,20 @@ def _generator_rows(master_seed: int, indices, draws):
     """For each (tag, method, out) of draws, fill out[r] with getattr(gen,
     method)(out=...) of trial indices[r]'s generator keyed with tag.
 
-    One Philox is re-keyed through its state (see _rekeyable) for every
-    trial and draw, _BLOCK trials at a time: a generator draws only into
-    contiguous rows, so each draw fills its rows of one reused block buffer,
-    which is then copied into out (a time-major .T view, strided)."""
-    bitgen, gen, state, key = _rekeyable(master_seed)
+    Each draw reads one _keyed_streams iterator over the run, _BLOCK trials
+    at a time: a generator draws only into contiguous rows, so each draw
+    fills its rows of one reused block buffer, which is then copied into out
+    (a time-major .T view, strided)."""
     t = len(indices)
     block = np.empty((min(_BLOCK, t), max((out.shape[1] for _, _, out in draws), default=0)))
-    plans = [(_stream_keys(master_seed, indices, tag), getattr(gen, method),
+    plans = [(_keyed_streams(master_seed, indices, tag), method,
               list(block[:, :out.shape[1]]), out) for tag, method, out in draws]
     for start in range(0, t, _BLOCK):
         stop = min(start + _BLOCK, t)
-        for lows, fill, rows, out in plans:
-            for low, row in zip(lows[start:stop].tolist(), rows):
-                key[0] = low
-                bitgen.state = state
-                fill(out=row)
+        for streams, method, rows, out in plans:
+            # rows first: zip stops at the block's end without re-keying
+            for row, gen in zip(rows[:stop - start], streams):
+                getattr(gen, method)(out=row)
             out[start:stop] = block[:stop - start, :out.shape[1]]
 
 
@@ -884,10 +939,11 @@ def _workers(chunks: int) -> int:
 
 
 def _chunk_plan(trials: int):
-    """monte_carlo's process count W and its chunks' (start, stop) spans."""
+    """monte_carlo's process count W, its chunk count and span(c), chunk c's
+    (start, stop), computed when asked for: no list of all spans is built."""
     workers = _workers(-(-trials // _CHUNK))
     chunks = workers * -(-trials // (workers * _CHUNK))
-    return workers, [(trials * c // chunks, trials * (c + 1) // chunks) for c in range(chunks)]
+    return workers, chunks, lambda c: (trials * c // chunks, trials * (c + 1) // chunks)
 
 
 def monte_carlo(
@@ -907,12 +963,16 @@ def monte_carlo(
     the others forked from it. Workers send back what the fold reads, and
     the caller folds every chunk in chunk order, so the report is the same
     for any W. A worker's exception is raised again in the caller, and no
-    worker outlives the call.
+    worker outlives the call. More than MAX_TRIALS (2**56) trials, more
+    than the stream keys' trial-index field holds, raise ValueError.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"need at most 2**56 trials, the size of the trial-index field "
+                         f"of a stream key, got {trials}")
     run = _engine(scenario, master_seed, coupled)
-    workers, spans = _chunk_plan(trials)
+    workers, chunks, span = _chunk_plan(trials)
     pids, pipes = [], []
     try:
         for worker in range(1, workers):
@@ -921,16 +981,16 @@ def monte_carlo(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _shard(run, spans[worker::workers], write_fd)
+                    _shard(run, map(span, range(worker, chunks, workers)), write_fd)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
         correct, alias, sq_sum = 0, 0, 0.0
         pow_fwd, pow_fb = [], []
-        for chunk, span in enumerate(spans):
+        for chunk in range(chunks):
             count, sq, alias_count, fwd, fb = (
                 _receive(pipes[chunk % workers - 1], chunk) if chunk % workers
-                else _fold_inputs(run, span))
+                else _fold_inputs(run, span(chunk)))
             correct += count
             # the running sum (0.0 at first, which leaves squares unchanged)
             # joins the chunk's first row, so the axis-0 sum adds trials in

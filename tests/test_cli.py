@@ -754,16 +754,20 @@ def test_rate_sweep_fixed_must_be_an_object(tmp_path, capsys, fixed):
 @pytest.mark.parametrize("command, inputs, extra, message", [
     ("simulate", [SCHEME1_CONFIG], [], "top-level JSON object expected"),
     ("simulate", SCHEME1_CONFIG, ["--trials", "0"], "trials must be positive"),
+    ("simulate", SCHEME1_CONFIG, ["--trials", str(2**56 + 1)],
+     "the size of the trial-index field of a stream key"),
     ("simulate", dict(SCHEME1_CONFIG, P=10**400), [], "P must be a finite number"),
     ("rate-sweep", dict(FIG2_SPEC, values=5), [], "'values' must be a list or a range object"),
     ("rate-sweep", dict(FIG2_SPEC, curves=[]), [], "'curves' must be a nonempty list"),
-], ids=["array_config", "zero_trials", "400_digit_integer", "scalar_values", "no_curves"])
+], ids=["array_config", "zero_trials", "trials_above_2_56", "400_digit_integer",
+        "scalar_values", "no_curves"])
 def test_config_errors_exit_before_any_work(tmp_path, monkeypatch, capsys, command, inputs,
                                             extra, message):
     forbid_work(monkeypatch)
     argv = command_argv(tmp_path, command, inputs=write_json(tmp_path / "in.json", inputs))
     assert main(argv + extra) == EXIT_BAD_CONFIG
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "configuration error" in err
     assert message in err
 
@@ -866,6 +870,30 @@ def test_selfcheck_detects_a_ziggurat_table_off_by_one_ulp(monkeypatch):
     by_name = {r.name: r for r in run_selfcheck()}
     assert not by_name["keyed-stream contract"].passed
     assert all(r.passed for name, r in by_name.items() if name != "keyed-stream contract")
+
+
+def test_selfcheck_detects_a_rekey_that_keeps_a_spare_half(monkeypatch):
+    import skfading.simulation as sim
+
+    # a re-key that leaves the previous stream's spare 32-bit half pending,
+    # as a Philox whose C state held it elsewhere would; scheme 2's
+    # environment redraws read it
+    real = sim._keyed_streams
+
+    def keep_half(master_seed, indices, tag):
+        pending = None
+        for gen in real(master_seed, indices, tag):
+            if pending:
+                state = gen.bit_generator.state
+                state["has_uint32"], state["uinteger"] = pending
+                gen.bit_generator.state = state
+            yield gen
+            state = gen.bit_generator.state
+            pending = state["has_uint32"], state["uinteger"]
+
+    monkeypatch.setattr(sim, "_keyed_streams", keep_half)
+    by_name = {r.name: r for r in run_selfcheck()}
+    assert not by_name["keyed-stream contract"].passed
 
 
 # ---------------------------------------------------------------------------

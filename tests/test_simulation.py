@@ -361,7 +361,8 @@ def test_monte_carlo_is_byte_identical_on_any_cpu_count(monkeypatch, scenario, c
 @pytest.mark.parametrize("trials", [1, 2000, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 10_000, 60_000])
 def test_chunk_plan_balances_whole_processes(monkeypatch, trials, cpus):
     forks = use_cpus(monkeypatch, cpus)
-    workers, spans = _chunk_plan(trials)
+    workers, chunks, span = _chunk_plan(trials)
+    spans = [span(c) for c in range(chunks)]
     assert workers == min(cpus, -(-trials // _CHUNK))
     starts, stops = zip(*spans)
     assert starts[0] == 0 and stops[-1] == trials and starts[1:] == stops[:-1]
@@ -386,6 +387,27 @@ def test_chunk_plan_balances_whole_processes(monkeypatch, trials, cpus):
     assert len(forks) == workers - 1
     assert report.avg_forward_power == (trials - 1) / 2
     assert report.mean_var_trajectory.tolist() == [sum(i * i for i in range(trials)) / trials]
+
+
+@pytest.mark.parametrize("trials", [10**12, 2**56])
+def test_chunk_plan_computes_spans_on_demand(monkeypatch, trials):
+    # the plan held every span in one list: 2.4e8 tuples at 1e12 trials
+    use_cpus(monkeypatch, 2)
+    workers, chunks, span = _chunk_plan(trials)
+    assert chunks == 2 * -(-trials // (2 * _CHUNK))
+    assert span(0)[0] == 0 and span(chunks - 1)[1] == trials
+    assert span(chunks // 2 - 1)[1] == span(chunks // 2)[0]
+    sizes = {stop - start for start, stop in map(span, (0, 1, chunks // 3, chunks - 1))}
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= _CHUNK
+
+
+def test_monte_carlo_refuses_more_trials_than_stream_keys_index(monkeypatch):
+    def engine(*args):
+        raise AssertionError("the scenario was derived")
+
+    monkeypatch.setattr(simulation, "_engine", engine)
+    with pytest.raises(ValueError, match="trial-index field of a stream key"):
+        monte_carlo(SC1, 2**56 + 1, master_seed=1)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")

@@ -7,6 +7,7 @@ bit for bit; a deliberate change of the contract must re-record them and
 say so.
 """
 
+import ctypes
 import hashlib
 import itertools
 import json
@@ -205,6 +206,121 @@ def test_keyed_streams_match_fresh_generators(tag):
             assert gen.standard_normal() == ref.standard_normal()
 
 
+def rekey_from_used_state(monkeypatch):
+    """Make every re-key of _keyed_streams start from a used state: after
+    the caller's draws, the generator draws a 32-bit integer and then
+    uniforms until its counter is past block 1 and its buffer half used,
+    which leaves a spare 32-bit half pending."""
+    real = simulation._keyed_streams
+
+    def used_streams(master_seed, indices, tag):
+        for gen in real(master_seed, indices, tag):
+            yield gen
+            gen.integers(1 << 32, dtype=np.uint32)
+            while ((state := gen.bit_generator.state)["buffer_pos"] != 2
+                   or state["state"]["counter"][0] < 2):
+                gen.random()
+            assert state["has_uint32"] == 1
+
+    monkeypatch.setattr(simulation, "_keyed_streams", used_streams)
+
+
+def test_keyed_streams_rekey_from_a_used_state(monkeypatch):
+    rekey_from_used_state(monkeypatch)
+    for seed, first in KEYS:
+        indices = np.abs(first - np.arange(20))
+        for ix, gen in zip(indices.tolist(), simulation._keyed_streams(seed, indices, TAG_ENV)):
+            ref = fresh(seed, ix, TAG_ENV)
+            # a 32-bit draw first: a spare half left pending would be read here
+            assert gen.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+            assert gen.integers(1, 7) == ref.integers(1, 7)
+            assert np.array_equal(gen.random(5), ref.random(5))
+            assert gen.standard_normal() == ref.standard_normal()
+
+
+def test_generator_rows_rekey_from_a_used_state(monkeypatch):
+    rekey_from_used_state(monkeypatch)
+    check_rows([(TAG_NOISE, "standard_normal", 33), (TAG_DITHER, "random", 31)])
+
+
+def philox_fields(gen):
+    """Every field of gen's Philox as its _PhiloxState reads it, in the
+    form of bitgen.state."""
+    c = simulation._philox_layout().from_address(gen.bit_generator.ctypes.state_address)
+    return {
+        "key": list((ctypes.c_uint64 * 2).from_address(c.key)),
+        "counter": list((ctypes.c_uint64 * 4).from_address(c.ctr)),
+        "buffer": list(c.buffer), "buffer_pos": c.buffer_pos,
+        "has_uint32": c.has_uint32, "uinteger": c.uinteger,
+    }
+
+
+def test_philox_layout_reads_what_the_state_reports():
+    draws = [lambda gen: None, lambda gen: gen.integers(1 << 32, dtype=np.uint32),
+             lambda gen: gen.random(3), lambda gen: gen.integers(1, 7, size=9),
+             lambda gen: gen.standard_normal(11), lambda gen: gen.integers(2**40)]
+    streams = _keyed_streams(2**64 - 1, range(len(draws)), TAG_NOISE)
+    for low, (draw, gen) in enumerate(zip(draws, streams)):
+        draw(gen)
+        state = gen.bit_generator.state
+        assert philox_fields(gen) == {
+            "key": state["state"]["key"].tolist(),
+            "counter": state["state"]["counter"].tolist(),
+            "buffer": state["buffer"].tolist(), "buffer_pos": state["buffer_pos"],
+            "has_uint32": state["has_uint32"], "uinteger": state["uinteger"],
+        }
+        assert state["state"]["key"].tolist() == [low << 8 | TAG_NOISE, 2**64 - 1]
+
+
+# the struct with its two pointers swapped, and shifted by one word, so
+# that the pointers read other fields
+WRONG_LAYOUTS = {
+    "swapped_pointers": [simulation._PhiloxState._fields_[i] for i in (1, 0, 2, 3, 4, 5)],
+    "shifted": [("pad", ctypes.c_uint64), *simulation._PhiloxState._fields_],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(WRONG_LAYOUTS))
+def test_philox_layout_guard_refuses_a_wrong_layout(monkeypatch, layout):
+    wrong = type("WrongState", (ctypes.Structure,), {"_fields_": WRONG_LAYOUTS[layout]})
+    monkeypatch.setattr(simulation, "_PhiloxState", wrong)
+    simulation._philox_layout.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}'s Philox state"):
+            simulation._rekeyable(1)
+    finally:
+        simulation._philox_layout.cache_clear()
+
+
+def test_engines_draw_the_same_through_plain_function_stand_ins(monkeypatch):
+    # perfbench's tracer replaces simulation.Philox and simulation.Generator
+    # with plain functions, so the module may only call them; 300 trials of
+    # scheme 2 redraw some environments through _keyed_streams
+    scenarios = [COUPLED_CASES["scheme1"], COUPLED_CASES["scheme2"], MULTI_CHUNK_SCHEME3]
+    indices = np.arange(2**56 - 300, 2**56)
+    expected = [run_trials(scenario, 2**64 - 1, indices) for scenario in scenarios]
+
+    def philox(*args, **kwargs):
+        return Philox(*args, **kwargs)
+
+    def generator(*args, **kwargs):
+        return Generator(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "Philox", philox)
+    monkeypatch.setattr(simulation, "Generator", generator)
+    for cached in (simulation._philox_layout, simulation._ziggurat_tables):
+        cached.cache_clear()
+    try:
+        for scenario, want in zip(scenarios, expected):
+            got = run_trials(scenario, 2**64 - 1, indices)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+    finally:
+        for cached in (simulation._philox_layout, simulation._ziggurat_tables):
+            cached.cache_clear()
+
+
 def test_array_bound_integers_match_scalar_draws():
     """One integers(1, hi) call per trial equals a loop of scalar draws,
     for alphabets of size 1 (no draw), below and above 2**32."""
@@ -347,11 +463,11 @@ def check_rows(draws, fill=fill_rows):
                 assert not out[:, :2].any() and not out[:, -1].any()
 
 
-@pytest.mark.parametrize("words", [1, 24, 32, 33, 78])
+@pytest.mark.parametrize("words", [1, 24, 28, 29, 32, 33, 78])
 def test_uniform_rows_match_generator_random(words):
     # the scaled dither and noise rows of schemes 1 and 2: dither rows up to
-    # 32 words come from the vector pass, longer ones from the re-keyed
-    # generators that also draw the noise
+    # _SHORT_ROW (28) words come from the vector pass, longer ones from the
+    # re-keyed generators that also draw the noise
     params = SimpleNamespace(n=words + 2, sigma2=2.5, lattice_spacing=3.7)
     std = 0.5 * math.sqrt(params.sigma2)
     for key, (seed, first) in enumerate(KEYS):
