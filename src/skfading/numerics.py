@@ -110,30 +110,37 @@ def q_tail_inv(p: float) -> float:
 # Scalar modulo lattice
 # ---------------------------------------------------------------------------
 
-def modulo_reduce(x, spacing):
+def modulo_reduce(x, spacing, out=None):
     """Reduce x into [-spacing/2, spacing/2) against the nearest lattice point.
 
     Offset of x from its nearest multiple of ``spacing``; a tie (x exactly
     halfway between two lattice points) resolves to -spacing/2, keeping the
     half-open range. Accepts scalars or arrays. An infinite float spacing
-    leaves 0 the only lattice point in reach, so x comes back unchanged.
+    leaves 0 the only lattice point in reach, so x comes back unchanged
+    (x itself without out). out, x itself or another array of its shape,
+    receives the result and is returned; without out, x is never written.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(spacing, float) and spacing == math.inf:
-        r = x
+        r = x if out is None else out
+        if r is not x:
+            r[...] = x
     else:
-        # x - spacing * floor(x / spacing + 0.5), in one buffer (a 0-d
-        # array when x / spacing is a numpy scalar)
+        # x - spacing * floor(x / spacing + 0.5), the lattice point in one
+        # scratch buffer (a 0-d array when x / spacing is a numpy scalar)
         r = np.asarray(x / spacing)
         r += 0.5
         np.floor(r, out=r)
         r *= spacing
-        np.subtract(x, r, out=r)
-        # guard the half-open range against roundoff at the boundary
+        r = np.subtract(x, r, out=r if out is None else out)
+        # guard the half-open range against roundoff at the boundary; with
+        # one spacing, r's extremes (NaN-skipping) tell whether any entry needs it
         half = 0.5 * spacing
-        np.add(r, spacing, out=r, where=r < -half)
-        np.subtract(r, spacing, out=r, where=r >= half)
-    if r.ndim == 0:
+        if np.ndim(half) or np.fmin.reduce(r, axis=None, initial=math.inf) < -half:
+            np.add(r, spacing, out=r, where=r < -half)
+        if np.ndim(half) or np.fmax.reduce(r, axis=None, initial=-math.inf) >= half:
+            np.subtract(r, spacing, out=r, where=r >= half)
+    if out is None and r.ndim == 0:
         return float(r)
     return r
 

@@ -236,46 +236,63 @@ def capacity_fd(h: float, snr: float) -> float:
     return 0.5 * math.log2(1.0 + h2snr)
 
 
-def quantize_feedback(x, sigma_z: float):
+def quantize_feedback(x, sigma_z: float, out=None):
     """Receiver-side quantizer: snap to the nearest multiple of 2*sigma_z.
 
     Returns (quantized value, quantization noise) with noise in
     [-sigma_z, sigma_z); the noise is known causally to the receiver.
-    sigma_z = 0 passes the signal through unchanged.
+    sigma_z = 0 passes the signal through unchanged, as a copy. out, a pair
+    of arrays of x's shape that shares no memory with x, receives both and
+    is returned.
     """
     x = np.asarray(x, dtype=float)
+    y, z = (np.empty_like(x), np.empty_like(x)) if out is None else out
     if sigma_z == 0.0:
-        z = np.zeros_like(x)
-        out = x
+        y[...] = x
+        z[...] = 0.0
     else:
         step = 2.0 * sigma_z
-        k = np.ceil(x / step - 0.5)
-        out = step * k
-        z = out - x
-    if x.ndim == 0:
-        return float(out), float(z)
-    return out, z
+        np.divide(x, step, out=y)
+        y -= 0.5
+        np.ceil(y, out=y)
+        y *= step
+        np.subtract(y, x, out=z)
+    if out is None and x.ndim == 0:
+        return float(y), float(z)
+    return y, z
 
 
-def tx_step1(feedback_prev, gain_prev, theta, dither_prev, params: QuasiStaticParams):
+# The step functions below (and two_path's) form the textbook expression in
+# its float operations and their order, so out= changes no bit. out, an array
+# (a pair for rx_update1) that shares no memory with an input, receives the
+# result and is returned; only rx_update1's out[0] may be theta_hat_prev,
+# which it then updates in place. Without out, no input is written.
+
+def tx_step1(feedback_prev, gain_prev, theta, dither_prev, params: QuasiStaticParams,
+             out=None):
     """Transmitter iteration: scaled modulo residual of the fresh feedback."""
-    arg = feedback_prev - gain_prev * theta - dither_prev
-    return params.power_gain * modulo_reduce(arg, params.lattice_spacing)
+    arg = np.subtract(feedback_prev, np.multiply(gain_prev, theta, out=out), out=out)
+    arg = modulo_reduce(np.subtract(arg, dither_prev, out=out), params.lattice_spacing, out=out)
+    return params.power_gain * arg if out is None else np.multiply(arg, params.power_gain, out=out)
 
 
-def rx_update1(theta_hat_prev, y, z_prev, h, beta_prev, params: QuasiStaticParams):
+def rx_update1(theta_hat_prev, y, z_prev, h, beta_prev, params: QuasiStaticParams,
+               out=None, scale=None):
     """Receiver iteration: cancel known quantization noise, then update.
 
     Returns (theta_hat, y_dot) where y_dot is the auxiliary signal with the
-    quantization-noise image removed.
+    quantization-noise image removed. scale, if given, is h * power_gain.
     """
-    y_dot = y - h * params.power_gain * z_prev
-    return theta_hat_prev - beta_prev * y_dot, y_dot
+    theta_hat, y_dot = (None, None) if out is None else out
+    scale = h * params.power_gain if scale is None else scale
+    y_dot = np.subtract(y, np.multiply(scale, z_prev, out=y_dot), out=y_dot)
+    return np.subtract(theta_hat_prev, beta_prev * y_dot, out=theta_hat), y_dot
 
 
-def rx_feedback1(theta_hat, gain_i, dither_i, params: QuasiStaticParams):
+def rx_feedback1(theta_hat, gain_i, dither_i, params: QuasiStaticParams, out=None):
     """Receiver feedback symbol: dithered modulo of the scaled estimate."""
-    return modulo_reduce(gain_i * theta_hat + dither_i, params.lattice_spacing)
+    arg = np.add(np.multiply(gain_i, theta_hat, out=out), dither_i, out=out)
+    return modulo_reduce(arg, params.lattice_spacing, out=out)
 
 
 def mmse_steps1(params: QuasiStaticParams, h):

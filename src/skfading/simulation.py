@@ -36,6 +36,10 @@ run_trials, the one entry point to the closed loop, runs any set of trial
 indices in lockstep through the scheme's engine; schemes 1 and 2 store each
 per-iteration array time-major (generators fill it through _generator_rows'
 trial-major buffer), so every loop step reads and writes contiguous rows.
+Their steps write through out= into row buffers allocated once per run,
+and the products of channel gains, pilot sign and power gain that every
+step uses are formed once per run; each expression keeps the textbook's
+float operations and their order.
 Scheme 3 draws its environment for the whole run and then runs its closed
 loop _BLOCK trials at a time, in tile buffers that it reuses, so that each
 block step's arrays stay in cache; only the per-trial outputs span the run.
@@ -219,9 +223,15 @@ def wilson_interval(errors: int, trials: int):
     return min(max(center - half, 0.0), p), max(min(center + half, 1.0), p)
 
 
-def _alias_event(arg, half):
-    """Modulo-aliasing indicator: argument outside [-half, half)."""
-    return (arg < -half) | (arg >= half)
+def _alias_event(out, half, arg, gain, err, *noise):
+    """Modulo-aliasing indicator, into out: gain * err plus the noise terms
+    that are not None, formed in arg, outside [-half, half)."""
+    np.multiply(gain, err, out=arg)
+    for term in noise:
+        if term is not None:
+            arg += term
+    np.less(arg, -half, out=out)
+    out |= arg >= half
 
 
 def _ball_gain(fixed, center, distortion, u):
@@ -587,26 +597,25 @@ def _original_or_partner(closed_loop, params, coupled: bool, z_shape):
     True) is its modulo-free partner, which runs on the original's
     parameters with lattice_spacing = inf and reports the original's powers.
 
-    link(x_t, col) returns the received symbol and the quantization noise of
-    feedback column col. The original quantizes x_t and, in coupled mode,
-    records the noise as row col of a z_shape array; the partner adds it.
+    link(x_t, col, out) returns the received symbol and the quantization
+    noise of feedback column col, the symbol in out[0]. The original
+    quantizes x_t into out or, in coupled mode, records the noise as row col
+    of a z_shape array; the partner adds that row, which it never writes.
     """
     z_hist = np.zeros(z_shape) if coupled else None
 
-    def quantize(x_t, col):
-        y_t, z = qs.quantize_feedback(x_t, params.sigma_z)
-        if coupled:
-            z_hist[col] = z
-        return y_t, z
+    def quantize(x_t, col, out):
+        return qs.quantize_feedback(x_t, params.sigma_z,
+                                    out=(out[0], z_hist[col]) if coupled else out)
 
     original = closed_loop(params, quantize, False)
     if not coupled:
         del original["residual"]
         return original
 
-    def add_recorded(x_t, col):
+    def add_recorded(x_t, col, out):
         z = z_hist[col]
-        return x_t + z, z
+        return np.add(x_t, z, out=out[0]), z
 
     partner = closed_loop(replace(params, lattice_spacing=math.inf), add_recorded, True)
     partner["pow_fwd"] = original["pow_fwd"]
@@ -633,6 +642,7 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
         u, w = u[:, 0], w[:, 0]
         dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 1)
         h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u)
+        h_alpha = h * alpha
         theta = qs.map_message(w, count)
         x1 = root12p * theta
 
@@ -646,26 +656,29 @@ def _engine_quasi_static(scenario, master_seed, coupled: bool):
                 theta_hat = theta + noise[:, 0] / (h * root12p)
             else:
                 theta_hat = (h * x1 + noise[:, 0]) / (h * root12p)
-            eps[:, 0] = theta_hat - theta
+            np.subtract(theta_hat, theta, out=eps[:, 0])
             pow_fwd = x1 * x1
             pow_fb = np.zeros(t)
+            # every step writes into these rows; theta_hat updates in place
+            x_t, y_t, z, x, y, y_dot, tmp = (np.empty(t) for _ in range(7))
             # each system steps its own MMSE recursion, one gain row at a time
             steps = qs.mmse_steps1(p, h)
             next(steps)  # the time-1 variance goes unread
             for i, (beta, _) in enumerate(steps):  # feedback at time i+1, forward step at time i+2
-                x_t = qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], p)
-                y_t, z = link(x_t, i)
-                alias[:, i] = _alias_event(gam[i] * eps[:, i] + z, half)
-                x = qs.tx_step1(y_t, gam[i], theta, dithers[:, i], p)
-                y = h * x + noise[:, i + 1]
-                theta_hat, y_dot = qs.rx_update1(theta_hat, y, z, h, beta, p)
+                qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], p, out=x_t)
+                y_t, z = link(x_t, i, (y_t, z))
+                _alias_event(alias[:, i], half, tmp, gam[i], eps[:, i], z)
+                qs.tx_step1(y_t, gam[i], theta, dithers[:, i], p, out=x)
+                np.multiply(h, x, out=y)
+                y += noise[:, i + 1]
+                qs.rx_update1(theta_hat, y, z, h, beta, p, out=(theta_hat, y_dot), scale=h_alpha)
                 if partner:
-                    expected = h * alpha * gam[i] * eps[:, i] + noise[:, i + 1]
+                    expected = h_alpha * gam[i] * eps[:, i] + noise[:, i + 1]
                     residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
                 else:  # the partner reports the original's powers
-                    pow_fb += x_t * x_t
-                    pow_fwd += x * x
-                eps[:, i + 1] = theta_hat - theta
+                    pow_fb += np.multiply(x_t, x_t, out=tmp)
+                    pow_fwd += np.multiply(x, x, out=tmp)
+                np.subtract(theta_hat, theta, out=eps[:, i + 1])
             return {
                 "correct": qs.decode_midpoint(theta_hat, count) == w,
                 "eps": eps,
@@ -716,38 +729,52 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
             alias = np.zeros((n - 2, t), dtype=bool).T
             residual = 0.0
             theta_hat = init.copy()
-            eps[:, 0] = theta_hat - theta
+            np.subtract(theta_hat, theta, out=eps[:, 0])
             eps[:, 1] = eps[:, 0]
             pow_fwd = x1 * x1
             pow_fb = np.full(t, (2.0 * params.sigma_z) ** 2)  # pilot symbol
+            # every step writes into these rows, x, z and y_dot alternating
+            # between two by step parity; theta_hat updates in place
+            x_t, y_t, y, tmp, *rows = (np.empty(t) for _ in range(10))
+            xs, zs, ydots = rows[0:2], rows[2:4], rows[4:6]
+            # the phase-scaled gains, phase_factor(sign, j) * (1, h1, h2) * alpha at
+            # j % 2: step k's tx_step2 and direct rx_aux2 scales at k % 2 and its
+            # relay scale at 1 - k % 2
+            phased = [(f * alpha, f * h1 * alpha, f * h2 * alpha) for f in (1.0, sign)]
             # each system steps its own MMSE recursion beside the feedback gains, keeping
             # the previous ones for rx_aux2; step k: feedback k-3 at time k-1
             steps = tp.mmse_steps2(p, h1, h2, sign)
             next(steps)  # the time-2 variance goes unread
-            x_prev = ydot_prev = z_prev = beta_prev = gain_prev = 0.0  # none before time 3
+            ydot_prev = z_prev = beta_prev = gain_prev = None  # none before time 3
             for k, ((beta, _, combined), gain) in enumerate(zip(steps, gam), start=3):
-                u_now = art if k == 4 else 0.0
-                u_prev = art if k == 5 else 0.0
-                x_t = qs.rx_feedback1(theta_hat, gain, dithers[:, k - 3], p)
-                y_t, z = link(x_t, k - 3)
+                odd = k % 2
+                u_now = art if k == 4 else None  # no artificial noise term elsewhere
+                u_prev = art if k == 5 else None
+                qs.rx_feedback1(theta_hat, gain, dithers[:, k - 3], p, out=x_t)
+                y_t, z = link(x_t, k - 3, (y_t, zs[odd]))
                 # the artificial noise joins the modulo argument of the time-4 step
-                alias[:, k - 3] = _alias_event(gain * eps[:, k - 2] + z + u_now, half)
+                _alias_event(alias[:, k - 3], half, tmp, gain, eps[:, k - 2], z, u_now)
                 x = tp.tx_step2(y_t, gain, theta, dithers[:, k - 3], sign, k, p,
-                                art_noise=u_now)
-                y = h1 * x + h2 * x_prev + noise[:, k - 1]
+                                art_noise=u_now, out=xs[odd], scale=phased[odd][0])
+                np.multiply(h1, x, out=y)
+                if k > 3:  # x_prev is 0 before time 3
+                    y += np.multiply(h2, xs[1 - odd], out=tmp)
+                y += noise[:, k - 1]
                 y_dot = tp.rx_aux2(
                     y, z, z_prev, ydot_prev, gain_prev, beta_prev, h1, h2, sign,
-                    k, p, art_noise=u_now, art_noise_prev=u_prev,
+                    k, p, art_noise=u_now, art_noise_prev=u_prev, out=ydots[odd],
+                    scales=(phased[odd][1], phased[1 - odd][2]),
                 )
                 if partner:
-                    expected = alpha * combined * eps[:, k - 2] + noise[:, k - 1] + u_now
+                    expected = alpha * combined * eps[:, k - 2] + noise[:, k - 1] \
+                        + (art if k == 4 else 0.0)
                     residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
                 else:  # the partner reports the original's powers
-                    pow_fb += x_t * x_t
-                    pow_fwd += x * x
-                theta_hat = theta_hat - beta * y_dot
-                eps[:, k - 1] = theta_hat - theta
-                x_prev, ydot_prev, z_prev, beta_prev, gain_prev = x, y_dot, z, beta, gain
+                    pow_fb += np.multiply(x_t, x_t, out=tmp)
+                    pow_fwd += np.multiply(x, x, out=tmp)
+                theta_hat -= np.multiply(beta, y_dot, out=tmp)
+                np.subtract(theta_hat, theta, out=eps[:, k - 1])
+                ydot_prev, z_prev, beta_prev, gain_prev = y_dot, z, beta, gain
             return {
                 "correct": (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok,
                 "eps": eps,

@@ -263,14 +263,23 @@ def tx_step2(
     k: int,
     params: TwoPathParams,
     art_noise=0.0,
+    out=None,
+    scale=None,
 ):
     """Transmitter iteration at time k >= 3.
 
     The artificial noise enters the modulo argument once, at k = 4; the
-    receiver mirrors it in the auxiliary signal.
+    receiver mirrors it in the auxiliary signal. art_noise=None adds no
+    term. scale, if given, stands for phase_factor(sign, k - 2) *
+    power_gain. out: as for quasi_static.tx_step1.
     """
-    arg = feedback_prev - gain_prev * theta - dither_prev + art_noise
-    return phase_factor(sign, k - 2) * params.power_gain * modulo_reduce(arg, params.lattice_spacing)
+    arg = np.subtract(feedback_prev, np.multiply(gain_prev, theta, out=out), out=out)
+    arg = np.subtract(arg, dither_prev, out=out)
+    if art_noise is not None:
+        arg = np.add(arg, art_noise, out=out)
+    scale = phase_factor(sign, k - 2) * params.power_gain if scale is None else scale
+    arg = modulo_reduce(arg, params.lattice_spacing, out=out)
+    return scale * arg if out is None else np.multiply(arg, scale, out=out)
 
 
 def rx_aux2(
@@ -287,6 +296,8 @@ def rx_aux2(
     params: TwoPathParams,
     art_noise=0.0,
     art_noise_prev=0.0,
+    out=None,
+    scales=None,
 ):
     """Auxiliary signal at time k >= 3: strip everything the receiver knows.
 
@@ -295,14 +306,27 @@ def rx_aux2(
     fresh channel noise. The injected artificial noise is subtracted from
     the first-path image and re-added cleanly, so at k = 4 the effective
     noise variance is sigma2 + art_noise_var exactly; at k = 5 its echo on
-    the delayed path is removed.
+    the delayed path is removed. An artificial noise of None adds no term.
+    scales, if given, stand for phase_factor(sign, k - 2) * h1 * power_gain
+    and phase_factor(sign, k - 3) * h2 * power_gain. out: as for
+    quasi_static.tx_step1.
     """
-    alpha = params.power_gain
-    direct = phase_factor(sign, k - 2) * h1 * alpha * (z_prev + art_noise)
+    if scales is None:
+        alpha = params.power_gain
+        scales = (phase_factor(sign, k - 2) * h1 * alpha, phase_factor(sign, k - 3) * h2 * alpha)
+    image = z_prev if art_noise is None else z_prev + art_noise
+    aux = np.subtract(y, np.multiply(scales[0], image, out=out), out=out)
     if k == 3:
-        return y - direct
-    relay_echo = z_prev2 + gain_prev2 * beta_prev2 * ydot_prev + art_noise_prev
-    return y - direct - phase_factor(sign, k - 3) * h2 * alpha * relay_echo + art_noise
+        return aux
+    echo = gain_prev2 * beta_prev2 * ydot_prev  # then z_prev2 + echo + art_noise_prev
+    echo += z_prev2
+    if art_noise_prev is not None:
+        echo += art_noise_prev
+    echo *= scales[1]
+    aux -= echo
+    if art_noise is not None:
+        aux += art_noise
+    return aux
 
 
 def mmse_steps2(params: TwoPathParams, h1, h2, sign):
