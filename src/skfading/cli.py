@@ -311,11 +311,25 @@ def cmd_rate_sweep(spec_path: str, out_path):
 # simulation
 # ---------------------------------------------------------------------------
 
+# the keys each scheme's simulate config may hold, optional ones included
+_COMMON_KEYS = {"scheme", "n", "eps", "sigma2", "P", "noise_scale"}
+_LINK_KEYS = _COMMON_KEYS | {"distortion", "P_tilde", "sigma_z"}
+_SCHEME_KEYS = {
+    1: _LINK_KEYS | {"h_hat", "h"},
+    2: _LINK_KEYS | {"h1_hat", "h2_hat", "h1", "h2"},
+    3: _COMMON_KEYS | {"h_re", "h_im", "subchannels"},
+}
+
+
 def _scenario_from_config(cfg: dict):
     scheme = _require(cfg, "scheme", "simulate config")
-    if scheme not in (1, 2, 3):
+    if isinstance(scheme, bool) or scheme not in (1, 2, 3):
         raise ConfigError(f"unknown scheme {scheme!r} (expected 1, 2 or 3)")
     context = f"scheme {scheme} config"
+    unknown = sorted(set(cfg) - _SCHEME_KEYS[scheme])
+    if unknown:  # a mistyped key would otherwise leave its value to a default
+        raise ConfigError(f"{context}: unknown key {', '.join(map(repr, unknown))} "
+                          f"(allowed: {', '.join(sorted(_SCHEME_KEYS[scheme]))})")
 
     def real(key):
         return _number(cfg, key, context)

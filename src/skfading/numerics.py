@@ -157,8 +157,12 @@ def philox_key(seed: int, index: int = 0, tag: int = 0) -> int:
     analysis code can derive identical sequences without message passing.
     A field outside its range raises ValueError rather than aliasing
     another key. Fields may be numpy integers: they are packed as Python
-    integers, so a fixed-width shift cannot wrap.
+    integers, so a fixed-width shift cannot wrap. A bool field raises
+    TypeError rather than standing for 0 or 1.
     """
+    if any(isinstance(field, bool) for field in (seed, index, tag)):
+        raise TypeError(f"philox_key: fields must be integers, not bools, got seed={seed!r}, "
+                        f"index={index!r}, tag={tag!r}")
     seed, index, tag = operator.index(seed), operator.index(index), operator.index(tag)
     if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 56 and 0 <= tag < 1 << 8):
         raise ValueError(

@@ -33,9 +33,14 @@ generator (_keyed_streams), so the pass never has to model a rejection
 loop.
 
 run_trials, the one entry point to the closed loop, runs any set of trial
-indices in lockstep through the scheme's engine; schemes 1 and 2 store each
-per-iteration array time-major (generators fill it through _generator_rows'
-trial-major buffer), so every loop step reads and writes contiguous rows.
+indices in lockstep through the scheme's engine. Schemes 1 and 2 share one
+(_link_engine): it draws the environment and the link's rows, feeds back,
+quantizes or adds the recorded noise, counts aliasing and keeps the error
+and power rows, for the original system and its coupled partner alike;
+each scheme adds its physics (_quasi_static, _two_path): its gains, its
+start and one forward step per iteration. They store each per-iteration
+array time-major (generators fill it through _generator_rows' trial-major
+buffer), so every loop step reads and writes contiguous rows.
 Their steps write through out= into row buffers allocated once per run,
 and the products of channel gains, pilot sign and power gain that every
 step uses are formed once per run; each expression keeps the textbook's
@@ -586,174 +591,162 @@ def _link_rows(master_seed: int, indices, params, noise_scale: float, dither_row
 
 
 # ---------------------------------------------------------------------------
-# engines: one per scheme, each running the original system or, in coupled
-# mode, its modulo-free partner on the same noise: the same step functions
-# on an infinitely coarse lattice, where modulo_reduce is the identity
+# engines: schemes 1 and 2 share one feedback-link engine, scheme 3 has its
+# own; the link engine runs the original system or, in coupled mode, its
+# modulo-free partner on the same noise: the same step functions on an
+# infinitely coarse lattice, where modulo_reduce is the identity
 # ---------------------------------------------------------------------------
 
-def _original_or_partner(closed_loop, params, coupled: bool, z_shape):
-    """Build and run the systems of schemes 1 and 2: closed_loop(params,
-    link, False) is the original; in coupled mode closed_loop(partner, link,
-    True) is its modulo-free partner, which runs on the original's
-    parameters with lattice_spacing = inf and reports the original's powers.
-
-    link(x_t, col, out) returns the received symbol and the quantization
-    noise of feedback column col, the symbol in out[0]. The original
-    quantizes x_t into out or, in coupled mode, records the noise as row col
-    of a z_shape array; the partner adds that row, which it never writes.
+def _link_engine(scenario, master_seed, coupled: bool, side):
+    """The closed loop of schemes 1 and 2 around their shared feedback link;
+    iteration j feeds back the estimate at time j + lead, lead = n -
+    len(feedback_gains). side(scenario, params) supplies the physics as
+    (uniforms, normal, trials): the environment's gain uniforms, whether an
+    artificial normal follows them, and trials(u, art, dithers, noise, theta,
+    x1), which sets up a run and returns (system, art1, pilot_power, masks):
+    iteration 1's extra modulo term or None, the pilot's feedback power and
+    named per-trial conditions of a correct decode. system(p, partner) is a
+    generator: it yields its estimate, which it updates in place, and then,
+    for each sent (gain, y_t, z), (x, y_dot, a, b): the forward symbol, the
+    auxiliary signal and two factors whose product scales the fed-back error
+    in y_dot.
     """
-    z_hist = np.zeros(z_shape) if coupled else None
-
-    def quantize(x_t, col, out):
-        return qs.quantize_feedback(x_t, params.sigma_z,
-                                    out=(out[0], z_hist[col]) if coupled else out)
-
-    original = closed_loop(params, quantize, False)
-    if not coupled:
-        del original["residual"]
-        return original
-
-    def add_recorded(x_t, col, out):
-        z = z_hist[col]
-        return np.add(x_t, z, out=out[0]), z
-
-    partner = closed_loop(replace(params, lattice_spacing=math.inf), add_recorded, True)
-    partner["pow_fwd"] = original["pow_fwd"]
-    partner["pow_fb"] = original["pow_fb"]
-    return partner
-
-
-def _engine_quasi_static(scenario, master_seed, coupled: bool):
     params = scenario.derive()
     if params.no_positive_rate:
-        raise InfeasibleError("scenario admits no positive rate (csi ball contains 0)")
+        raise InfeasibleError("scenario admits no positive rate (a csi ball contains 0)")
     n = params.n
-    count = qs.message_size(n, params.rate)
+    count = qs.message_size(n, params.rate)  # refuses an n too large for any array
     gam = params.feedback_gains
-    alpha = params.power_gain
+    lead = n - len(gam)
     half = params.lattice_spacing / 2.0  # both systems count the original's aliasing
     root12p = math.sqrt(12.0 * params.P)
-    # the environment: the gain's uniform, then the message
-    environment = _env_stream(master_seed, 1, [count])
+    uniforms, normal, trials = side(scenario, params)
+    # the environment: the gains' uniforms, the message, any artificial noise
+    environment = _env_stream(master_seed, uniforms, [count], normal)
+    systems = [(params, False)]
+    if coupled:  # the partner runs after the original, on its noise
+        systems.append((replace(params, lattice_spacing=math.inf), True))
 
     def run(indices):
         t = len(indices)
-        u, w, _ = environment(indices)
-        u, w = u[:, 0], w[:, 0]
-        dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 1)
-        h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u)
-        h_alpha = h * alpha
+        u, w, art = environment(indices)
+        w = w[:, 0]
+        dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, len(gam))
         theta = qs.map_message(w, count)
         x1 = root12p * theta
-
-        def closed_loop(p, link, partner):
+        system, art1, pilot_power, masks = trials(u, art, dithers, noise, theta, x1)
+        # only the original adds to the powers, which the partner reports too;
+        # coupled, it records its quantization noise in z_hist for the partner
+        pow_fwd, pow_fb = x1 * x1, np.full(t, pilot_power)
+        z_hist = np.zeros((len(gam), t)) if coupled else None
+        # every iteration writes into these rows, z alternating between two
+        x_t, y_t, tmp, *zs = (np.empty(t) for _ in range(5))
+        for p, partner in systems:
+            loop = system(p, partner)
+            theta_hat = next(loop)
             eps = np.empty((n, t)).T
-            alias = np.zeros((n - 1, t), dtype=bool).T
+            alias = np.zeros((len(gam), t), dtype=bool).T
+            eps[:, :lead] = (theta_hat - theta)[:, None]
             residual = 0.0
+            for j, gain in enumerate(gam):
+                art_now = art1 if j == 1 else None
+                qs.rx_feedback1(theta_hat, gain, dithers[:, j], p, out=x_t)
+                if partner:  # adds the recorded noise, which it never writes
+                    z = z_hist[j]
+                    np.add(x_t, z, out=y_t)
+                else:
+                    z = z_hist[j] if coupled else zs[j % 2]
+                    qs.quantize_feedback(x_t, p.sigma_z, out=(y_t, z))
+                err = eps[:, j + lead - 1]
+                _alias_event(alias[:, j], half, tmp, gain, err, z, art_now)
+                x, y_dot, a, b = loop.send((gain, y_t, z))
+                if partner:
+                    expected = a * b * err + noise[:, j + lead]
+                    if art_now is not None:
+                        expected += art_now
+                    residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
+                else:
+                    pow_fb += np.multiply(x_t, x_t, out=tmp)
+                    pow_fwd += np.multiply(x, x, out=tmp)
+                np.subtract(theta_hat, theta, out=eps[:, j + lead])
+        correct = qs.decode_midpoint(theta_hat, count) == w
+        for mask in masks.values():
+            correct &= mask
+        report = {"correct": correct, "eps": eps, "alias": alias, "pow_fwd": pow_fwd / n,
+                  "pow_fb": pow_fb / n, **masks}
+        if coupled:
+            report["residual"] = residual
+        return report
+
+    return run
+
+
+def _quasi_static(scenario, params):
+    """Scheme 1's side of _link_engine: iteration i feeds back at time i+1
+    and steps tx_step1, the channel h x + noise and rx_update1 at time i+2."""
+    root12p = math.sqrt(12.0 * params.P)
+
+    def trials(u, art, dithers, noise, theta, x1):
+        h = _ball_gain(scenario.h, scenario.h_hat, scenario.distortion, u[:, 0])
+        h_alpha = h * params.power_gain
+
+        def system(p, partner):
             # the two systems start from differently rounded forms of the same
             # time-1 estimate; both forms are part of the recorded reports
             if partner:
                 theta_hat = theta + noise[:, 0] / (h * root12p)
             else:
                 theta_hat = (h * x1 + noise[:, 0]) / (h * root12p)
-            np.subtract(theta_hat, theta, out=eps[:, 0])
-            pow_fwd = x1 * x1
-            pow_fb = np.zeros(t)
-            # every step writes into these rows; theta_hat updates in place
-            x_t, y_t, z, x, y, y_dot, tmp = (np.empty(t) for _ in range(7))
+            x, y, y_dot = (np.empty(len(theta)) for _ in range(3))
             # each system steps its own MMSE recursion, one gain row at a time
             steps = qs.mmse_steps1(p, h)
             next(steps)  # the time-1 variance goes unread
-            for i, (beta, _) in enumerate(steps):  # feedback at time i+1, forward step at time i+2
-                qs.rx_feedback1(theta_hat, gam[i], dithers[:, i], p, out=x_t)
-                y_t, z = link(x_t, i, (y_t, z))
-                _alias_event(alias[:, i], half, tmp, gam[i], eps[:, i], z)
-                qs.tx_step1(y_t, gam[i], theta, dithers[:, i], p, out=x)
+            gain, y_t, z = yield theta_hat
+            for i, (beta, _) in enumerate(steps):
+                qs.tx_step1(y_t, gain, theta, dithers[:, i], p, out=x)
                 np.multiply(h, x, out=y)
                 y += noise[:, i + 1]
                 qs.rx_update1(theta_hat, y, z, h, beta, p, out=(theta_hat, y_dot), scale=h_alpha)
-                if partner:
-                    expected = h_alpha * gam[i] * eps[:, i] + noise[:, i + 1]
-                    residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
-                else:  # the partner reports the original's powers
-                    pow_fb += np.multiply(x_t, x_t, out=tmp)
-                    pow_fwd += np.multiply(x, x, out=tmp)
-                np.subtract(theta_hat, theta, out=eps[:, i + 1])
-            return {
-                "correct": qs.decode_midpoint(theta_hat, count) == w,
-                "eps": eps,
-                "alias": alias,
-                "pow_fwd": pow_fwd / n,
-                "pow_fb": pow_fb / n,
-                "residual": residual,
-            }
+                gain, y_t, z = yield x, y_dot, h_alpha, gain
 
-        return _original_or_partner(closed_loop, params, coupled, (n - 1, t))
+        return system, None, 0.0, {}
 
-    return run
+    return 1, False, trials
 
 
-def _engine_two_path(scenario, master_seed, coupled: bool):
-    params = scenario.derive()
-    if params.no_positive_rate:
-        raise InfeasibleError("scenario admits no positive rate (csi balls contain 0)")
-    n = params.n
-    count = qs.message_size(n, params.rate)
-    gam = params.feedback_gains
+def _two_path(scenario, params):
+    """Scheme 2's side of _link_engine: the pilot, the two-slot start and, at
+    step k = j+3, tx_step2, h1 x + h2 x_prev + noise, rx_aux2 and the update."""
     alpha = params.power_gain
-    half = params.lattice_spacing / 2.0  # both systems count the original's aliasing
-    root12p = math.sqrt(12.0 * params.P)
-    # the environment: both gains' uniforms, the message, the artificial noise
-    environment = _env_stream(master_seed, 2, [count], normal=True)
 
-    def run(indices):
-        t = len(indices)
-        u, w, art = environment(indices)
-        w = w[:, 0]
+    def trials(u, art, dithers, noise, theta, x1):
         h1 = _ball_gain(scenario.h1, scenario.h1_hat, scenario.distortion, u[:, 0])
         h2 = _ball_gain(scenario.h2, scenario.h2_hat, scenario.distortion, u[:, 1])
         sign = tp.pilot_sign(h1, h2, params.sigma_z)
         pilot_ok = sign == tp.sign_product(h1, h2)  # verified per trial
-        dithers, noise = _link_rows(master_seed, indices, params, scenario.noise_scale, n - 2)
         art *= math.sqrt(params.art_noise_var)
-        theta = qs.map_message(w, count)
-
         # two-slot initialization: X1 carries the message, X2 stays silent
-        x1 = root12p * theta
-        y1 = h1 * x1 + noise[:, 0]
-        y2 = h2 * x1 + noise[:, 1]
-        init = tp.init_estimate(y1, y2, h1, h2, params.P)
+        init = tp.init_estimate(h1 * x1 + noise[:, 0], h2 * x1 + noise[:, 1], h1, h2, params.P)
+        # the phase-scaled gains, phase_factor(sign, j) * (1, h1, h2) * alpha at
+        # j % 2: step k's tx_step2 and direct rx_aux2 scales at k % 2 and its
+        # relay scale at 1 - k % 2
+        phased = [(f * alpha, f * h1 * alpha, f * h2 * alpha) for f in (1.0, sign)]
 
-        def closed_loop(p, link, partner):
-            eps = np.zeros((n, t)).T
-            alias = np.zeros((n - 2, t), dtype=bool).T
-            residual = 0.0
+        def system(p, partner):
             theta_hat = init.copy()
-            np.subtract(theta_hat, theta, out=eps[:, 0])
-            eps[:, 1] = eps[:, 0]
-            pow_fwd = x1 * x1
-            pow_fb = np.full(t, (2.0 * params.sigma_z) ** 2)  # pilot symbol
-            # every step writes into these rows, x, z and y_dot alternating
-            # between two by step parity; theta_hat updates in place
-            x_t, y_t, y, tmp, *rows = (np.empty(t) for _ in range(10))
-            xs, zs, ydots = rows[0:2], rows[2:4], rows[4:6]
-            # the phase-scaled gains, phase_factor(sign, j) * (1, h1, h2) * alpha at
-            # j % 2: step k's tx_step2 and direct rx_aux2 scales at k % 2 and its
-            # relay scale at 1 - k % 2
-            phased = [(f * alpha, f * h1 * alpha, f * h2 * alpha) for f in (1.0, sign)]
-            # each system steps its own MMSE recursion beside the feedback gains, keeping
-            # the previous ones for rx_aux2; step k: feedback k-3 at time k-1
+            # x and y_dot alternate between two rows by step parity
+            y, tmp, *rows = (np.empty(len(theta)) for _ in range(6))
+            xs, ydots = rows[:2], rows[2:]
+            # each system steps its own MMSE recursion, keeping the previous
+            # gains for rx_aux2; step k: feedback k-3 at time k-1
             steps = tp.mmse_steps2(p, h1, h2, sign)
             next(steps)  # the time-2 variance goes unread
             ydot_prev = z_prev = beta_prev = gain_prev = None  # none before time 3
-            for k, ((beta, _, combined), gain) in enumerate(zip(steps, gam), start=3):
+            gain, y_t, z = yield theta_hat
+            for k, (beta, _, combined) in enumerate(steps, start=3):
                 odd = k % 2
                 u_now = art if k == 4 else None  # no artificial noise term elsewhere
                 u_prev = art if k == 5 else None
-                qs.rx_feedback1(theta_hat, gain, dithers[:, k - 3], p, out=x_t)
-                y_t, z = link(x_t, k - 3, (y_t, zs[odd]))
-                # the artificial noise joins the modulo argument of the time-4 step
-                _alias_event(alias[:, k - 3], half, tmp, gain, eps[:, k - 2], z, u_now)
                 x = tp.tx_step2(y_t, gain, theta, dithers[:, k - 3], sign, k, p,
                                 art_noise=u_now, out=xs[odd], scale=phased[odd][0])
                 np.multiply(h1, x, out=y)
@@ -765,29 +758,14 @@ def _engine_two_path(scenario, master_seed, coupled: bool):
                     k, p, art_noise=u_now, art_noise_prev=u_prev, out=ydots[odd],
                     scales=(phased[odd][1], phased[1 - odd][2]),
                 )
-                if partner:
-                    expected = alpha * combined * eps[:, k - 2] + noise[:, k - 1] \
-                        + (art if k == 4 else 0.0)
-                    residual = max(residual, float(np.max(np.abs(y_dot - expected), initial=0.0)))
-                else:  # the partner reports the original's powers
-                    pow_fb += np.multiply(x_t, x_t, out=tmp)
-                    pow_fwd += np.multiply(x, x, out=tmp)
                 theta_hat -= np.multiply(beta, y_dot, out=tmp)
-                np.subtract(theta_hat, theta, out=eps[:, k - 1])
                 ydot_prev, z_prev, beta_prev, gain_prev = y_dot, z, beta, gain
-            return {
-                "correct": (qs.decode_midpoint(theta_hat, count) == w) & pilot_ok,
-                "eps": eps,
-                "alias": alias,
-                "pow_fwd": pow_fwd / n,
-                "pow_fb": pow_fb / n,
-                "pilot_ok": pilot_ok,
-                "residual": residual,
-            }
+                gain, y_t, z = yield x, y_dot, alpha, combined
 
-        return _original_or_partner(closed_loop, params, coupled, (n - 2, t))
+        # the artificial noise joins the modulo argument of the time-4 step
+        return system, art, (2.0 * params.sigma_z) ** 2, {"pilot_ok": pilot_ok}
 
-    return run
+    return 2, True, trials
 
 
 def _engine_multi_path(scenario, master_seed, coupled: bool):
@@ -873,13 +851,16 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
     return run
 
 
-_ENGINES = {1: _engine_quasi_static, 2: _engine_two_path, 3: _engine_multi_path}
+_ENGINES = {1: functools.partial(_link_engine, side=_quasi_static),
+            2: functools.partial(_link_engine, side=_two_path), 3: _engine_multi_path}
 
 
 def _engine(scenario, master_seed: int, coupled: bool):
     """The one reader of scheme_id: the scheme's engine derives the scenario
-    once and returns run(indices), which runs those trials in lockstep."""
-    return _ENGINES[scenario.scheme_id](scenario, master_seed, coupled)
+    once and returns run(indices), which runs those trials in lockstep. The
+    seed is checked first, and a numpy integer one runs as the int it is."""
+    philox_key(master_seed)
+    return _ENGINES[scenario.scheme_id](scenario, int(master_seed), coupled)
 
 
 # ---------------------------------------------------------------------------
@@ -991,8 +972,11 @@ def monte_carlo(
     the caller folds every chunk in chunk order, so the report is the same
     for any W. A worker's exception is raised again in the caller, and no
     worker outlives the call. More than MAX_TRIALS (2**56) trials, more
-    than the stream keys' trial-index field holds, raise ValueError.
+    than the stream keys' trial-index field holds, raise ValueError; a
+    trials or master_seed that is a bool or not an integer, TypeError.
     """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:

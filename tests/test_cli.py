@@ -301,6 +301,30 @@ def test_simulate_out_of_domain_values(tmp_path, capsys, base, key, value):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base,key", [
+    (SCHEME1_CONFIG, "H"),  # a mistyped h once left the gain to the ball draw
+    (SCHEME1_CONFIG, "h1"),  # scheme 2's key
+    (SCHEME2_CONFIG, "h"),  # scheme 1's key
+    (SCHEME3_CONFIG, "sigma_z"),  # scheme 3 has no feedback link
+    (SCHEME3_CONFIG, "h_imag"),
+])
+def test_simulate_rejects_unknown_keys(tmp_path, capsys, base, key):
+    cfg = write_json(tmp_path / "c.json", dict(base, **{key: 0.9}))
+    assert main(["simulate", "--config", cfg, "--trials", "1",
+                 "--seed", "1"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"unknown key '{key}'" in err
+
+
+def test_simulate_rejects_a_bool_scheme(tmp_path, capsys):
+    # True == 1 once ran scheme 1 with exit 0
+    cfg = write_json(tmp_path / "c.json", dict(SCHEME1_CONFIG, scheme=True))
+    assert main(["simulate", "--config", cfg, "--trials", "1",
+                 "--seed", "1"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "scheme True" in err
+
+
 def test_simulate_scheme3_alphabet_beyond_double_resolution(tmp_path, capsys):
     cfg = write_json(tmp_path / "c.json", {
         "scheme": 3, "n": 120, "P": 1000, "eps": 1e-2, "sigma2": 1.0,

@@ -1,9 +1,10 @@
 """The closed-loop step layer of schemes 1 and 2.
 
-The engines step in place: each step function writes its result into a row
-buffer through out=, and the per-run products of the gains and the power
-gain are formed once. These tests pin that this changes no result: the
-engines against the textbook loops of textbook_loops.py, each step function
+The feedback-link engine of schemes 1 and 2 steps in place: each step
+function writes its result into a row buffer through out=, and the per-run
+products of the gains and the power gain are formed once. These tests pin
+that this changes no result: the engine against the textbook loops of
+textbook_loops.py, one per scheme, each step function
 with and without out= and hoisted scales, and the number of step calls,
 which perfbench's tracer times by wrapping each step function by name.
 """
@@ -43,6 +44,9 @@ LOOP_CASES = {
     "qs_fixed_h": replace(QS_BENCH, distortion=0.0, h=0.9, n=12),
     "qs_fixed_negative_h": replace(QS_BENCH, h_hat=-0.9, distortion=0.0, h=-0.9, n=12),
     "qs_aliasing": replace(QS_BENCH, eps=0.3),
+    # one and two iterations: the smallest cases of the lead and the iteration index
+    "qs_n2": replace(QS_BENCH, n=2),
+    "qs_n3": replace(QS_BENCH, n=3),
     "tp_bench": TP_BENCH,
     "tp_sigma_z_0": replace(TP_BENCH, sigma_z=0.0, n=20),
     "tp_noiseless": replace(TP_BENCH, noise_scale=0.0, n=20),

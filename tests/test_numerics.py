@@ -276,6 +276,13 @@ def test_philox_key_disjoint():
     assert philox_key(1, 0, 0) != philox_key(0, 1, 0)
 
 
+@pytest.mark.parametrize("fields", [(True,), (1, True), (1, 0, False), (np.int64(1), 2, True)])
+def test_philox_key_rejects_bools(fields):
+    # True once packed as 1, so a bool seed ran seed 1
+    with pytest.raises(TypeError, match="not bools"):
+        philox_key(*fields)
+
+
 # ---------------------------------------------------------------------------
 # DFT / spectra
 # ---------------------------------------------------------------------------

@@ -410,6 +410,27 @@ def test_monte_carlo_refuses_more_trials_than_stream_keys_index(monkeypatch):
         monte_carlo(SC1, 2**56 + 1, master_seed=1)
 
 
+@pytest.mark.parametrize("trials", [True, 10.0, "10", np.float64(10)])
+def test_monte_carlo_refuses_non_integer_trials(monkeypatch, trials):
+    # True once returned a report with trials=True
+    monkeypatch.setattr(simulation, "_engine", lambda *args: pytest.fail("the scenario was derived"))
+    with pytest.raises(TypeError, match="trials must be an integer"):
+        monte_carlo(SC1, trials, master_seed=1)
+
+
+def test_seeds_are_integers_not_bools():
+    # philox_key packed True as 1, so both calls silently ran seed 1
+    with pytest.raises(TypeError, match="not bools"):
+        monte_carlo(SC1, 10, True)
+    with pytest.raises(TypeError, match="not bools"):
+        run_trials(SC1, True, [0])
+    # numpy integers are integers: they once failed in the keyed streams' arithmetic
+    got, want = monte_carlo(SC1, np.int64(10), np.uint64(1)), monte_carlo(SC1, 10, 1)
+    assert got.error_count == want.error_count
+    assert np.array_equal(got.mean_var_trajectory, want.mean_var_trajectory)
+    assert np.array_equal(run_trials(SC1, np.int64(1), [0])["eps"], run_trials(SC1, 1, [0])["eps"])
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")
 def test_a_worker_faults_its_heap_in_once(monkeypatch):
     # a worker keeps the heap each chunk frees for the next; trimmed at
