@@ -7,6 +7,7 @@ parameters, 4 check-mode failure (observed error rate too high).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -34,15 +35,14 @@ EXIT_BAD_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_CHECK_FAILED = 4
 
-# sweep variable -> (config key it sets, whether the value must be an
-# integer); an SNR value sets P = SNR * sigma2
+# sweep variable -> config key it sets; an SNR value sets P = SNR * sigma2
 _SWEEP_KEYS = {
-    "N": ("n", True),
-    "D": ("distortion", False),
-    "sigmaZ": ("sigma_z", False),
-    "Ptilde": ("P_tilde", False),
-    "SNR": ("P", False),
-    "K": ("subchannels", True),
+    "N": "n",
+    "D": "distortion",
+    "sigmaZ": "sigma_z",
+    "Ptilde": "P_tilde",
+    "SNR": "P",
+    "K": "subchannels",
 }
 SWEEP_VARIABLES = tuple(_SWEEP_KEYS)
 # a range sweep is allocated before any point is evaluated
@@ -90,6 +90,11 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _value(value, key: str):
+    """A config value: an integer for n and subchannels, else a finite number."""
+    return (_integer if key in ("n", "subchannels") else _real)(value, key)
+
+
 # Lowest value of each config number that has a domain, and whether that
 # value itself is allowed; eps must also stay below 1. Below the smallest
 # normal double, eps / (4 (n - 1)) underflows to 0.
@@ -105,7 +110,7 @@ _DOMAINS = {
 
 def _number(cfg: dict, key: str, context: str) -> float:
     """A required config number, checked against its domain in _DOMAINS."""
-    value = _real(_require(cfg, key, context), key)
+    value = _value(_require(cfg, key, context), key)
     low, closed = _DOMAINS.get(key, (-math.inf, True))
     if value < low or (value == low and not closed):
         bound = "at least" if closed else "above"
@@ -182,10 +187,12 @@ def _sweep_values(spec: dict):
 
 def _apply_variable(fixed: dict, variable: str, x: float) -> dict:
     cfg = dict(fixed)
-    key, integral = _SWEEP_KEYS[variable]
+    key = _SWEEP_KEYS[variable]
     if variable == "SNR":
         x = x * _real(_require(cfg, "sigma2", "SNR sweep"), "sigma2")
-    cfg[key] = _integer(x, key) if integral else x
+    cfg[key] = _value(x, key)
+    if variable == "SNR":  # a sigma2 not above 0 is named through the P it makes
+        _number(cfg, key, "SNR sweep")
     return cfg
 
 
@@ -200,55 +207,59 @@ def _taps_from(cfg: dict):
                  for a, b in zip(re, im))
 
 
+def _scenario(cls, cfg: dict, context: str):
+    """The scenario of class cls that cfg spells, read field by field: a field
+    without a default is a required number in its domain, one with a default
+    is optional, and scheme 3's taps h are read from h_re and h_im."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        key = field.name
+        if cls is MultiPathScenario and key == "h":
+            values[key] = _taps_from(cfg)
+        elif field.default is dataclasses.MISSING:
+            values[key] = _number(cfg, key, context)
+        elif key in cfg:
+            values[key] = _value(cfg[key], key)
+    return cls(**values)
+
+
 def _eval_curve(label: str, cfg: dict) -> float:
+    """The rate of one curve other than theorem3's at one sweep row."""
+    if label == "theorem1":
+        return _scenario(QuasiStaticScenario, cfg, label).derive().rate
+    if label == "theorem2":
+        return _scenario(TwoPathScenario, cfg, label).derive().rate
+
     def num(key):
         return _number(cfg, key, label)
 
     snr = num("P") / num("sigma2")
-    n = _integer(_require(cfg, "n", label), "n")
-    eps = num("eps")
+    n, eps = num("n"), num("eps")
     if label == "capacity_fd":
         return qs.capacity_fd(num("h"), snr)
     if label == "fd_baseline":
         return qs.rate_fd_baseline(num("h"), snr, n, eps)
-    if label == "theorem1":
-        csi = qs.TransmitterCsi(num("h_hat"), num("distortion"))
-        params = qs.derive_params1(
-            num("sigma2"), num("P"), num("P_tilde"), num("sigma_z"), csi, n, eps,
-        )
-        return params.rate
-    if label == "theorem2":
-        csi = tp.TransmitterCsi2(num("h1_hat"), num("h2_hat"), num("distortion"))
-        params = tp.derive_params2(
-            num("sigma2"), num("P"), num("P_tilde"), num("sigma_z"), csi, n, eps,
-        )
-        return params.rate
-    if label == "tp_benchmark":
-        return tp.rate_tp_benchmark(num("h1"), num("h2"), snr, n, eps)
-    raise ConfigError(f"unknown curve label '{label}'")
+    return tp.rate_tp_benchmark(num("h1"), num("h2"), snr, n, eps)
 
 
 def _theorem3_plans(label: str, fixed: dict, variable: str, points: list) -> list:
     """The theorem3 plan of each sweep row, or the exception its cells re-raise.
 
-    Inputs are read in _eval_curve's order, so a bad config names the same key
-    first. Rows that scan for their best subchannel count with the same taps,
+    Each row is read as a MultiPathScenario, as simulate reads a scheme-3
+    config, so a bad row names its first bad field in the class's order.
+    Rows that scan for their best subchannel count with the same taps,
     sigma2, P and eps share one scan.
     """
     plans = [None] * len(points)
     groups = {}  # (channel, eps) -> [(row, n)]
     for row, x in enumerate(points):
         try:
-            cfg = _apply_variable(fixed, variable, x)
-            P, sigma2 = _number(cfg, "P", label), _number(cfg, "sigma2", label)
-            n = _integer(_require(cfg, "n", label), "n")
-            eps = _number(cfg, "eps", label)
-            channel = mp.MultiPathChannel(_taps_from(cfg), sigma2, P)
-            if "subchannels" in cfg:
-                k = _integer(cfg["subchannels"], "subchannels")
-                plans[row] = mp.plan_block(channel, n, eps, k)
+            scenario = _scenario(MultiPathScenario, _apply_variable(fixed, variable, x), label)
+            if scenario.subchannels is not None:
+                plans[row] = scenario.derive()
             else:
-                groups.setdefault((channel, eps), []).append((row, n))
+                channel = mp.MultiPathChannel(scenario.h, scenario.sigma2, scenario.P)
+                groups.setdefault((channel, scenario.eps), []).append((row, scenario.n))
         except (InfeasibleError, ValueError) as exc:
             plans[row] = exc
     for (channel, eps), members in groups.items():
@@ -311,75 +322,48 @@ def cmd_rate_sweep(spec_path: str, out_path):
 # simulation
 # ---------------------------------------------------------------------------
 
-# the keys each scheme's simulate config may hold, optional ones included
-_COMMON_KEYS = {"scheme", "n", "eps", "sigma2", "P", "noise_scale"}
-_LINK_KEYS = _COMMON_KEYS | {"distortion", "P_tilde", "sigma_z"}
-_SCHEME_KEYS = {
-    1: _LINK_KEYS | {"h_hat", "h"},
-    2: _LINK_KEYS | {"h1_hat", "h2_hat", "h1", "h2"},
-    3: _COMMON_KEYS | {"h_re", "h_im", "subchannels"},
-}
+# scheme id -> the scenario class whose fields are that scheme's config keys
+_SCENARIOS = {cls.scheme_id: cls
+              for cls in (QuasiStaticScenario, TwoPathScenario, MultiPathScenario)}
 
 
 def _scenario_from_config(cfg: dict):
     scheme = _require(cfg, "scheme", "simulate config")
-    if isinstance(scheme, bool) or scheme not in (1, 2, 3):
+    # a tuple, since a list or object scheme is unhashable
+    if isinstance(scheme, bool) or scheme not in tuple(_SCENARIOS):
         raise ConfigError(f"unknown scheme {scheme!r} (expected 1, 2 or 3)")
+    cls = _SCENARIOS[scheme]
     context = f"scheme {scheme} config"
-    unknown = sorted(set(cfg) - _SCHEME_KEYS[scheme])
+    # a config key per field, but h_re and h_im for scheme 3's taps
+    allowed = {field.name for field in dataclasses.fields(cls)} | {"scheme"}
+    if cls is MultiPathScenario:
+        allowed = allowed - {"h"} | {"h_re", "h_im"}
+    unknown = sorted(set(cfg) - allowed)
     if unknown:  # a mistyped key would otherwise leave its value to a default
         raise ConfigError(f"{context}: unknown key {', '.join(map(repr, unknown))} "
-                          f"(allowed: {', '.join(sorted(_SCHEME_KEYS[scheme]))})")
-
-    def real(key):
-        return _number(cfg, key, context)
-
-    def optional(key):
-        return _real(cfg[key], key) if key in cfg else None
-
+                          f"(allowed: {', '.join(sorted(allowed))})")
+    scenario = _scenario(cls, cfg, context)
     # validation knob: scales the realized forward noise (0 = noiseless
     # loop) while the design still assumes sigma2
-    noise_scale = optional("noise_scale")
-    if noise_scale is not None and noise_scale < 0:
-        raise ConfigError(f"noise_scale must be nonnegative, got {noise_scale!r}")
-    n = _integer(_require(cfg, "n", context), "n")
-    common = dict(
-        n=n, eps=real("eps"), sigma2=real("sigma2"), P=real("P"),
-        noise_scale=1.0 if noise_scale is None else noise_scale,
-    )
-
-    def check_n(minimum):
-        if n < minimum:
-            raise ConfigError(f"scheme {scheme} needs n of at least {minimum}, got {n}")
-
-    if scheme in (1, 2):
-        check_n(2 if scheme == 1 else 4)
-        # CSI distortion bound and feedback link, shared by schemes 1 and 2
-        feedback = dict(
-            distortion=real("distortion"), P_tilde=real("P_tilde"),
-            sigma_z=real("sigma_z"),
-        )
-    if scheme == 1:
-        return QuasiStaticScenario(
-            h_hat=real("h_hat"), h=optional("h"), **feedback, **common,
-        )
-    if scheme == 2:
-        return TwoPathScenario(
-            h1_hat=real("h1_hat"), h2_hat=real("h2_hat"),
-            h1=optional("h1"), h2=optional("h2"), **feedback, **common,
-        )
-    taps = _taps_from(cfg)
-    paths = len(taps)
-    if paths < 2 or not any(taps):
-        raise ConfigError("scheme 3 needs at least two channel taps, not all zero")
-    check_n(2 * paths)
-    k = _integer(cfg["subchannels"], "subchannels") if "subchannels" in cfg else None
+    if scenario.noise_scale < 0:
+        raise ConfigError(f"noise_scale must be nonnegative, got {scenario.noise_scale!r}")
+    n = scenario.n
+    if cls is MultiPathScenario:
+        paths = len(scenario.h)
+        if paths < 2 or not any(scenario.h):
+            raise ConfigError("scheme 3 needs at least two channel taps, not all zero")
+        minimum = 2 * paths
+    else:
+        minimum = 2 if scheme == 1 else 4
+    if n < minimum:
+        raise ConfigError(f"scheme {scheme} needs n of at least {minimum}, got {n}")
+    k = getattr(scenario, "subchannels", None)
     if k is not None and not paths <= k <= n - paths + 1:
         raise ConfigError(
             f"subchannels must lie in {{{paths}, ..., {n - paths + 1}}} "
             f"for {paths} taps and n={n}, got {k}"
         )
-    return MultiPathScenario(h=taps, subchannels=k, **common)
+    return scenario
 
 
 def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path):
@@ -473,16 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "rate-sweep":
             return cmd_rate_sweep(args.spec, args.out)
         if args.command == "simulate":
             return cmd_simulate(args.config, args.trials, args.seed, args.check, args.out)
-        if args.command == "selfcheck":
-            return cmd_selfcheck()
-        parser.error(f"unknown command {args.command}")
+        return cmd_selfcheck()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -492,7 +473,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 1
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from skfading.cli import (
     main,
 )
 from skfading.selfcheck import run_selfcheck
+from skfading.simulation import MultiPathScenario, QuasiStaticScenario, TwoPathScenario
 
 
 def write_json(path, payload):
@@ -314,6 +316,42 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys, base, key):
                  "--seed", "1"]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and f"unknown key '{key}'" in err
+
+
+SCHEME1_KEYS = "P, P_tilde, distortion, eps, h, h_hat, n, noise_scale, scheme, sigma2, sigma_z"
+SCHEME2_KEYS = ("P, P_tilde, distortion, eps, h1, h1_hat, h2, h2_hat, n, noise_scale, scheme, "
+                "sigma2, sigma_z")
+SCHEME3_KEYS = "P, eps, h_im, h_re, n, noise_scale, scheme, sigma2, subchannels"
+
+
+@pytest.mark.parametrize("base,change,message", [
+    (SCHEME1_CONFIG, {"n": 1}, "scheme 1 needs n of at least 2, got 1"),
+    (SCHEME2_CONFIG, {"n": 3}, "scheme 2 needs n of at least 4, got 3"),
+    (SCHEME3_CONFIG, {"h_re": [1.0, 0.5, 0.3], "n": 5}, "scheme 3 needs n of at least 6, got 5"),
+    (SCHEME3_CONFIG, {"h_re": [0.9]}, "scheme 3 needs at least two channel taps, not all zero"),
+    (SCHEME3_CONFIG, {"h_re": [0.0, 0.0]},
+     "scheme 3 needs at least two channel taps, not all zero"),
+    (SCHEME3_CONFIG, {"subchannels": 1},
+     "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 1"),
+    (SCHEME3_CONFIG, {"subchannels": 24},
+     "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 24"),
+    (SCHEME1_CONFIG, {"noise_scale": -1.0}, "noise_scale must be nonnegative, got -1.0"),
+    (SCHEME3_CONFIG, {"noise_scale": -0.5}, "noise_scale must be nonnegative, got -0.5"),
+    (SCHEME1_CONFIG, {"H": 0.9},
+     f"scheme 1 config: unknown key 'H' (allowed: {SCHEME1_KEYS})"),
+    (SCHEME2_CONFIG, {"h": 0.9, "sigma": 1.0},
+     f"scheme 2 config: unknown key 'h', 'sigma' (allowed: {SCHEME2_KEYS})"),
+    (SCHEME3_CONFIG, {"sigma_z": 0.0},
+     f"scheme 3 config: unknown key 'sigma_z' (allowed: {SCHEME3_KEYS})"),
+], ids=["n_below_2", "n_below_4", "n_below_2L", "one_tap", "zero_taps", "subchannels_1",
+        "subchannels_n", "noise_scale_1", "noise_scale_3", "unknown_1", "unknown_2",
+        "unknown_3"])
+def test_simulate_structural_check_messages(tmp_path, capsys, base, change, message):
+    # each config breaks one structural rule, so its stderr line is pinned
+    cfg = write_json(tmp_path / "c.json", dict(base, **change))
+    assert main(["simulate", "--config", cfg, "--trials", "1",
+                 "--seed", "1"]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
 
 def test_simulate_rejects_a_bool_scheme(tmp_path, capsys):
@@ -853,6 +891,111 @@ def test_rate_sweep_theorem3_orderings(tmp_path, capsys, variable, values, curve
     spec = {"variable": variable, "values": values, "curves": curves, "fixed": fixed}
     assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == code
     assert capsys.readouterr() == (out, err)
+
+
+# ---------------------------------------------------------------------------
+# the scenario classes as each scheme's one parameter list
+# ---------------------------------------------------------------------------
+
+# every key each scheme's config may hold, optional ones included, and the
+# scenario that it spells
+FULL_CONFIGS = [
+    ({"scheme": 1, "n": 12.0, "eps": 0.01, "sigma2": 2, "P": 10, "P_tilde": 8.0,
+      "sigma_z": 1e-3, "h_hat": 0.9, "distortion": 0.05, "h": -0.92, "noise_scale": 0.5},
+     QuasiStaticScenario(h_hat=0.9, distortion=0.05, sigma2=2.0, P=10.0, P_tilde=8.0,
+                         sigma_z=1e-3, n=12, eps=0.01, h=-0.92, noise_scale=0.5)),
+    ({"scheme": 2, "n": 14, "eps": 0.02, "sigma2": 1.0, "P": 10.0, "P_tilde": 10.0,
+      "sigma_z": 0, "h1_hat": 0.9, "h2_hat": 0.5, "distortion": 0.02, "h1": 0.91,
+      "h2": 0.49, "noise_scale": 0},
+     TwoPathScenario(h1_hat=0.9, h2_hat=0.5, distortion=0.02, sigma2=1.0, P=10.0,
+                     P_tilde=10.0, sigma_z=0.0, n=14, eps=0.02, h1=0.91, h2=0.49,
+                     noise_scale=0.0)),
+    ({"scheme": 3, "n": 24.0, "eps": 0.01, "sigma2": 2, "P": 10.0, "h_re": [0.9, 0.5],
+      "h_im": [0.1, -0.2], "subchannels": 3.0, "noise_scale": 1.5},
+     MultiPathScenario(h=(0.9 + 0.1j, 0.5 - 0.2j), sigma2=2.0, P=10.0, n=24, eps=0.01,
+                       subchannels=3, noise_scale=1.5)),
+]
+
+
+@pytest.mark.parametrize("cfg,expected", FULL_CONFIGS, ids=["scheme1", "scheme2", "scheme3"])
+def test_simulate_config_builds_its_scenario(cfg, expected):
+    # scheme 3 spells its one field h as two keys, h_re and h_im
+    assert len(cfg) == len(dataclasses.fields(expected)) + 1 + (cfg["scheme"] == 3)
+    built = cli._scenario_from_config(cfg)
+    # repr also tells an int field from a float one
+    assert built == expected and repr(built) == repr(expected)
+    # a config without its optional keys takes the class defaults
+    defaults = {field.name: field.default for field in dataclasses.fields(expected)
+                if field.default is not dataclasses.MISSING}
+    required = {key: value for key, value in cfg.items() if key not in defaults}
+    assert cli._scenario_from_config(required) == dataclasses.replace(expected, **defaults)
+
+
+def assert_same_bits(a, b):
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for field in dataclasses.fields(a):
+            assert_same_bits(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        assert np.array(a).tobytes() == np.array(b).tobytes()
+
+
+THEOREM_FIXED = {
+    "sigma2": 1.0, "P": 10.0, "P_tilde": 10.0, "sigma_z": 1e-3, "eps": 1e-6,
+    "h_hat": 0.9, "h1_hat": 0.9, "h2_hat": 0.5, "distortion": 0.05, "h_re": [1.0, 0.5, 0.3],
+}
+TAPS = (1.0 + 0j, 0.5 + 0j, 0.3 + 0j)
+
+
+@pytest.mark.parametrize("n", [5, 25, 100, 1000])
+def test_rate_sweep_theorem1_and_2_cells_are_their_scenario_rates(n):
+    cfg = dict(THEOREM_FIXED, n=n)
+    link = dict(distortion=0.05, sigma2=1.0, P=10.0, P_tilde=10.0, sigma_z=1e-3,
+                n=n, eps=1e-6)
+    assert_same_bits(cli._eval_curve("theorem1", cfg),
+                     QuasiStaticScenario(h_hat=0.9, **link).derive().rate)
+    assert_same_bits(cli._eval_curve("theorem2", cfg),
+                     TwoPathScenario(h1_hat=0.9, h2_hat=0.5, **link).derive().rate)
+
+
+@pytest.mark.parametrize("variable,points,fixed,scenario", [
+    ("N", [25.0, 60.0, 200.0], THEOREM_FIXED,
+     lambda x: dict(n=int(x))),
+    ("K", [3.0, 10.0, 40.0], dict(THEOREM_FIXED, n=64),
+     lambda x: dict(n=64, subchannels=int(x))),
+], ids=["scan", "explicit_k"])
+def test_rate_sweep_theorem3_plans_are_their_scenario_plans(variable, points, fixed,
+                                                             scenario):
+    plans = cli._theorem3_plans("theorem3", fixed, variable, points)
+    for x, plan in zip(points, plans):
+        expected = MultiPathScenario(h=TAPS, sigma2=1.0, P=10.0, eps=1e-6, **scenario(x))
+        assert_same_bits(plan, expected.derive())
+
+
+@pytest.mark.parametrize("curve", ["theorem1", "theorem2", "theorem3", "capacity_fd"])
+def test_rate_sweep_names_the_p_that_a_bad_sigma2_makes(tmp_path, capsys, curve):
+    # an SNR sweep sets P = SNR * sigma2, so sigma2 = -1 is named as P's
+    # error, whatever order the curve reads its keys in
+    spec = {"variable": "SNR", "values": [1.0, 10.0], "curves": [curve],
+            "fixed": dict(THEOREM_FIXED, h=0.9, n=64, sigma2=-1.0)}
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec)]) \
+        == EXIT_BAD_CONFIG
+    assert capsys.readouterr() == ("", "configuration error: P must be above 0, got -1.0\n")
+
+
+@pytest.mark.parametrize("curves", [["theorem1"], ["theorem2"], ["theorem3"]])
+def test_rate_sweep_reads_every_key_of_a_theorem_scenario(tmp_path, capsys, curves):
+    # a malformed optional key of the theorem's scenario fails its cell
+    # with exit 2, as it fails a simulate config
+    bad = {"theorem1": "h", "theorem2": "h2", "theorem3": "noise_scale"}[curves[0]]
+    spec = {"variable": "N", "values": [25], "curves": curves,
+            "fixed": dict(THEOREM_FIXED, **{bad: "one"})}
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec)]) \
+        == EXIT_BAD_CONFIG
+    assert capsys.readouterr() == (
+        "", f"configuration error: {bad} must be a finite number, got 'one'\n")
 
 
 # ---------------------------------------------------------------------------
