@@ -19,13 +19,14 @@ import numpy as np
 from . import multi_path as mp
 from . import quasi_static as qs
 from . import two_path as tp
-from .numerics import InfeasibleError
+from .numerics import ConfigError, InfeasibleError
 from .selfcheck import run_selfcheck
 from .simulation import (
     MAX_TRIALS,
     MultiPathScenario,
     QuasiStaticScenario,
     TwoPathScenario,
+    check_number,
     monte_carlo,
 )
 
@@ -56,10 +57,6 @@ CURVE_LABELS = (
     "theorem3",
     "theorem3_real_dim",
 )
-
-
-class ConfigError(ValueError):
-    """Malformed or incomplete configuration input."""
 
 
 def _fmt(value: float) -> str:
@@ -93,31 +90,6 @@ def _integer(value, what: str) -> int:
 def _value(value, key: str):
     """A config value: an integer for n and subchannels, else a finite number."""
     return (_integer if key in ("n", "subchannels") else _real)(value, key)
-
-
-# Lowest value of each config number that has a domain, and whether that
-# value itself is allowed; eps must also stay below 1. Below the smallest
-# normal double, eps / (4 (n - 1)) underflows to 0.
-_DOMAINS = {
-    "sigma2": (0.0, False),
-    "P": (0.0, False),
-    "P_tilde": (0.0, False),
-    "sigma_z": (0.0, True),
-    "distortion": (0.0, True),
-    "eps": (sys.float_info.min, True),
-}
-
-
-def _number(cfg: dict, key: str, context: str) -> float:
-    """A required config number, checked against its domain in _DOMAINS."""
-    value = _value(_require(cfg, key, context), key)
-    low, closed = _DOMAINS.get(key, (-math.inf, True))
-    if value < low or (value == low and not closed):
-        bound = "at least" if closed else "above"
-        raise ConfigError(f"{key} must be {bound} {low:g}, got {value!r}")
-    if key == "eps" and value >= 1.0:
-        raise ConfigError(f"eps must lie in (0, 1), got {value!r}")
-    return value
 
 
 def _finite_float(text: str) -> float:
@@ -192,7 +164,7 @@ def _apply_variable(fixed: dict, variable: str, x: float) -> dict:
         x = x * _real(_require(cfg, "sigma2", "SNR sweep"), "sigma2")
     cfg[key] = _value(x, key)
     if variable == "SNR":  # a sigma2 not above 0 is named through the P it makes
-        _number(cfg, key, "SNR sweep")
+        check_number(key, cfg[key])
     return cfg
 
 
@@ -209,15 +181,15 @@ def _taps_from(cfg: dict):
 
 def _scenario(cls, cfg: dict, context: str):
     """The scenario of class cls that cfg spells, read field by field: a field
-    without a default is a required number in its domain, one with a default
-    is optional, and scheme 3's taps h are read from h_re and h_im."""
+    without a default is required, one with a default is optional, and
+    scheme 3's taps h are read from h_re and h_im. The class checks them."""
     values = {}
     for field in dataclasses.fields(cls):
         key = field.name
         if cls is MultiPathScenario and key == "h":
             values[key] = _taps_from(cfg)
         elif field.default is dataclasses.MISSING:
-            values[key] = _number(cfg, key, context)
+            values[key] = _value(_require(cfg, key, context), key)
         elif key in cfg:
             values[key] = _value(cfg[key], key)
     return cls(**values)
@@ -230,8 +202,8 @@ def _eval_curve(label: str, cfg: dict) -> float:
     if label == "theorem2":
         return _scenario(TwoPathScenario, cfg, label).derive().rate
 
-    def num(key):
-        return _number(cfg, key, label)
+    def num(key):  # checked as the scenarios check their numbers
+        return check_number(key, _value(_require(cfg, key, label), key))
 
     snr = num("P") / num("sigma2")
     n, eps = num("n"), num("eps")
@@ -246,7 +218,7 @@ def _theorem3_plans(label: str, fixed: dict, variable: str, points: list) -> lis
     """The theorem3 plan of each sweep row, or the exception its cells re-raise.
 
     Each row is read as a MultiPathScenario, as simulate reads a scheme-3
-    config, so a bad row names its first bad field in the class's order.
+    config, so a bad row fails with the error that config would raise.
     Rows that scan for their best subchannel count with the same taps,
     sigma2, P and eps share one scan.
     """
@@ -342,28 +314,10 @@ def _scenario_from_config(cfg: dict):
     if unknown:  # a mistyped key would otherwise leave its value to a default
         raise ConfigError(f"{context}: unknown key {', '.join(map(repr, unknown))} "
                           f"(allowed: {', '.join(sorted(allowed))})")
-    scenario = _scenario(cls, cfg, context)
-    # validation knob: scales the realized forward noise (0 = noiseless
-    # loop) while the design still assumes sigma2
-    if scenario.noise_scale < 0:
-        raise ConfigError(f"noise_scale must be nonnegative, got {scenario.noise_scale!r}")
-    n = scenario.n
-    if cls is MultiPathScenario:
-        paths = len(scenario.h)
-        if paths < 2 or not any(scenario.h):
-            raise ConfigError("scheme 3 needs at least two channel taps, not all zero")
-        minimum = 2 * paths
-    else:
-        minimum = 2 if scheme == 1 else 4
-    if n < minimum:
-        raise ConfigError(f"scheme {scheme} needs n of at least {minimum}, got {n}")
-    k = getattr(scenario, "subchannels", None)
-    if k is not None and not paths <= k <= n - paths + 1:
-        raise ConfigError(
-            f"subchannels must lie in {{{paths}, ..., {n - paths + 1}}} "
-            f"for {paths} taps and n={n}, got {k}"
-        )
-    return scenario
+    try:
+        return _scenario(cls, cfg, context)
+    except ValueError as exc:  # a broken scheme rule is a config error here
+        raise exc if isinstance(exc, ConfigError) else ConfigError(str(exc)) from None
 
 
 def cmd_simulate(config_path: str, trials: int, seed: int, check: bool, out_path):

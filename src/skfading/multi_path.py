@@ -53,10 +53,8 @@ class MultiPathChannel:
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.h, dtype=complex)
-        if taps.size < 2:
-            raise ValueError("the multi-path model needs at least two taps")
-        if not np.any(taps != 0):
-            raise ValueError("at least one tap must be nonzero")
+        if taps.size < 2 or not np.any(taps != 0):
+            raise ValueError("scheme 3 needs at least two channel taps, not all zero")
         if self.sigma2 <= 0 or self.P <= 0:
             raise ValueError("sigma2 and P must be positive")
         object.__setattr__(self, "h", tuple(complex(t) for t in taps))
@@ -169,11 +167,11 @@ class _Batch:
             column = np.array(ns, dtype=np.int64)[:, None]
         except OverflowError:  # n beyond int64, which only plan_block takes
             column = np.array(ns, dtype=object)[:, None]
-        twice = 2.0 * column.astype(float)
-        growth = (column // self.block_lens - 1).astype(float) / twice
+        n = column.astype(float)
+        growth = (column // self.block_lens - 1).astype(float) / n / 2.0
         raw = growth[:, self.row_of]
         raw *= self.gain_terms
-        raw -= 1.0 / twice * self.margin_terms
+        raw -= 0.5 / n * self.margin_terms
         half = np.zeros((len(ns),) + self.active.shape)
         half[:, self.active] = np.maximum(raw, 0.0, out=raw)
         return half
@@ -225,9 +223,8 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
     """Lay out one block configuration with water-filled powers and rates."""
     num_paths = channel.num_paths
     if not (num_paths <= subchannels <= n - num_paths + 1):
-        raise ValueError(
-            f"subchannel count {subchannels} outside {{{num_paths}, ..., {n - num_paths + 1}}}"
-        )
+        raise ValueError(f"subchannels must lie in {{{num_paths}, ..., {n - num_paths + 1}}} "
+                         f"for {num_paths} taps and n={n}, got {subchannels}")
     batch = _Batch(channel, eps, range(subchannels, subchannels + 1))
     if batch.error is not None:
         raise batch.error
@@ -392,7 +389,7 @@ def optimize_subchannel_counts(channel: MultiPathChannel, ns, eps: float) -> lis
     results = {}
     for n in ns:
         if n < 2 * num_paths:
-            results[n] = ValueError("blocklength too short for any admissible subchannel count")
+            results[n] = ValueError(f"scheme 3 needs n of at least {2 * num_paths}, got {n}")
         elif n - 2 * num_paths + 2 > _MAX_WALK:
             results[n] = InfeasibleError(
                 f"scheme 3: n = {n} admits {n - 2 * num_paths + 2} subchannel counts, "

@@ -13,6 +13,7 @@ import operator
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "InfeasibleError",
     "MAX_GAIN_SNR",
     "require_gain_snr",
@@ -29,6 +30,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+class ConfigError(ValueError):
+    """Malformed or incomplete configuration input, or a number off its domain."""
 
 
 class InfeasibleError(ValueError):

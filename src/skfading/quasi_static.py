@@ -176,7 +176,11 @@ def feedback_budget(n: int, eps: float, sigma2: float, P: float, P_tilde: float,
             f"feedback lattice too small: sqrt(3*P_tilde)={root3p:.4g} "
             f"must exceed the quantizer fineness sigma_z={sigma_z:.4g}"
         )
-    a = ((root3p - sigma_z) / q_tail_inv(eps / (4.0 * iterations))) ** 2
+    target = eps / (4.0 * iterations)
+    if target == 0.0:
+        raise InfeasibleError(f"the per-iteration aliasing target eps / (4 * {iterations:.4g}) "
+                              "underflows to 0")
+    a = ((root3p - sigma_z) / q_tail_inv(target)) ** 2
     b = (math.sqrt(a) + sigma_z) ** 2 + 1.5 * P_tilde * eps
     return dict(n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
                 scaled_err_var=a, arg_var_bound=b, power_gain=math.sqrt(P / b),
@@ -199,7 +203,7 @@ def derive_params1(
     the distortion ball contains zero gain.
     """
     if n < 2:
-        raise ValueError("blocklength must be at least 2")
+        raise ValueError(f"scheme 1 needs n of at least 2, got {n}")
     link = feedback_budget(n, eps, sigma2, P, P_tilde, sigma_z, n - 1)
     a, b = link["scaled_err_var"], link["arg_var_bound"]
     snr = P / sigma2
@@ -211,8 +215,8 @@ def derive_params1(
     require_gain_snr(g2snr, "scheme 1")
 
     l_factor = 4.0 * q_tail_inv(eps / 4.0) ** 2
-    raw_rate = (n - 1) / (2.0 * n) * math.log2(1.0 + g2snr * a / b) \
-        - 1.0 / (2.0 * n) * math.log2(l_factor / (12.0 * g2snr))
+    raw_rate = float(n - 1) / float(n) / 2.0 * math.log2(1.0 + g2snr * a / b) \
+        - 0.5 / n * math.log2(l_factor / (12.0 * g2snr))
     return QuasiStaticParams(
         **link, gain_snr=g2snr, rate=max(raw_rate, 0.0), no_positive_rate=False,
     )
@@ -222,11 +226,13 @@ def rate_fd_baseline(h: float, snr: float, n: int, eps: float) -> float:
     """Finite-blocklength rate of the perfect-CSI noiseless-feedback scheme."""
     if h == 0:
         raise ValueError("baseline rate needs a nonzero fading coefficient")
+    if n < 2:  # scheme 1's shortest blocklength
+        raise ValueError(f"fd baseline needs n of at least 2, got {n}")
     l_factor = 4.0 * q_tail_inv(eps / 2.0) ** 2
     h2snr = h * h * snr
     require_gain_snr(h2snr, "fd baseline", floor=1.0 / MAX_GAIN_SNR)
-    return (n - 1) / (2.0 * n) * math.log2(1.0 + h2snr) \
-        - 1.0 / (2.0 * n) * math.log2(l_factor / (12.0 * h2snr))
+    return float(n - 1) / float(n) / 2.0 * math.log2(1.0 + h2snr) \
+        - 0.5 / n * math.log2(l_factor / (12.0 * h2snr))
 
 
 def capacity_fd(h: float, snr: float) -> float:

@@ -29,35 +29,30 @@ index, tag))) would draw it (the v1 stream contract), in one of two ways:
 A trial whose environment the pass cannot decide (a Lemire draw that numpy
 might have rejected, leftover below the alphabet size, or a normal off the
 ziggurat's fast path) draws its whole environment again from its re-keyed
-generator (_keyed_streams), so the pass never has to model a rejection
-loop.
+generator (_keyed_streams), so the pass never models a rejection loop.
 
-run_trials, the one entry point to the closed loop, runs any set of trial
-indices in lockstep through the scheme's engine. Schemes 1 and 2 share one
-(_link_engine): it draws the environment and the link's rows, feeds back,
-quantizes or adds the recorded noise, counts aliasing and keeps the error
-and power rows, for the original system and its coupled partner alike;
-each scheme adds its physics (_quasi_static, _two_path): its gains, its
-start and one forward step per iteration. They store each per-iteration
-array time-major (generators fill it through _generator_rows' trial-major
-buffer), so every loop step reads and writes contiguous rows.
-Their steps write through out= into row buffers allocated once per run,
-and the products of channel gains, pilot sign and power gain that every
-step uses are formed once per run; each expression keeps the textbook's
-float operations and their order.
+The scenario classes are each scheme's one parameter list. A scenario
+checks its fields at construction, so a library caller gets ValueError
+(ConfigError for a number outside its domain), and its class names its
+engine: the one place where a scheme is dispatched. run_trials, the one
+entry point to the closed loop, runs any set of trial indices in lockstep
+through that engine. Schemes 1 and 2 share one (_link_engine): it draws
+the environment and the link's rows, feeds back, quantizes or adds the
+recorded noise, counts aliasing and keeps the error and power rows, for
+the original system and its coupled partner alike; each scheme adds its
+physics (_quasi_static, _two_path): its gains, its start and one forward
+step per iteration. Their per-iteration arrays are time-major, so every
+step reads and writes contiguous rows, through out= into row buffers
+allocated once per run, each expression in the textbook's float
+operations and their order.
 Scheme 3 draws its environment for the whole run and then runs its closed
-loop _BLOCK trials at a time, in tile buffers that it reuses, so that each
-block step's arrays stay in cache; only the per-trial outputs span the run.
+loop _BLOCK trials at a time in reused tile buffers, so that each block
+step's arrays stay in cache; only the per-trial outputs span the run.
 monte_carlo derives once and folds chunks of at most 4096 trials into
-running totals, squaring errors into a trial-major buffer so that the sum
-adds trials in index order: its memory is one chunk's arrays (9.3 MB at
-n = 80, with no stored MMSE gains) plus the two power vectors, 16 bytes
-per trial. W processes, the CPUs in the affinity mask up to one per
-started 4096 trials, run as many chunks each, equal to within one trial:
-workers forked after the derive run every W-th chunk and pipe back what
-the fold reads, and the caller folds all chunks in chunk order, so the
-report is the same bytes for any CPU count. Each worker holds one chunk's
-working set of its own.
+running totals in chunk order, spread over forked worker processes (see
+monte_carlo), so the report is the same bytes for any CPU count. Each
+process holds one chunk's arrays (9.3 MB at n = 80) at a time, and the
+caller 16 bytes per trial of power vectors.
 """
 
 from __future__ import annotations
@@ -70,8 +65,9 @@ import numbers
 import os
 import pickle
 import signal
+import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -80,7 +76,7 @@ from numpy.random import Generator, Philox
 from . import multi_path as mp
 from . import quasi_static as qs
 from . import two_path as tp
-from .numerics import InfeasibleError, dft, idft, philox_key
+from .numerics import ConfigError, InfeasibleError, dft, idft, philox_key
 
 __all__ = [
     "TAG_NOISE",
@@ -90,6 +86,7 @@ __all__ = [
     "QuasiStaticScenario",
     "TwoPathScenario",
     "MultiPathScenario",
+    "check_number",
     "MonteCarloReport",
     "wilson_interval",
     "run_trials",
@@ -121,86 +118,8 @@ _BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
-# scenarios and results
+# results
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuasiStaticScenario:
-    """Single-path setup; h=None draws the true gain uniformly in the
-    distortion ball around the estimate, fresh per trial."""
-
-    h_hat: float
-    distortion: float
-    sigma2: float
-    P: float
-    P_tilde: float
-    sigma_z: float
-    n: int
-    eps: float
-    h: Optional[float] = None
-    noise_scale: float = 1.0  # scales realized forward noise; 0 = noiseless loop
-
-    scheme_id = 1
-
-    def derive(self) -> qs.QuasiStaticParams:
-        return qs.derive_params1(
-            self.sigma2, self.P, self.P_tilde, self.sigma_z,
-            qs.TransmitterCsi(self.h_hat, self.distortion), self.n, self.eps,
-        )
-
-
-@dataclass(frozen=True)
-class TwoPathScenario:
-    h1_hat: float
-    h2_hat: float
-    distortion: float
-    sigma2: float
-    P: float
-    P_tilde: float
-    sigma_z: float
-    n: int
-    eps: float
-    h1: Optional[float] = None
-    h2: Optional[float] = None
-    noise_scale: float = 1.0
-
-    scheme_id = 2
-
-    def derive(self) -> tp.TwoPathParams:
-        return tp.derive_params2(
-            self.sigma2, self.P, self.P_tilde, self.sigma_z,
-            tp.TransmitterCsi2(self.h1_hat, self.h2_hat, self.distortion),
-            self.n, self.eps,
-        )
-
-
-@dataclass(frozen=True)
-class MultiPathScenario:
-    """Noiseless-feedback multi-path setup with perfect CSI; subchannels
-    None lets the planner scan every admissible count."""
-
-    h: tuple
-    sigma2: float
-    P: float
-    n: int
-    eps: float
-    subchannels: Optional[int] = None
-    noise_scale: float = 1.0
-
-    scheme_id = 3
-
-    def derive(self) -> mp.BlockPlan:
-        channel = mp.MultiPathChannel(self.h, self.sigma2, self.P)
-        if self.subchannels is None:
-            return mp.optimize_subchannel_count(channel, self.n, self.eps)
-        return mp.plan_block(channel, self.n, self.eps, self.subchannels)
-
-
-# not typing.Union, whose cache keeps its arguments alive: through their
-# methods it held every earlier import's module namespace, about 0.35 MB of
-# live memory per import where perfbench re-imports the package
-Scenario = QuasiStaticScenario | TwoPathScenario | MultiPathScenario
-
 
 @dataclass
 class MonteCarloReport:
@@ -851,16 +770,133 @@ def _engine_multi_path(scenario, master_seed, coupled: bool):
     return run
 
 
-_ENGINES = {1: functools.partial(_link_engine, side=_quasi_static),
-            2: functools.partial(_link_engine, side=_two_path), 3: _engine_multi_path}
+# ---------------------------------------------------------------------------
+# scenarios: each checks its fields at construction and names its engine
+# ---------------------------------------------------------------------------
+
+# lowest value of each bounded number and whether it is allowed; eps also
+# stays below 1, and a subnormal eps would make eps / (4 (n - 1)) underflow
+_DOMAINS = {"sigma2": (0.0, False), "P": (0.0, False), "P_tilde": (0.0, False),
+            "sigma_z": (0.0, True), "distortion": (0.0, True), "noise_scale": (0.0, True),
+            "eps": (sys.float_info.min, True)}
+
+
+def check_number(key: str, value):
+    """value, if the scenario number named key may take it; else ConfigError."""
+    low, closed = _DOMAINS.get(key, (-math.inf, True))
+    if value < low or (value == low and not closed):
+        bound = "at least" if closed else "above"
+        raise ConfigError(f"{key} must be {bound} {low:g}, got {value!r}")
+    if key == "eps" and value >= 1.0:
+        raise ConfigError(f"eps must lie in (0, 1), got {value!r}")
+    return value
+
+
+class Scenario:
+    """The scenario classes' base: a scenario checks its fields at
+    construction, each number in its domain (ConfigError), then its scheme's
+    rules (ValueError), n >= min_n first. Its engine is its scheme's (_engine)."""
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            if field.name in _DOMAINS:
+                check_number(field.name, getattr(self, field.name))
+        if self.n < self.min_n:
+            raise ValueError(f"scheme {self.scheme_id} needs n of at least {self.min_n}, "
+                             f"got {self.n}")
+
+
+@dataclass(frozen=True)
+class QuasiStaticScenario(Scenario):
+    """Single-path setup; h=None draws the true gain uniformly in the
+    distortion ball around the estimate, fresh per trial."""
+
+    h_hat: float
+    distortion: float
+    sigma2: float
+    P: float
+    P_tilde: float
+    sigma_z: float
+    n: int
+    eps: float
+    h: Optional[float] = None
+    noise_scale: float = 1.0  # scales realized forward noise; 0 = noiseless loop
+
+    scheme_id, min_n = 1, 2
+    engine = functools.partialmethod(_link_engine, side=_quasi_static)
+
+    def derive(self) -> qs.QuasiStaticParams:
+        return qs.derive_params1(
+            self.sigma2, self.P, self.P_tilde, self.sigma_z,
+            qs.TransmitterCsi(self.h_hat, self.distortion), self.n, self.eps,
+        )
+
+
+@dataclass(frozen=True)
+class TwoPathScenario(Scenario):
+    h1_hat: float
+    h2_hat: float
+    distortion: float
+    sigma2: float
+    P: float
+    P_tilde: float
+    sigma_z: float
+    n: int
+    eps: float
+    h1: Optional[float] = None
+    h2: Optional[float] = None
+    noise_scale: float = 1.0
+
+    scheme_id, min_n = 2, 4
+    engine = functools.partialmethod(_link_engine, side=_two_path)
+
+    def derive(self) -> tp.TwoPathParams:
+        return tp.derive_params2(
+            self.sigma2, self.P, self.P_tilde, self.sigma_z,
+            tp.TransmitterCsi2(self.h1_hat, self.h2_hat, self.distortion),
+            self.n, self.eps,
+        )
+
+
+@dataclass(frozen=True)
+class MultiPathScenario(Scenario):
+    """Noiseless-feedback multi-path setup with perfect CSI; subchannels
+    None lets the planner scan every admissible count."""
+
+    h: tuple
+    sigma2: float
+    P: float
+    n: int
+    eps: float
+    subchannels: Optional[int] = None
+    noise_scale: float = 1.0
+
+    scheme_id = 3
+    min_n = property(lambda self: 2 * len(self.h))
+    engine = _engine_multi_path
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        paths, k = len(self.h), self.subchannels
+        if paths < 2 or not any(self.h):
+            raise ValueError("scheme 3 needs at least two channel taps, not all zero")
+        if k is not None and not paths <= k <= self.n - paths + 1:
+            raise ValueError(f"subchannels must lie in {{{paths}, ..., {self.n - paths + 1}}} "
+                             f"for {paths} taps and n={self.n}, got {k}")
+
+    def derive(self) -> mp.BlockPlan:
+        channel = mp.MultiPathChannel(self.h, self.sigma2, self.P)
+        if self.subchannels is None:
+            return mp.optimize_subchannel_count(channel, self.n, self.eps)
+        return mp.plan_block(channel, self.n, self.eps, self.subchannels)
 
 
 def _engine(scenario, master_seed: int, coupled: bool):
-    """The one reader of scheme_id: the scheme's engine derives the scenario
+    """scenario.engine, the engine its class names: it derives the scenario
     once and returns run(indices), which runs those trials in lockstep. The
     seed is checked first, and a numpy integer one runs as the int it is."""
     philox_key(master_seed)
-    return _ENGINES[scenario.scheme_id](scenario, int(master_seed), coupled)
+    return scenario.engine(int(master_seed), coupled)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def derive_params2(
 ) -> TwoPathParams:
     """Derive the two-path scheme constants from public quantities."""
     if n < 4:
-        raise ValueError("the two-path scheme needs blocklength at least 4")
+        raise ValueError(f"scheme 2 needs n of at least 4, got {n}")
     link = feedback_budget(n, eps, sigma2, P, P_tilde, sigma_z, n - 2)
     a, b = link["scaled_err_var"], link["arg_var_bound"]
     snr = P / sigma2
@@ -211,8 +211,8 @@ def derive_params2(
 
     l_factor = 4.0 * q_tail_inv(eps / 4.0) ** 2
     steady = (g1 + g2 * math.sqrt(rho_star)) ** 2 * c
-    raw_rate = (n - 3) / (2.0 * n) * math.log2(1.0 + steady) \
-        - 1.0 / (2.0 * n) * math.log2(l_factor * rho3 / (12.0 * energy * snr))
+    raw_rate = float(n - 3) / float(n) / 2.0 * math.log2(1.0 + steady) \
+        - 0.5 / n * math.log2(l_factor * rho3 / (12.0 * energy * snr))
     return TwoPathParams(
         **link, var_ratio_3=rho3, var_ratio_4=rho4, var_ratio_star=rho_star,
         art_noise_var=art_var, gain_energy=energy, rate=max(raw_rate, 0.0),
@@ -229,15 +229,15 @@ def rate_tp_benchmark(h1: float, h2: float, snr: float, n: int, eps: float) -> f
     if h1 == 0 or h2 == 0:
         raise ValueError("benchmark rate needs two nonzero paths")
     if n < 4:
-        raise ValueError("blocklength must be at least 4")
+        raise ValueError(f"tp benchmark needs n of at least 4, got {n}")
     require_gain_snr((abs(h1) + abs(h2)) * (abs(h1) + abs(h2)) * snr, "tp benchmark",
                      floor=1.0 / MAX_GAIN_SNR)
     rho3 = 1.0 / (1.0 + h1 * h1 * snr)
     rho_star = solve_rho_star(abs(h1), abs(h2), snr, 1.0)
     l_factor = 4.0 * q_tail_inv(eps / 2.0) ** 2
     steady = (abs(h1) + abs(h2) * math.sqrt(rho_star)) ** 2 * snr
-    return (n - 3) / (2.0 * n) * math.log2(1.0 + steady) \
-        - 1.0 / (2.0 * n) * math.log2(
+    return float(n - 3) / float(n) / 2.0 * math.log2(1.0 + steady) \
+        - 0.5 / n * math.log2(
             l_factor * rho3 / (12.0 * (h1 * h1 + h2 * h2) * snr)
         )
 

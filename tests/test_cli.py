@@ -335,8 +335,8 @@ SCHEME3_KEYS = "P, eps, h_im, h_re, n, noise_scale, scheme, sigma2, subchannels"
      "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 1"),
     (SCHEME3_CONFIG, {"subchannels": 24},
      "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 24"),
-    (SCHEME1_CONFIG, {"noise_scale": -1.0}, "noise_scale must be nonnegative, got -1.0"),
-    (SCHEME3_CONFIG, {"noise_scale": -0.5}, "noise_scale must be nonnegative, got -0.5"),
+    (SCHEME1_CONFIG, {"noise_scale": -1.0}, "noise_scale must be at least 0, got -1.0"),
+    (SCHEME3_CONFIG, {"noise_scale": -0.5}, "noise_scale must be at least 0, got -0.5"),
     (SCHEME1_CONFIG, {"H": 0.9},
      f"scheme 1 config: unknown key 'H' (allowed: {SCHEME1_KEYS})"),
     (SCHEME2_CONFIG, {"h": 0.9, "sigma": 1.0},
@@ -408,6 +408,29 @@ def test_simulate_scheme3_scan_beyond_its_limit(tmp_path, capsys):
         "infeasible parameters: scheme 3: n = 1000000000000000 admits 999999999999998 "
         "subchannel counts, more than the 100000 one scan may walk; set subchannels\n"
     )
+
+
+# each scheme's config, and scheme 3's without its subchannel count
+EXTREME_N_CONFIGS = {
+    "scheme1": SCHEME1_CONFIG, "scheme2": SCHEME2_CONFIG, "scheme3": SCHEME3_CONFIG,
+    "scheme3_scan": {key: v for key, v in SCHEME3_CONFIG.items() if key != "subchannels"},
+}
+
+
+@pytest.mark.parametrize("n", [0, -3, 1e15, 1e308])
+@pytest.mark.parametrize("name", sorted(EXTREME_N_CONFIGS))
+def test_simulate_extreme_blocklengths_exit_2_or_3(tmp_path, capsys, name, n):
+    # below the shortest n is a config error; 1e15 and 1e308 are infeasible
+    # (at 1e308 schemes 1 and 2 once exited 1 on a per-iteration target that
+    # underflowed to 0, scheme 3 on numpy's "Maximum allowed dimension")
+    cfg = write_json(tmp_path / "c.json", dict(EXTREME_N_CONFIGS[name], n=n))
+    code = main(["simulate", "--config", cfg, "--trials", "1", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == (EXIT_BAD_CONFIG if n < 1 else EXIT_INFEASIBLE)
+    assert out == "" and len(err.splitlines()) == 1
+    if n == 1e308 and name in ("scheme1", "scheme2"):
+        assert err == ("infeasible parameters: the per-iteration aliasing target "
+                       "eps / (4 * 1e+308) underflows to 0\n")
 
 
 @pytest.mark.parametrize("change,trials,field", [
@@ -669,6 +692,8 @@ FIXED_N100 = dict(FIG2_SPEC["fixed"], n=100)
     {"fixed": dict(FIG2_SPEC["fixed"], P_tilde=0.0)},
     {"fixed": dict(FIG2_SPEC["fixed"], sigma_z=-1e-3)},
     {"fixed": dict(FIG2_SPEC["fixed"], distortion=-0.1)},
+    # theorem1 reads the optional noise_scale through its scenario too
+    {"fixed": dict(FIG2_SPEC["fixed"], noise_scale=-1.0)},
     # the same domains when the number comes from the sweep variable
     {"variable": "D", "values": [0.1, -0.1], "fixed": FIXED_N100},
     {"variable": "sigmaZ", "values": [-1.0], "fixed": FIXED_N100},
@@ -712,6 +737,44 @@ def test_rate_sweep_huge_blocklength(tmp_path, capsys):
     x, th1, fd, th2, tp = out.read_text().splitlines()[1].split(",")
     assert x == "1e+15"
     assert 0.0 < float(th1) < float(fd) and 0.0 < float(th2) < float(tp)
+
+
+@pytest.mark.parametrize("subchannels, last_row", [
+    (None, "1e+308,1.59293327266,1.59293327266,,,1.78746881856,,"),
+    (3, "1e+308,1.59293327266,1.59293327266,,,1.78746881856,1.93314668061,0.966573340306"),
+], ids=["scan", "explicit_k"])
+def test_rate_sweep_extreme_blocklengths(tmp_path, capsys, subchannels, last_row):
+    # every curve at n = 0, -3, 1, 1e15 and 1e308: each cell is a finite rate
+    # or blank with its note, and the baseline never beats its capacity;
+    # at 1e308 the baselines and a fixed-K theorem3 read their limits, where
+    # 2n once overflowed them to 0 (theorem3: numpy's overflow warning)
+    fixed = dict(FIG2_SPEC["fixed"], h1=0.9, h2=0.5, h1_hat=0.9, h2_hat=0.5,
+                 h_re=[1.0, 0.5, 0.3], **({} if subchannels is None else {"subchannels": 3}))
+    spec = {"variable": "N", "values": [0, -3, 1, 1e15, 1e308], "curves": list(cli.CURVE_LABELS),
+            "fixed": fixed}
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    header, *rows = out.splitlines()
+    assert header == "x," + ",".join(cli.CURVE_LABELS)
+    assert [row.split(",")[0] for row in rows] == ["-3", "0", "1", "1e+15", "1e+308"]
+    notes = err.splitlines()
+    assert all(line.startswith("note: ") for line in notes)
+    for row in rows:
+        x, *cells = row.split(",")
+        for label, cell in zip(cli.CURVE_LABELS, cells, strict=True):
+            if cell:
+                assert math.isfinite(float(cell)), (x, label)
+            else:
+                assert any(line.startswith(f"note: {label} infeasible at N={float(x):g}: ")
+                           for line in notes), (x, label)
+        capacity, baseline = cells[:2]
+        assert capacity and (not baseline or float(baseline) <= float(capacity))
+    assert rows[-1] == last_row
+    # below n = 2 the baseline is blank, as theorem1 is (n = 1 once read 0.0111 bits,
+    # n = -3 2.12 bits, and n = 0 exited 1 on a division by zero)
+    assert [row.split(",")[2] for row in rows[:3]] == ["", "", ""]
+    assert "note: fd_baseline infeasible at N=0: fd baseline needs n of at least 2, got 0" \
+        in notes
 
 
 def test_rate_sweep_theorem3_scan_beyond_its_limit(tmp_path, capsys):
@@ -868,7 +931,7 @@ THEOREM3_FIXED = {
     "sigma2": 1.0, "P": 10.0, "P_tilde": 10.0, "sigma_z": 1e-3, "eps": 1e-6,
     "h_hat": 0.9, "distortion": 0.05, "h_re": [1.0, 0.5, 0.3],
 }
-NO_TAPS = "the multi-path model needs at least two taps"
+NO_TAPS = "scheme 3 needs at least two channel taps, not all zero"
 
 
 @pytest.mark.parametrize("variable, values, curves, fixed, code, out, err", [

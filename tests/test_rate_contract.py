@@ -40,6 +40,8 @@ from skfading.numerics import (
     require_gain_snr,
     water_fill,
 )
+from skfading.quasi_static import rate_fd_baseline
+from skfading.two_path import rate_tp_benchmark, solve_rho_star
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -438,7 +440,7 @@ ORACLE_SWEEPS = {
 def scan_alone(channel, n, eps):
     """The per-K scan of one blocklength: its best plan, or what it raises."""
     if n < 2 * channel.num_paths:
-        return ValueError("blocklength too short for any admissible subchannel count")
+        return ValueError(f"scheme 3 needs n of at least {2 * channel.num_paths}, got {n}")
     try:
         return scan_per_k(channel, n, eps)
     except InfeasibleError as exc:
@@ -565,6 +567,48 @@ def test_plans_beyond_int64(tmp_path, capsys, spec, rows):
         plan = plan_block(channel, n, 1e-6, k)
         assert_same_plan(plan, plan_block_per_k(channel, n, 1e-6, k))
         assert plan.blocks == n // (k + 2)
+
+
+# 10**5 blocklengths up to 2**62 (and 1 to 10**5) for the factor forms below
+FACTOR_NS = list(range(1, 10**5 + 1)) + np.random.Generator(
+    np.random.Philox(key=31)).integers(1, 2**62, 10**5, dtype=np.int64).tolist()
+
+
+def test_finite_n_factors_keep_their_bits():
+    # the closed forms write their blocklength factors as float(n - c) /
+    # float(n) / 2.0 and 0.5 / n, which never form 2n (inf past 2**1023,
+    # where the rates once read 0); wherever 2n is finite they have the bits
+    # of the textbook forms (n - c) / (2.0 * n) and 1.0 / (2.0 * n). The form
+    # (n - c) / n / 2 would not: Python rounds int / int from the exact quotient
+    for n in FACTOR_NS:
+        for c in (1, 3):
+            assert float(n - c) / float(n) / 2.0 == (n - c) / (2.0 * n), (n, c)
+        assert 0.5 / n == 1.0 / (2.0 * n), n
+
+
+def test_rates_keep_their_textbook_bits():
+    # the baselines and scheme 3's per-component rates against their textbook
+    # forms, at every 1000th n of FACTOR_NS
+    h, h1, h2, snr, eps = 0.9, 0.9, 0.5, 10.0, 1e-6
+    fd_margin = math.log2(4.0 * q_tail_inv(eps / 2.0) ** 2 / (12.0 * h * h * snr))
+    rho3, rho_star = 1.0 / (1.0 + h1 * h1 * snr), solve_rho_star(h1, h2, snr, 1.0)
+    steady = math.log2(1.0 + (h1 + h2 * math.sqrt(rho_star)) ** 2 * snr)
+    tp_margin = math.log2(4.0 * q_tail_inv(eps / 2.0) ** 2 * rho3
+                          / (12.0 * (h1 * h1 + h2 * h2) * snr))
+    ns = FACTOR_NS[999::1000]  # from n = 1000
+    for n in ns:
+        fd = (n - 1) / (2.0 * n) * math.log2(1.0 + h * h * snr) - 1.0 / (2.0 * n) * fd_margin
+        tp = (n - 3) / (2.0 * n) * steady - 1.0 / (2.0 * n) * tp_margin
+        assert rate_fd_baseline(h, snr, n, eps) == fd and rate_tp_benchmark(h1, h2, snr, n, eps) == tp
+    batch = multi_path._Batch(MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0), eps, range(3, 12))
+    column = np.array(ns)[:, None]
+    twice = 2.0 * column.astype(float)
+    raw = ((column // batch.block_lens - 1).astype(float) / twice)[:, batch.row_of]
+    raw *= batch.gain_terms
+    raw -= 1.0 / twice * batch.margin_terms
+    want = np.zeros((len(ns),) + batch.active.shape)
+    want[:, batch.active] = np.maximum(raw, 0.0)
+    assert batch.half_rates(ns).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pickle
 import platform
 import resource
 import runpy
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from skfading import multi_path, numerics, quasi_static, simulation, two_path
-from skfading.numerics import InfeasibleError
+from skfading.numerics import ConfigError, InfeasibleError
 from skfading.quasi_static import message_size
 from skfading.simulation import (
     _CHUNK,
@@ -798,7 +799,7 @@ CHANNEL2 = multi_path.MultiPathChannel(h=(0.9, 0.5), sigma2=1.0, P=10.0)
      "target error probability"),
     (lambda: quasi_static.derive_params1(1.0, 10.0, 10.0, 1e-3,
                                          quasi_static.TransmitterCsi(0.9, 0.0), 1, 1e-2),
-     "blocklength must be at least 2"),
+     "scheme 1 needs n of at least 2, got 1"),
     (lambda: quasi_static.rate_fd_baseline(0.0, 10.0, 50, 1e-3), "nonzero fading coefficient"),
     (lambda: two_path.solve_rho_star(-0.1, 0.5, 10.0), "nonnegative"),
     (lambda: two_path.rate_tp_benchmark(0.0, 0.5, 10.0, 50, 1e-3), "two nonzero paths"),
@@ -814,6 +815,61 @@ CHANNEL2 = multi_path.MultiPathChannel(h=(0.9, 0.5), sigma2=1.0, P=10.0)
 def test_library_input_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# a number outside its domain: (field, value, message)
+OFF_DOMAIN = [
+    ("sigma2", 0.0, "sigma2 must be above 0, got 0.0"),
+    ("P", -1.0, "P must be above 0, got -1.0"),
+    ("P_tilde", 0.0, "P_tilde must be above 0, got 0.0"),
+    ("sigma_z", -1e-3, "sigma_z must be at least 0, got -0.001"),
+    ("distortion", -0.1, "distortion must be at least 0, got -0.1"),
+    ("noise_scale", -0.5, "noise_scale must be at least 0, got -0.5"),
+    ("eps", 0.0, "eps must be at least 2.22507e-308, got 0.0"),
+    ("eps", 1.0, "eps must lie in (0, 1), got 1.0"),
+]
+# a broken scheme rule: (scenario, change, message)
+BROKEN_RULES = [
+    (SC1, {"n": 1}, "scheme 1 needs n of at least 2, got 1"),
+    (SC1, {"n": -3}, "scheme 1 needs n of at least 2, got -3"),
+    (SC2, {"n": 3}, "scheme 2 needs n of at least 4, got 3"),
+    (SC3, {"h": (1.0, 0.5, 0.3), "n": 5, "subchannels": None},
+     "scheme 3 needs n of at least 6, got 5"),
+    (SC3, {"h": (0.9,)}, "scheme 3 needs at least two channel taps, not all zero"),
+    (SC3, {"h": (0.0, 0.0)}, "scheme 3 needs at least two channel taps, not all zero"),
+    (SC3, {"subchannels": 1}, "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 1"),
+    (SC3, {"subchannels": 24},
+     "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 24"),
+]
+
+
+@pytest.mark.parametrize("scenario, change, message, kind", [
+    (sc, {key: value}, message, ConfigError) for sc in (SC1, SC2, SC3)
+    for key, value, message in OFF_DOMAIN if hasattr(sc, key)
+] + [(sc, change, message, ValueError) for sc, change, message in BROKEN_RULES])
+def test_scenarios_check_their_fields(scenario, change, message, kind):
+    # a library caller gets the check at construction, not only at derive:
+    # ConfigError (a ValueError) for a number outside its domain, a plain
+    # ValueError for a broken scheme rule
+    with pytest.raises(ValueError) as exc:
+        replace(scenario, **change)
+    assert str(exc.value) == message and type(exc.value) is kind
+
+
+def test_scenario_checks_run_in_field_order_and_domains_first():
+    # the first bad number in field order, before any scheme rule
+    with pytest.raises(ConfigError, match=r"^P must be above 0, got 0.0$"):
+        replace(SC1, P=0.0, P_tilde=0.0, eps=2.0, n=1)
+    with pytest.raises(ConfigError, match=r"^noise_scale must be at least 0, got -1.0$"):
+        replace(SC3, h=(0.9,), subchannels=99, noise_scale=-1.0)
+
+
+def test_scenarios_take_their_domains_boundaries():
+    # each closed bound is a value the scenario accepts, as is the shortest n
+    for sc in (SC1, SC2):
+        assert replace(sc, sigma_z=0.0, distortion=0.0, noise_scale=0.0,
+                       eps=sys.float_info.min, n=sc.min_n).n == sc.min_n
+    assert replace(SC3, h=(0.0, 1.0, 0.0), n=6, subchannels=3).min_n == 6
 
 
 def test_every_traced_name_resolves():
