@@ -25,7 +25,6 @@ from .numerics import (
 )
 from .quasi_static import (
     QuasiStaticParams,
-    TransmitterCsi,
     capacity_fd,
     derive_params1,
     rate_fd_baseline,
@@ -39,7 +38,6 @@ from .simulation import (
     run_trials,
 )
 from .two_path import (
-    TransmitterCsi2,
     TwoPathParams,
     derive_params2,
     rate_tp_benchmark,
@@ -54,8 +52,6 @@ __all__ = [
     "MultiPathScenario",
     "QuasiStaticParams",
     "QuasiStaticScenario",
-    "TransmitterCsi",
-    "TransmitterCsi2",
     "TwoPathParams",
     "TwoPathScenario",
     "capacity_fd",

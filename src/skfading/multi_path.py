@@ -23,6 +23,7 @@ from .numerics import (
     channel_spectrum,
     q_tail_inv,
     require_gain_snr,
+    short_int,
     water_fill,
 )
 from .quasi_static import MAX_ALPHABET_BITS, decode_midpoint, map_message
@@ -223,8 +224,12 @@ def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) 
     """Lay out one block configuration with water-filled powers and rates."""
     num_paths = channel.num_paths
     if not (num_paths <= subchannels <= n - num_paths + 1):
-        raise ValueError(f"subchannels must lie in {{{num_paths}, ..., {n - num_paths + 1}}} "
-                         f"for {num_paths} taps and n={n}, got {subchannels}")
+        raise ValueError(f"subchannels must lie in {{{num_paths}, ..., "
+                         f"{short_int(n - num_paths + 1)}}} for {num_paths} taps and "
+                         f"n={short_int(n)}, got {short_int(subchannels)}")
+    if subchannels > np.iinfo(np.intp).max:
+        raise InfeasibleError(f"scheme 3: {short_int(subchannels)} subchannels exceed the "
+                              f"largest array size, {np.iinfo(np.intp).max}")
     batch = _Batch(channel, eps, range(subchannels, subchannels + 1))
     if batch.error is not None:
         raise batch.error
@@ -392,8 +397,8 @@ def optimize_subchannel_counts(channel: MultiPathChannel, ns, eps: float) -> lis
             results[n] = ValueError(f"scheme 3 needs n of at least {2 * num_paths}, got {n}")
         elif n - 2 * num_paths + 2 > _MAX_WALK:
             results[n] = InfeasibleError(
-                f"scheme 3: n = {n} admits {n - 2 * num_paths + 2} subchannel counts, "
-                f"more than the {_MAX_WALK} one scan may walk; set subchannels"
+                f"scheme 3: n = {short_int(n)} admits {short_int(n - 2 * num_paths + 2)} "
+                f"subchannel counts, more than the {_MAX_WALK} one scan may walk; set subchannels"
             )
     best = {n: None for n in ns if n not in results}
     for batch, open_ns in _scan(channel, eps, max(best, default=0) - num_paths + 1, best):

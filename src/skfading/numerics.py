@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "InfeasibleError",
+    "short_int",
     "MAX_GAIN_SNR",
     "require_gain_snr",
     "q_tail",
@@ -38,6 +39,11 @@ class ConfigError(ValueError):
 
 class InfeasibleError(ValueError):
     """Requested parameters admit no valid configuration."""
+
+
+def short_int(x) -> str:
+    """An integer for a message: in full below 10**17, else to 6 digits."""
+    return str(x) if abs(x) < 10 ** 17 else f"{x:.6g}"
 
 
 # The closed forms square gain^2 * SNR (scheme 2's rate divides its time-3

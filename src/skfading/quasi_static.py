@@ -2,8 +2,9 @@
 
 The modulo-lattice estimate-and-forward scheme for imperfect transmitter
 CSI with quantized feedback: message mapping, the feedback-link budget
-that the two-path scheme shares, parameter derivation,
-transmitter/receiver step functions, the perfect-CSI baseline rates and
+that the two-path scheme shares, parameter derivation from a
+simulation.QuasiStaticScenario (which has checked its numbers), the
+transmitter/receiver steps, the perfect-CSI baseline rates and
 nearest-midpoint decoding. Step functions broadcast over numpy arrays so
 many trials can run in lockstep.
 """
@@ -22,10 +23,10 @@ from .numerics import (
     modulo_reduce,
     q_tail_inv,
     require_gain_snr,
+    short_int,
 )
 
 __all__ = [
-    "TransmitterCsi",
     "FeedbackLink",
     "QuasiStaticParams",
     "map_message",
@@ -42,23 +43,6 @@ __all__ = [
     "mmse_steps1",
     "mmse_coefficients1",
 ]
-
-@dataclass(frozen=True)
-class TransmitterCsi:
-    """What the transmitter knows: an estimate and a distortion bound."""
-
-    h_hat: float
-    distortion: float
-
-    def __post_init__(self) -> None:
-        if self.distortion < 0:
-            raise ValueError("distortion bound must be nonnegative")
-
-    @property
-    def conservative_gain(self) -> float:
-        """Worst-case |h| consistent with the estimate, clamped at zero."""
-        return max(abs(self.h_hat) - self.distortion, 0.0)
-
 
 @dataclass(frozen=True)
 class FeedbackLink:
@@ -156,16 +140,11 @@ def message_size(n: int, rate: float) -> int:
     return max(int(math.floor(2.0 ** bits)), 2)
 
 
-def feedback_budget(n: int, eps: float, sigma2: float, P: float, P_tilde: float,
-                    sigma_z: float, iterations: int) -> dict:
-    """The FeedbackLink fields other than rate and no_positive_rate: the
-    budget of the modulo-lattice feedback link of schemes 1 and 2 at
-    blocklength n, used `iterations` times with aliasing probability
-    eps / (4 iterations) each."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("target error probability must lie in (0, 1)")
-    if sigma2 <= 0 or P <= 0 or P_tilde <= 0 or sigma_z < 0:
-        raise ValueError("invalid channel budget parameters")
+def feedback_budget(scenario, iterations: int) -> dict:
+    """The FeedbackLink fields other than rate and no_positive_rate: the budget
+    of a scheme-1 or scheme-2 scenario's modulo-lattice feedback link, used
+    `iterations` times with aliasing probability eps / (4 iterations) each."""
+    eps, P, P_tilde, sigma_z = scenario.eps, scenario.P, scenario.P_tilde, scenario.sigma_z
     if not math.isfinite(12.0 * P_tilde):
         raise InfeasibleError(
             f"P_tilde={P_tilde:.4g} overflows the feedback lattice spacing sqrt(12*P_tilde)"
@@ -182,33 +161,21 @@ def feedback_budget(n: int, eps: float, sigma2: float, P: float, P_tilde: float,
                               "underflows to 0")
     a = ((root3p - sigma_z) / q_tail_inv(target)) ** 2
     b = (math.sqrt(a) + sigma_z) ** 2 + 1.5 * P_tilde * eps
-    return dict(n=n, eps=eps, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
-                scaled_err_var=a, arg_var_bound=b, power_gain=math.sqrt(P / b),
-                lattice_spacing=math.sqrt(12.0 * P_tilde))
+    return dict(n=scenario.n, eps=eps, sigma2=scenario.sigma2, P=P, P_tilde=P_tilde,
+                sigma_z=sigma_z, scaled_err_var=a, arg_var_bound=b,
+                power_gain=math.sqrt(P / b), lattice_spacing=math.sqrt(12.0 * P_tilde))
 
 
-def derive_params1(
-    sigma2: float,
-    P: float,
-    P_tilde: float,
-    sigma_z: float,
-    csi: TransmitterCsi,
-    n: int,
-    eps: float,
-) -> QuasiStaticParams:
-    """Derive the scheme constants from public quantities and the CSI view.
-
-    Only ingredients available to the transmitter enter here; the true h
-    never does. The no_positive_rate flag marks the degenerate case where
-    the distortion ball contains zero gain.
-    """
-    if n < 2:
-        raise ValueError(f"scheme 1 needs n of at least 2, got {n}")
-    link = feedback_budget(n, eps, sigma2, P, P_tilde, sigma_z, n - 1)
+def derive_params1(scenario) -> QuasiStaticParams:
+    """Derive scheme 1's constants from a QuasiStaticScenario. The transmitter
+    designs for the worst gain in its CSI ball, max(|h_hat| - D, 0); the true
+    h never enters. no_positive_rate marks a ball that contains zero gain."""
+    n, eps = scenario.n, scenario.eps
+    link = feedback_budget(scenario, n - 1)
     a, b = link["scaled_err_var"], link["arg_var_bound"]
-    snr = P / sigma2
+    snr = scenario.P / scenario.sigma2
 
-    gain = csi.conservative_gain
+    gain = max(abs(scenario.h_hat) - scenario.distortion, 0.0)
     g2snr = gain * gain * snr
     if g2snr == 0.0:  # zero gain, or one whose squared SNR underflows
         return QuasiStaticParams(**link, gain_snr=0.0, rate=0.0, no_positive_rate=True)
@@ -227,7 +194,7 @@ def rate_fd_baseline(h: float, snr: float, n: int, eps: float) -> float:
     if h == 0:
         raise ValueError("baseline rate needs a nonzero fading coefficient")
     if n < 2:  # scheme 1's shortest blocklength
-        raise ValueError(f"fd baseline needs n of at least 2, got {n}")
+        raise ValueError(f"fd baseline needs n of at least 2, got {short_int(n)}")
     l_factor = 4.0 * q_tail_inv(eps / 2.0) ** 2
     h2snr = h * h * snr
     require_gain_snr(h2snr, "fd baseline", floor=1.0 / MAX_GAIN_SNR)

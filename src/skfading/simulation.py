@@ -76,7 +76,7 @@ from numpy.random import Generator, Philox
 from . import multi_path as mp
 from . import quasi_static as qs
 from . import two_path as tp
-from .numerics import ConfigError, InfeasibleError, dft, idft, philox_key
+from .numerics import ConfigError, InfeasibleError, dft, idft, philox_key, short_int
 
 __all__ = [
     "TAG_NOISE",
@@ -782,9 +782,12 @@ _DOMAINS = {"sigma2": (0.0, False), "P": (0.0, False), "P_tilde": (0.0, False),
 
 
 def check_number(key: str, value):
-    """value, if the scenario number named key may take it; else ConfigError."""
-    low, closed = _DOMAINS.get(key, (-math.inf, True))
-    if value < low or (value == low and not closed):
+    """value, if the scenario number named key may take it: never NaN, and
+    within its _DOMAINS bounds if it has any; else ConfigError."""
+    if value != value:  # a complex NaN (scheme 3's taps) too
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    low, closed = _DOMAINS.get(key, (None, True))
+    if low is not None and (value < low or (value == low and not closed)):
         bound = "at least" if closed else "above"
         raise ConfigError(f"{key} must be {bound} {low:g}, got {value!r}")
     if key == "eps" and value >= 1.0:
@@ -794,16 +797,21 @@ def check_number(key: str, value):
 
 class Scenario:
     """The scenario classes' base: a scenario checks its fields at
-    construction, each number in its domain (ConfigError), then its scheme's
-    rules (ValueError), n >= min_n first. Its engine is its scheme's (_engine)."""
+    construction, in field order: n is an integer (TypeError), each number
+    is no NaN and in its domain (ConfigError); then its scheme's rules
+    (ValueError), n >= min_n first. Its engine is its scheme's (_engine)."""
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            if field.name in _DOMAINS:
-                check_number(field.name, getattr(self, field.name))
+            value = getattr(self, field.name)
+            if field.name == "n" and (type(value) is bool or not isinstance(value, numbers.Integral)):
+                raise TypeError(f"n must be an integer, got {value!r}")
+            for number in value if isinstance(value, tuple) else (value,):
+                if number is not None:
+                    check_number(field.name, number)
         if self.n < self.min_n:
             raise ValueError(f"scheme {self.scheme_id} needs n of at least {self.min_n}, "
-                             f"got {self.n}")
+                             f"got {short_int(self.n)}")
 
 
 @dataclass(frozen=True)
@@ -826,10 +834,7 @@ class QuasiStaticScenario(Scenario):
     engine = functools.partialmethod(_link_engine, side=_quasi_static)
 
     def derive(self) -> qs.QuasiStaticParams:
-        return qs.derive_params1(
-            self.sigma2, self.P, self.P_tilde, self.sigma_z,
-            qs.TransmitterCsi(self.h_hat, self.distortion), self.n, self.eps,
-        )
+        return qs.derive_params1(self)
 
 
 @dataclass(frozen=True)
@@ -851,11 +856,7 @@ class TwoPathScenario(Scenario):
     engine = functools.partialmethod(_link_engine, side=_two_path)
 
     def derive(self) -> tp.TwoPathParams:
-        return tp.derive_params2(
-            self.sigma2, self.P, self.P_tilde, self.sigma_z,
-            tp.TransmitterCsi2(self.h1_hat, self.h2_hat, self.distortion),
-            self.n, self.eps,
-        )
+        return tp.derive_params2(self)
 
 
 @dataclass(frozen=True)
@@ -881,8 +882,9 @@ class MultiPathScenario(Scenario):
         if paths < 2 or not any(self.h):
             raise ValueError("scheme 3 needs at least two channel taps, not all zero")
         if k is not None and not paths <= k <= self.n - paths + 1:
-            raise ValueError(f"subchannels must lie in {{{paths}, ..., {self.n - paths + 1}}} "
-                             f"for {paths} taps and n={self.n}, got {k}")
+            raise ValueError(f"subchannels must lie in {{{paths}, ..., "
+                             f"{short_int(self.n - paths + 1)}}} for {paths} taps and "
+                             f"n={short_int(self.n)}, got {short_int(k)}")
 
     def derive(self) -> mp.BlockPlan:
         channel = mp.MultiPathChannel(self.h, self.sigma2, self.P)

@@ -5,7 +5,7 @@ reveals sgn(h1*h2), a two-slot initialization combines both looks at the
 first symbol, and the iteration alternates the phase so both paths add
 constructively. A fixed-point variance ratio and a one-shot artificial
 noise injection pin the variance trajectory to its steady state, giving a
-closed-form rate.
+closed-form rate, derived from a simulation.TwoPathScenario.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from .numerics import (
     modulo_reduce,
     q_tail_inv,
     require_gain_snr,
+    short_int,
 )
 # the feedback link is scheme 1's, and so is its receiver symbol
 from .quasi_static import (FeedbackLink, feedback_budget, quantize_feedback,
                            rx_feedback1 as rx_feedback2)
 
 __all__ = [
-    "TransmitterCsi2",
     "TwoPathParams",
     "sign_product",
     "pilot_sign",
@@ -44,24 +44,6 @@ __all__ = [
     "mmse_coefficients2",
     "phase_factor",
 ]
-
-
-@dataclass(frozen=True)
-class TransmitterCsi2:
-    """Estimates of the two path gains under one distortion bound."""
-
-    h1_hat: float
-    h2_hat: float
-    distortion: float
-
-    def __post_init__(self) -> None:
-        if self.distortion < 0:
-            raise ValueError("distortion bound must be nonnegative")
-
-    @property
-    def conservative_gains(self):
-        d = self.distortion
-        return max(abs(self.h1_hat) - d, 0.0), max(abs(self.h2_hat) - d, 0.0)
 
 
 @dataclass(frozen=True)
@@ -177,23 +159,15 @@ def calibrate_artificial_noise(
     return max(var, 0.0)
 
 
-def derive_params2(
-    sigma2: float,
-    P: float,
-    P_tilde: float,
-    sigma_z: float,
-    csi: TransmitterCsi2,
-    n: int,
-    eps: float,
-) -> TwoPathParams:
-    """Derive the two-path scheme constants from public quantities."""
-    if n < 4:
-        raise ValueError(f"scheme 2 needs n of at least 4, got {n}")
-    link = feedback_budget(n, eps, sigma2, P, P_tilde, sigma_z, n - 2)
+def derive_params2(scenario) -> TwoPathParams:
+    """Derive scheme 2's constants from a TwoPathScenario: each path's
+    design gain is the worst one in the ball, max(|h_hat| - D, 0)."""
+    n, P, sigma2, d = scenario.n, scenario.P, scenario.sigma2, scenario.distortion
+    link = feedback_budget(scenario, n - 2)
     a, b = link["scaled_err_var"], link["arg_var_bound"]
     snr = P / sigma2
 
-    g1, g2 = csi.conservative_gains
+    g1, g2 = max(abs(scenario.h1_hat) - d, 0.0), max(abs(scenario.h2_hat) - d, 0.0)
     energy = g1 * g1 + g2 * g2
     if energy == 0.0:  # zero gains, or squares that underflow
         return TwoPathParams(
@@ -209,7 +183,7 @@ def derive_params2(
     rho_star = solve_rho_star(g1, g2, snr, a / b)
     art_var = calibrate_artificial_noise(g1, g2, rho3, rho_star, P, a / b, sigma2)
 
-    l_factor = 4.0 * q_tail_inv(eps / 4.0) ** 2
+    l_factor = 4.0 * q_tail_inv(scenario.eps / 4.0) ** 2
     steady = (g1 + g2 * math.sqrt(rho_star)) ** 2 * c
     raw_rate = float(n - 3) / float(n) / 2.0 * math.log2(1.0 + steady) \
         - 0.5 / n * math.log2(l_factor * rho3 / (12.0 * energy * snr))
@@ -229,7 +203,7 @@ def rate_tp_benchmark(h1: float, h2: float, snr: float, n: int, eps: float) -> f
     if h1 == 0 or h2 == 0:
         raise ValueError("benchmark rate needs two nonzero paths")
     if n < 4:
-        raise ValueError(f"tp benchmark needs n of at least 4, got {n}")
+        raise ValueError(f"tp benchmark needs n of at least 4, got {short_int(n)}")
     require_gain_snr((abs(h1) + abs(h2)) * (abs(h1) + abs(h2)) * snr, "tp benchmark",
                      floor=1.0 / MAX_GAIN_SNR)
     rho3 = 1.0 / (1.0 + h1 * h1 * snr)

@@ -28,11 +28,7 @@ from skfading.numerics import (
     modulo_reduce,
     water_fill,
 )
-from skfading.quasi_static import (
-    TransmitterCsi,
-    derive_params1,
-    rate_fd_baseline,
-)
+from skfading.quasi_static import rate_fd_baseline
 from skfading.simulation import (
     TAG_DITHER,
     MultiPathScenario,
@@ -41,11 +37,7 @@ from skfading.simulation import (
     _keyed_streams,
     monte_carlo,
 )
-from skfading.two_path import (
-    TransmitterCsi2,
-    combining_weight,
-    derive_params2,
-)
+from skfading.two_path import combining_weight
 
 from classical_sk import classical_sk_error_var, simulate_classical_sk
 
@@ -210,12 +202,11 @@ def test_criterion_5_rate_properties_grid():
     h_hat = 0.9
 
     def rate(n=100, p_tilde=None, d=0.0, sz=None):
-        return derive_params1(
-            base["sigma2"], base["P"],
-            base["P_tilde"] if p_tilde is None else p_tilde,
-            base["sigma_z"] if sz is None else sz,
-            TransmitterCsi(h_hat, d), n, base["eps"],
-        ).rate
+        return QuasiStaticScenario(
+            h_hat=h_hat, distortion=d, sigma2=base["sigma2"], P=base["P"],
+            P_tilde=base["P_tilde"] if p_tilde is None else p_tilde,
+            sigma_z=base["sigma_z"] if sz is None else sz, n=n, eps=base["eps"],
+        ).derive().rate
 
     checked = 0
     rng = np.random.default_rng(5150)
@@ -266,14 +257,15 @@ def test_criterion_6_two_path_fixed_point_and_calibration():
     worst_resid = 0.0
     worst_round = 0.0
     for _ in range(100):
-        csi = TransmitterCsi2(rng.uniform(0.2, 1.5), rng.uniform(0.1, 1.2),
-                              rng.uniform(0.0, 0.08))
-        params = derive_params2(
-            1.0, float(rng.uniform(2, 30)), float(rng.uniform(4, 40)),
-            float(rng.uniform(0, 0.01)), csi,
-            int(rng.integers(8, 200)), float(10 ** rng.uniform(-6, -2)),
-        )
-        g1, g2 = csi.conservative_gains
+        h1_hat, h2_hat, d = (rng.uniform(0.2, 1.5), rng.uniform(0.1, 1.2),
+                             rng.uniform(0.0, 0.08))
+        params = TwoPathScenario(
+            h1_hat=h1_hat, h2_hat=h2_hat, distortion=d, sigma2=1.0,
+            P=float(rng.uniform(2, 30)), P_tilde=float(rng.uniform(4, 40)),
+            sigma_z=float(rng.uniform(0, 0.01)),
+            n=int(rng.integers(8, 200)), eps=float(10 ** rng.uniform(-6, -2)),
+        ).derive()
+        g1, g2 = abs(h1_hat) - d, abs(h2_hat) - d  # the worst gains in the CSI ball
         c = params.P / params.sigma2 * params.scaled_err_var / params.arg_var_bound
         rho = params.var_ratio_star
         worst_resid = max(worst_resid, abs(
@@ -426,9 +418,10 @@ def test_criterion_9_figure_ordering():
     channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
     worst_margin = math.inf
     for n in range(200, 1001, 100):
-        params2 = derive_params2(
-            1.0, 10.0, 10.0, 1e-3, TransmitterCsi2(0.9, 0.5, 1e-6), n, 1e-4,
-        )
+        params2 = TwoPathScenario(
+            h1_hat=0.9, h2_hat=0.5, distortion=1e-6, sigma2=1.0, P=10.0, P_tilde=10.0,
+            sigma_z=1e-3, n=n, eps=1e-4,
+        ).derive()
         best = None
         for k in range(2, n - 1):
             plan = plan_block(channel, n, 1e-4, k)
@@ -442,9 +435,10 @@ def test_criterion_9_figure_ordering():
     worst_gap = 0.0
     for n in (200, 400, 700, 1000):
         for p_tilde in (10.0, 30.0, 100.0):
-            params1 = derive_params1(
-                1.0, 10.0, p_tilde, 0.0, TransmitterCsi(0.9, 0.0), n, 1e-4,
-            )
+            params1 = QuasiStaticScenario(
+                h_hat=0.9, distortion=0.0, sigma2=1.0, P=10.0, P_tilde=p_tilde,
+                sigma_z=0.0, n=n, eps=1e-4,
+            ).derive()
             base = rate_fd_baseline(0.9, 10.0, n, 1e-4)
             gap = (base - params1.rate) / base
             worst_gap = max(worst_gap, gap)

@@ -417,20 +417,42 @@ EXTREME_N_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("n", [0, -3, 1e15, 1e308])
+@pytest.mark.parametrize("n", [-1e308, 0, -3, 1e15, 1e308])
 @pytest.mark.parametrize("name", sorted(EXTREME_N_CONFIGS))
 def test_simulate_extreme_blocklengths_exit_2_or_3(tmp_path, capsys, name, n):
     # below the shortest n is a config error; 1e15 and 1e308 are infeasible
     # (at 1e308 schemes 1 and 2 once exited 1 on a per-iteration target that
-    # underflowed to 0, scheme 3 on numpy's "Maximum allowed dimension")
+    # underflowed to 0, scheme 3 on numpy's "Maximum allowed dimension");
+    # the one stderr line stays short (the scan refusal at 1e308 and the
+    # minimum-n message at -1e308 once printed every digit, up to 738 characters)
     cfg = write_json(tmp_path / "c.json", dict(EXTREME_N_CONFIGS[name], n=n))
     code = main(["simulate", "--config", cfg, "--trials", "1", "--seed", "1"])
     out, err = capsys.readouterr()
     assert code == (EXIT_BAD_CONFIG if n < 1 else EXIT_INFEASIBLE)
-    assert out == "" and len(err.splitlines()) == 1
+    assert out == "" and len(err.splitlines()) == 1 and len(err) < 200
     if n == 1e308 and name in ("scheme1", "scheme2"):
         assert err == ("infeasible parameters: the per-iteration aliasing target "
                        "eps / (4 * 1e+308) underflows to 0\n")
+
+
+def test_simulate_subchannels_beyond_any_array_exit_3(tmp_path, capsys):
+    # K = 1e300 once exited 1 on numpy's "Maximum allowed dimension exceeded"
+    cfg = write_json(tmp_path / "c.json", dict(SCHEME3_CONFIG, n=1e308, subchannels=1e300))
+    assert main(["simulate", "--config", cfg, "--trials", "1",
+                 "--seed", "1"]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "infeasible parameters: scheme 3: 1e+300 subchannels exceed the largest array size, "
+        f"{np.iinfo(np.intp).max}\n")
+
+
+def test_rate_sweep_subchannels_beyond_any_array_leave_a_blank_cell(tmp_path, capsys):
+    spec = {"variable": "K", "values": [3, 1e300], "curves": ["theorem3"],
+            "fixed": dict(K_FIXED, n=1e308)}
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines()[2] == "1e+300,"
+    assert err == ("note: theorem3 infeasible at K=1e+300: scheme 3: 1e+300 subchannels "
+                   f"exceed the largest array size, {np.iinfo(np.intp).max}\n")
 
 
 @pytest.mark.parametrize("change,trials,field", [

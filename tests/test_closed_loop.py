@@ -21,7 +21,6 @@ from textbook_loops import textbook_quasi_static, textbook_two_path
 from skfading import quasi_static, two_path
 from skfading.numerics import modulo_reduce
 from skfading.quasi_static import (
-    TransmitterCsi,
     derive_params1,
     quantize_feedback,
     rx_feedback1,
@@ -29,7 +28,7 @@ from skfading.quasi_static import (
     tx_step1,
 )
 from skfading.simulation import QuasiStaticScenario, TwoPathScenario, run_trials
-from skfading.two_path import TransmitterCsi2, derive_params2, phase_factor, rx_aux2, tx_step2
+from skfading.two_path import derive_params2, phase_factor, rx_aux2, tx_step2
 
 # the benchmark's scheme-1 and scheme-2 configs (perfbench/workloads.py)
 QS_BENCH = QuasiStaticScenario(h_hat=0.9, distortion=0.05, sigma2=1.0, P=10.0, P_tilde=10.0,
@@ -85,8 +84,8 @@ def test_engines_match_the_textbook_loops(name, coupled):
 # out= and hoisted scales
 # ---------------------------------------------------------------------------
 
-QS = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), 25, 1e-2)
-TP = derive_params2(1.0, 1.0, 10.0, 1e-3, TransmitterCsi2(0.9, 0.5, 0.05), 80, 1e-2)
+QS = derive_params1(QS_BENCH)
+TP = derive_params2(TP_BENCH)
 PARAMS = {"finite": (QS, TP),
           "infinite": (replace(QS, lattice_spacing=math.inf),
                        replace(TP, lattice_spacing=math.inf))}

@@ -7,7 +7,6 @@ from scipy import special
 
 from skfading.numerics import InfeasibleError, modulo_reduce
 from skfading.quasi_static import (
-    TransmitterCsi,
     capacity_fd,
     decode_midpoint,
     derive_params1,
@@ -21,6 +20,7 @@ from skfading.quasi_static import (
     rx_update1,
     tx_step1,
 )
+from skfading.simulation import QuasiStaticScenario
 
 from classical_sk import classical_sk_error_var, classical_sk_gain, simulate_classical_sk
 
@@ -28,6 +28,13 @@ from classical_sk import classical_sk_error_var, classical_sk_gain, simulate_cla
 def q_inv_oracle(p):
     """Independent inverse Gaussian tail via the erfc relation in scipy."""
     return math.sqrt(2.0) * special.erfcinv(2.0 * p)
+
+
+def params1(h_hat, d, n, eps, sigma2=1.0, P=10.0, P_tilde=10.0, sigma_z=1e-3):
+    """Scheme 1's parameters, derived from the scenario with these numbers."""
+    return derive_params1(QuasiStaticScenario(
+        h_hat=h_hat, distortion=d, sigma2=sigma2, P=P, P_tilde=P_tilde, sigma_z=sigma_z,
+        n=n, eps=eps))
 
 
 def rate_theorem1_oracle(snr, eps, h_hat, distortion, p_tilde, n, sigma_z):
@@ -118,32 +125,31 @@ def test_message_size_guard():
 # ---------------------------------------------------------------------------
 
 def test_derive_params1_zero_quantizer_simplifies():
-    csi = TransmitterCsi(0.9, 0.0)
-    params = derive_params1(1.0, 10.0, 10.0, 0.0, csi, 50, 1e-3)
+    params = params1(0.9, 0.0, 50, 1e-3, sigma_z=0.0)
     expected = 3.0 * 10.0 / q_inv_oracle(1e-3 / (4 * 49)) ** 2
     assert params.scaled_err_var == pytest.approx(expected, rel=1e-12)
 
 
 def test_derive_params1_degenerate_csi():
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 1.0), 50, 1e-3)
+    params = params1(0.9, 1.0, 50, 1e-3)
     assert params.no_positive_rate
     assert params.rate == 0.0
 
 
 def test_derive_params1_underflowing_gain_has_no_positive_rate():
     # gain^2 * snr underflows to 0: the same degenerate case, not a log(0)
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(1e-200, 0.0), 12, 1e-2)
+    params = params1(1e-200, 0.0, 12, 1e-2)
     assert params.no_positive_rate
     assert params.rate == 0.0
 
 
 def test_derive_params1_infeasible_lattice():
     with pytest.raises(InfeasibleError):
-        derive_params1(1.0, 10.0, 0.01, 5.0, TransmitterCsi(0.9, 0.0), 50, 1e-3)
+        params1(0.9, 0.0, 50, 1e-3, P_tilde=0.01, sigma_z=5.0)
 
 
 def test_derive_params1_rate_matches_independent_oracle():
-    params = derive_params1(1.0, 10.0, 10.0, 0.0, TransmitterCsi(0.9, 0.0), 100, 1e-6)
+    params = params1(0.9, 0.0, 100, 1e-6, sigma_z=0.0)
     oracle = rate_theorem1_oracle(10.0, 1e-6, 0.9, 0.0, 10.0, 100, 0.0)
     assert params.rate == pytest.approx(oracle, rel=1e-12)
     # frozen value from the pre-build evaluation of the same closed form
@@ -151,13 +157,13 @@ def test_derive_params1_rate_matches_independent_oracle():
 
 
 def test_derive_params1_internal_identities():
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), 40, 1e-2)
+    params = params1(0.9, 0.05, 40, 1e-2)
     a = params.scaled_err_var
     # gain_i^2 * conservative_var_i == scaled_err_var for every i
     prods = params.feedback_gains ** 2 * params.err_var_conservative[:-1]
     assert np.max(np.abs(prods - a)) <= 1e-9 * a
     # closed form equals the raw defining recursion
-    gain = TransmitterCsi(0.9, 0.05).conservative_gain
+    gain = abs(0.9) - 0.05  # the worst gain in the CSI ball
     var = params.sigma2 / (12 * params.P * gain * gain)
     for j in range(params.n):
         assert params.err_var_conservative[j] == pytest.approx(var, rel=1e-12)
@@ -176,12 +182,13 @@ def test_conservative_gain_lower_bounds_true_gain():
         h_hat = rng.uniform(-2, 2)
         d = rng.uniform(0, 1.5)
         h = h_hat + rng.uniform(-d, d)
-        gain = TransmitterCsi(h_hat, d).conservative_gain
-        assert gain * gain <= h * h + 1e-15
+        # P / sigma2 = 1, so gain_snr is the design gain squared
+        gain_snr = params1(h_hat, d, 12, 1e-2, P=1.0).gain_snr
+        assert gain_snr <= h * h + 1e-15
 
 
 def test_conservative_trajectory_dominates_true_one():
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), 30, 1e-2)
+    params = params1(0.9, 0.05, 30, 1e-2)
     rng = np.random.default_rng(5)
     for _ in range(50):
         h = 0.9 + rng.uniform(-0.05, 0.05)
@@ -190,7 +197,7 @@ def test_conservative_trajectory_dominates_true_one():
 
 
 def test_true_h_trajectory_equals_conservative_when_csi_exact():
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.0), 30, 1e-2)
+    params = params1(0.9, 0.0, 30, 1e-2)
     _, err_true = mmse_coefficients1(params, 0.9)
     assert np.max(np.abs(err_true - params.err_var_conservative)) <= 1e-15
 
@@ -222,7 +229,7 @@ def test_theorem1_rate_below_baseline():
         d = rng.uniform(0.0, 0.2)
         n = int(rng.integers(20, 400))
         eps = 10.0 ** rng.uniform(-8, -2)
-        params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(h_hat, d), n, eps)
+        params = params1(h_hat, d, n, eps)
         h = h_hat + rng.uniform(-d, d)
         if abs(h) < 1e-6:
             continue
@@ -266,7 +273,7 @@ def test_quantize_feedback_noise_range_and_consistency():
 # ---------------------------------------------------------------------------
 
 def _small_params():
-    return derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.0), 12, 1e-2)
+    return params1(0.9, 0.0, 12, 1e-2)
 
 
 def test_tx_step1_zero_on_perfect_feedback():
@@ -378,7 +385,7 @@ def same_bits(got, ref):
     np.array([[0.5], [0.8]]),
 ], ids=["float", "negative", "float64", "0-d", "1-d", "2-d"])
 def test_mmse_coefficients1_matches_textbook_recursion(n, h):
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), n, 1e-2)
+    params = params1(0.9, 0.05, n, 1e-2)
     got = mmse_coefficients1(params, h)
     ref = mmse_coefficients1_reference(params, h)
     assert len(got) == len(ref) == 2
@@ -389,7 +396,7 @@ def test_mmse_coefficients1_matches_textbook_recursion(n, h):
 def test_mmse_coefficients1_zero_gain_matches_textbook_recursion():
     # h = 0 makes the initial variance infinite; both forms reach the same
     # non-finite values through the same operations
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), 12, 1e-2)
+    params = params1(0.9, 0.05, 12, 1e-2)
     with np.errstate(all="ignore"):
         got = mmse_coefficients1(params, np.array([0.0, 0.9]))
         ref = mmse_coefficients1_reference(params, np.array([0.0, 0.9]))
@@ -406,7 +413,7 @@ def test_mmse_steps1_rows_match_the_stored_and_textbook_recursions(n, h):
     # the engine advances this recursion inside its closed loop: each row it
     # yields keeps its bits through later steps and equals the matching row
     # of mmse_coefficients1 and of the textbook recursion
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.9, 0.05), n, 1e-2)
+    params = params1(0.9, 0.05, n, 1e-2)
     with np.errstate(all="ignore"):  # h = 0 starts from an infinite variance
         steps = mmse_steps1(params, h)
         first = np.asarray(next(steps))
@@ -421,7 +428,7 @@ def test_mmse_steps1_rows_match_the_stored_and_textbook_recursions(n, h):
 
 
 def test_mmse_recursion1_needs_a_positive_rate():
-    params = derive_params1(1.0, 10.0, 10.0, 1e-3, TransmitterCsi(0.05, 0.1), 12, 1e-2)
+    params = params1(0.05, 0.1, 12, 1e-2)
     assert params.no_positive_rate
     with pytest.raises(InfeasibleError):
         next(mmse_steps1(params, 0.9))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import os
@@ -793,13 +794,6 @@ CHANNEL2 = multi_path.MultiPathChannel(h=(0.9, 0.5), sigma2=1.0, P=10.0)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: quasi_static.TransmitterCsi(0.9, -0.1), "distortion bound must be nonnegative"),
-    (lambda: two_path.TransmitterCsi2(0.9, 0.5, -0.1), "distortion bound must be nonnegative"),
-    (lambda: quasi_static.feedback_budget(12, 1.5, 1.0, 10.0, 10.0, 1e-3, 11),
-     "target error probability"),
-    (lambda: quasi_static.derive_params1(1.0, 10.0, 10.0, 1e-3,
-                                         quasi_static.TransmitterCsi(0.9, 0.0), 1, 1e-2),
-     "scheme 1 needs n of at least 2, got 1"),
     (lambda: quasi_static.rate_fd_baseline(0.0, 10.0, 50, 1e-3), "nonzero fading coefficient"),
     (lambda: two_path.solve_rho_star(-0.1, 0.5, 10.0), "nonnegative"),
     (lambda: two_path.rate_tp_benchmark(0.0, 0.5, 10.0, 50, 1e-3), "two nonzero paths"),
@@ -809,7 +803,7 @@ CHANNEL2 = multi_path.MultiPathChannel(h=(0.9, 0.5), sigma2=1.0, P=10.0)
     (lambda: numerics.channel_spectrum([], 8), "at least one tap"),
     (lambda: multi_path.plan_block(CHANNEL2, 24, 1.5, 3), "target error probability"),
     (lambda: wilson_interval(0, 0), "at least one trial"),
-], ids=["csi_distortion", "csi2_distortion", "budget_eps", "params1_n", "fd_baseline_h",
+], ids=["fd_baseline_h",
         "rho_star_gain", "tp_benchmark_h1", "tp_benchmark_n", "cyclic_prefix_paths",
         "lemma3_iteration", "spectrum_taps", "plan_block_eps", "wilson_no_trials"])
 def test_library_input_guards(call, message):
@@ -840,17 +834,31 @@ BROKEN_RULES = [
     (SC3, {"subchannels": 1}, "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 1"),
     (SC3, {"subchannels": 24},
      "subchannels must lie in {2, ..., 23} for 2 taps and n=24, got 24"),
+    # an integer of 10**17 or more prints to 6 digits (at n = -1e308 this
+    # message was 367 characters long)
+    (SC1, {"n": int(-1e308)}, "scheme 1 needs n of at least 2, got -1e+308"),
+    (SC3, {"n": int(1e30), "subchannels": 1},
+     "subchannels must lie in {2, ..., 1e+30} for 2 taps and n=1e+30, got 1"),
+]
+# a NaN in any float field, fixed true gains and scheme 3's taps among them
+# (sigma_z = NaN once derived rate NaN): (scenario, change, message)
+NAN_FIELDS = [(sc, {field.name: math.nan}, f"{field.name} must be a number, got nan")
+              for sc in (SC1, SC2, SC3) for field in dataclasses.fields(sc)
+              if isinstance(getattr(sc, field.name), float)] + [
+    (SC3, {"h": (0.9, math.nan)}, "h must be a number, got nan"),
+    (SC3, {"h": (0.9, complex(0.5, math.nan))}, "h must be a number, got (0.5+nanj)"),
 ]
 
 
 @pytest.mark.parametrize("scenario, change, message, kind", [
     (sc, {key: value}, message, ConfigError) for sc in (SC1, SC2, SC3)
     for key, value, message in OFF_DOMAIN if hasattr(sc, key)
-] + [(sc, change, message, ValueError) for sc, change, message in BROKEN_RULES])
+] + [(sc, change, message, ValueError) for sc, change, message in BROKEN_RULES]
+  + [(sc, change, message, ConfigError) for sc, change, message in NAN_FIELDS])
 def test_scenarios_check_their_fields(scenario, change, message, kind):
     # a library caller gets the check at construction, not only at derive:
-    # ConfigError (a ValueError) for a number outside its domain, a plain
-    # ValueError for a broken scheme rule
+    # ConfigError (a ValueError) for a number outside its domain or NaN, a
+    # plain ValueError for a broken scheme rule
     with pytest.raises(ValueError) as exc:
         replace(scenario, **change)
     assert str(exc.value) == message and type(exc.value) is kind
@@ -870,6 +878,49 @@ def test_scenarios_take_their_domains_boundaries():
         assert replace(sc, sigma_z=0.0, distortion=0.0, noise_scale=0.0,
                        eps=sys.float_info.min, n=sc.min_n).n == sc.min_n
     assert replace(SC3, h=(0.0, 1.0, 0.0), n=6, subchannels=3).min_n == 6
+
+
+@pytest.mark.parametrize("n", [25.5, 25.0, True, math.nan, "25"])
+@pytest.mark.parametrize("scenario", [SC1, SC2, SC3], ids=["scheme1", "scheme2", "scheme3"])
+def test_scenarios_reject_a_non_integer_n(scenario, n):
+    # n = 25.5 once derived a rate for scheme 1; n is an int, like monte_carlo's trials
+    with pytest.raises(TypeError, match=r"^n must be an integer, got "):
+        replace(scenario, n=n)
+
+
+def test_scenarios_take_a_numpy_integer_n():
+    for sc in (SC1, SC2, SC3):
+        assert replace(sc, n=np.int64(sc.n)).derive().rate == sc.derive().rate
+
+
+def test_plan_block_refuses_a_subchannel_count_beyond_any_array():
+    # K = 1e300 once reached numpy's "Maximum allowed dimension exceeded"
+    # (a ValueError, exit 1 in simulate); K just past the largest array
+    # size is refused the same way, before any K-long array exists
+    for k, shown in ((2 ** 63, "9.22337e+18"), (int(1e300), "1e+300")):
+        with pytest.raises(InfeasibleError) as exc:
+            replace(SC3, n=2 * k, subchannels=k).derive()
+        assert str(exc.value) == (f"scheme 3: {shown} subchannels exceed the largest array "
+                                  f"size, {np.iinfo(np.intp).max}")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: multi_path.plan_block(CHANNEL2, int(1e30), 1e-2, 1),
+     "subchannels must lie in {2, ..., 1e+30} for 2 taps and n=1e+30, got 1"),
+    (lambda: replace(SC3, n=int(1e308), subchannels=None).derive(),
+     "scheme 3: n = 1e+308 admits 1e+308 subchannel counts, more than the 100000 one scan "
+     "may walk; set subchannels"),
+    # below 10**17 an integer is printed in full
+    (lambda: replace(SC3, n=10 ** 17 - 1, subchannels=None).derive(),
+     "scheme 3: n = 99999999999999999 admits 99999999999999997 subchannel counts, more than "
+     "the 100000 one scan may walk; set subchannels"),
+], ids=["plan_block_subchannels", "scan", "scan_in_full"])
+def test_messages_shorten_huge_integers(call, message):
+    # as the scenarios' messages do (BROKEN_RULES); the scan refusal at
+    # n = 1e308 once made a 738-character line in simulate
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_every_traced_name_resolves():

@@ -7,8 +7,8 @@ import pytest
 
 from skfading.numerics import InfeasibleError, q_tail_inv
 from skfading.quasi_static import quantize_feedback, rate_fd_baseline
+from skfading.simulation import TwoPathScenario
 from skfading.two_path import (
-    TransmitterCsi2,
     calibrate_artificial_noise,
     combining_weight,
     derive_params2,
@@ -41,7 +41,8 @@ def rho_star_oracle(H1, H2, c):
 
 
 def _params(h1_hat=0.9, h2_hat=0.5, d=0.05, sz=1e-3, n=30, eps=1e-2, snr=10.0, pt=10.0):
-    return derive_params2(1.0, snr, pt, sz, TransmitterCsi2(h1_hat, h2_hat, d), n, eps)
+    return derive_params2(TwoPathScenario(h1_hat=h1_hat, h2_hat=h2_hat, distortion=d, sigma2=1.0,
+                                          P=snr, P_tilde=pt, sigma_z=sz, n=n, eps=eps))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_rho_star_resolved_at_huge_gain_snr(h1_hat):
     # fixed 200-step bisection from 1 can reach; nothing is left to
     # calibrate, so no artificial noise may be injected
     params = _params(h1_hat=h1_hat, d=0.0)
-    g1, g2 = TransmitterCsi2(h1_hat, 0.5, 0.0).conservative_gains
+    g1, g2 = h1_hat, 0.5  # exact CSI: the design gains are the estimates
     c = params.P / params.sigma2 * params.scaled_err_var / params.arg_var_bound
     rho = params.var_ratio_star
     fixed = 1.0 / (1.0 + (g1 + g2 * math.sqrt(rho)) ** 2 * c)
@@ -185,7 +186,7 @@ def test_calibration_roundtrip():
     params = _params()
     sigma2, P = params.sigma2, params.P
     aob = params.scaled_err_var / params.arg_var_bound
-    g1, g2 = TransmitterCsi2(0.9, 0.5, 0.05).conservative_gains
+    g1, g2 = abs(0.9) - 0.05, abs(0.5) - 0.05  # the worst gains in the CSI ball
     eff = sigma2 + params.art_noise_var
     rho4u = 1.0 / (
         1.0 + (g1 + g2 * math.sqrt(params.var_ratio_3)) ** 2 * (P / eff) * aob
@@ -228,7 +229,7 @@ def test_calibration_diverges_with_noise():
 
 def test_derive_params2_closed_form_matches_recursion():
     params = _params(n=50)
-    g1, g2 = TransmitterCsi2(0.9, 0.5, 0.05).conservative_gains
+    g1, g2 = abs(0.9) - 0.05, abs(0.5) - 0.05  # the worst gains in the CSI ball
     sigma2, P = params.sigma2, params.P
     alpha = params.power_gain
     var = sigma2 / (12 * P * (g1 * g1 + g2 * g2))
@@ -253,14 +254,15 @@ def test_derive_params2_gain_identity():
 
 
 def test_derive_params2_degenerate():
-    params = derive_params2(1.0, 10.0, 10.0, 1e-3, TransmitterCsi2(0.3, 0.2, 0.5), 30, 1e-2)
+    params = _params(h1_hat=0.3, h2_hat=0.2, d=0.5)
     assert params.no_positive_rate
     assert params.rate == 0.0
 
 
 def test_derive_params2_rejects_bad_blocklength():
-    with pytest.raises(ValueError):
-        derive_params2(1.0, 10.0, 10.0, 1e-3, TransmitterCsi2(0.9, 0.5, 0.0), 3, 1e-2)
+    # the scenario refuses it before any derive
+    with pytest.raises(ValueError, match="scheme 2 needs n of at least 4, got 3"):
+        _params(d=0.0, n=3)
 
 
 def test_conservative_gain_bounds_two_path():
@@ -268,11 +270,14 @@ def test_conservative_gain_bounds_two_path():
     for _ in range(200):
         h1_hat, h2_hat = rng.uniform(-2, 2, 2)
         d = rng.uniform(0, 0.5)
-        g1, g2 = TransmitterCsi2(h1_hat, h2_hat, d).conservative_gains
+        # with the other estimate 0 (its design gain max(-d, 0) = 0),
+        # gain_energy is one path's design gain squared
+        g1_sq = _params(h1_hat=h1_hat, h2_hat=0.0, d=d).gain_energy
+        g2_sq = _params(h1_hat=0.0, h2_hat=h2_hat, d=d).gain_energy
         h1 = h1_hat + rng.uniform(-d, d)
         h2 = h2_hat + rng.uniform(-d, d)
-        assert g1 * g1 <= h1 * h1 + 1e-15
-        assert g2 * g2 <= h2 * h2 + 1e-15
+        assert g1_sq <= h1 * h1 + 1e-15
+        assert g2_sq <= h2 * h2 + 1e-15
 
 
 # ---------------------------------------------------------------------------
