@@ -9,8 +9,6 @@ feedback.
 
 from .multi_path import (
     BlockPlan,
-    MultiPathChannel,
-    optimize_subchannel_count,
     optimize_subchannel_counts,
     plan_block,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "BlockPlan",
     "InfeasibleError",
     "MonteCarloReport",
-    "MultiPathChannel",
     "MultiPathScenario",
     "QuasiStaticParams",
     "QuasiStaticScenario",
@@ -61,7 +58,6 @@ __all__ = [
     "dft",
     "idft",
     "monte_carlo",
-    "optimize_subchannel_count",
     "optimize_subchannel_counts",
     "plan_block",
     "q_tail",

@@ -220,27 +220,23 @@ def _theorem3_plans(label: str, fixed: dict, variable: str, points: list) -> lis
     Each row is read as a MultiPathScenario, as simulate reads a scheme-3
     config, so a bad row fails with the error that config would raise.
     Rows that scan for their best subchannel count with the same taps,
-    sigma2, P and eps share one scan.
+    sigma2, P and eps share one scan, that of the group's first scenario.
     """
     plans = [None] * len(points)
-    groups = {}  # (channel, eps) -> [(row, n)]
+    groups = {}  # (h, sigma2, P, eps) -> (first scenario, [(row, n)])
     for row, x in enumerate(points):
         try:
             scenario = _scenario(MultiPathScenario, _apply_variable(fixed, variable, x), label)
             if scenario.subchannels is not None:
                 plans[row] = scenario.derive()
             else:
-                channel = mp.MultiPathChannel(scenario.h, scenario.sigma2, scenario.P)
-                groups.setdefault((channel, scenario.eps), []).append((row, scenario.n))
-        except (InfeasibleError, ValueError) as exc:
+                key = (scenario.h, scenario.sigma2, scenario.P, scenario.eps)
+                groups.setdefault(key, (scenario, []))[1].append((row, scenario.n))
+        except ValueError as exc:  # InfeasibleError among them
             plans[row] = exc
-    for (channel, eps), members in groups.items():
+    for scenario, members in groups.values():
         rows, ns = zip(*members)
-        try:
-            found = mp.optimize_subchannel_counts(channel, ns, eps)
-        except (InfeasibleError, ValueError) as exc:
-            found = [exc] * len(rows)
-        for row, plan in zip(rows, found):
+        for row, plan in zip(rows, mp.optimize_subchannel_counts(scenario, ns)):
             plans[row] = plan
     return plans
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,10 +29,8 @@ from .numerics import (
 from .quasi_static import MAX_ALPHABET_BITS, decode_midpoint, map_message
 
 __all__ = [
-    "MultiPathChannel",
     "BlockPlan",
     "plan_block",
-    "optimize_subchannel_count",
     "optimize_subchannel_counts",
     "sub_message_sizes",
     "map_complex",
@@ -42,31 +40,6 @@ __all__ = [
     "variance_lemma3",
     "mmse_gain_mp",
 ]
-
-
-@dataclass(frozen=True)
-class MultiPathChannel:
-    """Complex L-tap channel (L >= 2) with circularly symmetric noise."""
-
-    h: tuple
-    sigma2: float
-    P: float
-
-    def __post_init__(self) -> None:
-        taps = np.asarray(self.h, dtype=complex)
-        if taps.size < 2 or not np.any(taps != 0):
-            raise ValueError("scheme 3 needs at least two channel taps, not all zero")
-        if self.sigma2 <= 0 or self.P <= 0:
-            raise ValueError("sigma2 and P must be positive")
-        object.__setattr__(self, "h", tuple(complex(t) for t in taps))
-
-    @property
-    def taps(self) -> np.ndarray:
-        return np.asarray(self.h, dtype=complex)
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.h)
 
 
 @dataclass(frozen=True)
@@ -118,14 +91,13 @@ class _Batch:
     blocklengths whose scans stop short of that K.
     """
 
-    def __init__(self, channel: MultiPathChannel, eps: float, ks: range):
-        if not (0.0 < eps < 1.0):
-            raise ValueError("target error probability must lie in (0, 1)")
-        self.channel, self.eps, self.error = channel, eps, None
+    def __init__(self, scenario, ks: range):
+        self.scenario, self.error = scenario, None
         self.spectra = []
         power_gains = np.zeros((len(ks), ks[-1]))
         margins = np.empty(len(ks))
-        taps = channel.taps
+        taps = np.asarray(scenario.h, dtype=complex)
+        sigma2, P, eps = scenario.sigma2, scenario.P, scenario.eps
         for row, k in enumerate(ks):
             gains = channel_spectrum(taps, k)
             magnitudes = np.abs(gains)
@@ -133,12 +105,12 @@ class _Batch:
             # Python floats overflow to inf without a warning
             peak = float(magnitudes.max())
             try:
-                require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
+                require_gain_snr(peak * peak * (k * P / sigma2), "scheme 3")
                 # every power gain underflows, or leaves sigma2 / gain infinite:
                 # raised here, as the water fill would, before a later K fails
                 if peak * peak == 0.0:
                     raise InfeasibleError("water_fill: all channel gains are zero")
-                if channel.sigma2 / (peak * peak) == math.inf:
+                if sigma2 / (peak * peak) == math.inf:
                     raise InfeasibleError("water_fill: noise_var / gain overflows for every gain")
             except InfeasibleError as exc:
                 self.error, ks = exc, ks[:row]
@@ -148,14 +120,12 @@ class _Batch:
             margins[row] = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
             self.spectra.append(gains)
         self.ks, self.margins = ks, margins
-        self.block_lens = np.arange(len(ks)) + (channel.num_paths + ks.start - 1)
-        self.powers, self.levels = water_fill(
-            power_gains, channel.sigma2, [k * channel.P for k in ks]
-        )
+        self.block_lens = np.arange(len(ks)) + (len(taps) + ks.start - 1)
+        self.powers, self.levels = water_fill(power_gains, sigma2, [k * P for k in ks])
         # the rate formula's blocklength-free terms, on the active entries
         # in row-major order
         self.active = self.powers > 0
-        snrs = power_gains[self.active] * self.powers[self.active] / channel.sigma2
+        snrs = power_gains[self.active] * self.powers[self.active] / sigma2
         self.row_of = np.nonzero(self.active)[0]
         self.gain_terms = np.log2(1.0 + snrs)
         self.margin_terms = np.log2(margins[self.row_of] / (12.0 * snrs))
@@ -180,19 +150,20 @@ class _Batch:
     def best(self, ns, incumbents) -> list:
         """The best plan of each blocklength in ns over its incumbent and the
         rows it admits (at least one), ties to the smaller K."""
-        channel, ks, half = self.channel, self.ks, self.half_rates(ns)
-        admitted = [n - channel.num_paths + 2 - ks.start for n in ns]
+        scenario, ks, half = self.scenario, self.ks, self.half_rates(ns)
+        paths = len(scenario.h)
+        admitted = [n - paths + 2 - ks.start for n in ns]
         plans = list(incumbents)
         for i, (row, rate) in enumerate(_best_rows(half, ks, admitted)):
             if plans[i] is None or rate > plans[i].rate:
                 k, n = ks[row], ns[i]
                 plans[i] = BlockPlan(
-                    n=n, eps=self.eps, num_paths=channel.num_paths, subchannels=k,
-                    block_len=channel.num_paths + k - 1, blocks=n // (channel.num_paths + k - 1),
+                    n=n, eps=scenario.eps, num_paths=paths, subchannels=k,
+                    block_len=paths + k - 1, blocks=n // (paths + k - 1),
                     gains=self.spectra[row], powers=self.powers[row, :k].copy(),
                     water_level=float(self.levels[row]), union_margin=float(self.margins[row]),
                     sub_rate_half=half[i, row, :k].copy(), rate=rate,
-                    sigma2=channel.sigma2, P=channel.P,
+                    sigma2=scenario.sigma2, P=scenario.P,
                 )
         return plans
 
@@ -220,20 +191,17 @@ def _best_rows(half, ks, admitted) -> list:
     return best
 
 
-def plan_block(channel: MultiPathChannel, n: int, eps: float, subchannels: int) -> BlockPlan:
-    """Lay out one block configuration with water-filled powers and rates."""
-    num_paths = channel.num_paths
-    if not (num_paths <= subchannels <= n - num_paths + 1):
-        raise ValueError(f"subchannels must lie in {{{num_paths}, ..., "
-                         f"{short_int(n - num_paths + 1)}}} for {num_paths} taps and "
-                         f"n={short_int(n)}, got {short_int(subchannels)}")
-    if subchannels > np.iinfo(np.intp).max:
-        raise InfeasibleError(f"scheme 3: {short_int(subchannels)} subchannels exceed the "
+def plan_block(scenario) -> BlockPlan:
+    """Lay out a MultiPathScenario's subchannels with water-filled powers
+    and rates."""
+    k = scenario.subchannels
+    if k > np.iinfo(np.intp).max:
+        raise InfeasibleError(f"scheme 3: {short_int(k)} subchannels exceed the "
                               f"largest array size, {np.iinfo(np.intp).max}")
-    batch = _Batch(channel, eps, range(subchannels, subchannels + 1))
+    batch = _Batch(scenario, range(k, k + 1))
     if batch.error is not None:
         raise batch.error
-    (plan,) = batch.best([n], [None])
+    (plan,) = batch.best([scenario.n], [None])
     return plan
 
 
@@ -274,16 +242,16 @@ class _RateBound:
     last K built.
     """
 
-    def __init__(self, channel: MultiPathChannel, eps: float, best=None):
+    def __init__(self, scenario, best=None):
         # Python floats overflow and underflow without a warning
-        magnitudes = [abs(t) for t in channel.h]
+        magnitudes = [abs(complex(t)) for t in scenario.h]
         total, energy = sum(magnitudes), sum(m * m for m in magnitudes)
-        self.channel, self.eps, self.best, self.margin = channel, eps, best, None
+        self.scenario, self.best, self.margin = scenario, best, None
         self.open, self.first = np.zeros((len(best or ()), 0), dtype=bool), 0
         self.peak = total * total * (1.0 + _SLACK)
         # Parseval puts every K's peak power gain in [energy, peak]
         self.certain = energy >= sys.float_info.min \
-            and channel.sigma2 / energy * (1.0 + _SLACK) < math.inf
+            and scenario.sigma2 / energy * (1.0 + _SLACK) < math.inf
 
     @cached_property
     def capacity(self):
@@ -293,17 +261,17 @@ class _RateBound:
         rounding, about eps_machine G log2 K in a power gain, moves a psi by
         well under the 256 eps_machine G / nu that per_k adds.
         """
-        channel = self.channel
-        rho = channel.P / channel.sigma2
+        scenario = self.scenario
+        rho = scenario.P / scenario.sigma2
         with np.errstate(all="ignore"):
-            grid = np.square(np.abs(np.fft.fft(channel.taps, n=_GRID)))
+            grid = np.square(np.abs(np.fft.fft(np.asarray(scenario.h, dtype=complex), n=_GRID)))
             try:
                 nu = 1.0 / water_fill(grid, 1.0, _GRID * rho)[1]
             except ValueError:  # InfeasibleError among them
                 return math.inf, math.inf
             t = np.maximum(np.append(grid, self.peak) / nu, 1.0)
             psi = np.log(t) - 1.0 + 1.0 / t
-            spread = 2 * (channel.num_paths - 1) * psi[-1]
+            spread = 2 * (len(scenario.h) - 1) * psi[-1]
             per_k = nu * rho + psi[:-1].mean() + spread / _GRID \
                 + 256 * sys.float_info.epsilon * self.peak / nu
             per_k, spread = ((float(x) * (1.0 + _SLACK) + _SLACK) / math.log(2)
@@ -316,12 +284,12 @@ class _RateBound:
         any margin up to K's."""
         per_k, spread = self.capacity
         with np.errstate(all="ignore"):
-            c = self.peak * (k * self.channel.P / self.channel.sigma2)
+            c = self.peak * (k * self.scenario.P / self.scenario.sigma2)
             a = 12.0 * c / (margin * (1.0 - _SLACK))
             m = np.minimum(k, a / math.e)
             gain = np.minimum(k * np.log2(1.0 + c / k), k * per_k + spread)
             fit = m * np.log2(a / m)
-        block_len = self.channel.num_paths + k - 1
+        block_len = len(self.scenario.h) + k - 1
 
         def bound(n):
             with np.errstate(all="ignore"):
@@ -335,15 +303,15 @@ class _RateBound:
         none). Best rates only rise, so a K stays closed: ks, which start at
         or past the last call's, keep its verdicts."""
         ns = np.array(list(self.best or ()), dtype=np.int64)[:, None]
-        opened = ns >= self.channel.num_paths + ks - 1
+        opened = ns >= len(self.scenario.h) + ks - 1
         carried = self.open[:, int(ks[0]) - self.first:][:, :len(ks)]
         opened[:, :carried.shape[1]] &= carried
         self.open, self.first = opened, int(ks[0])
         if not self.best or self.margin is None or not self.certain:
             return np.zeros(ks.shape, dtype=bool)
         with np.errstate(all="ignore"):
-            c = self.peak * (ks * self.channel.P / self.channel.sigma2)
-            out = (0.0 < c) & (c <= MAX_GAIN_SNR) & (self.eps / (4.0 * ks) > 0.0)
+            c = self.peak * (ks * self.scenario.P / self.scenario.sigma2)
+            out = (0.0 < c) & (c <= MAX_GAIN_SNR) & (self.scenario.eps / (4.0 * ks) > 0.0)
         rates = [-math.inf if plan is None else plan.rate for plan in self.best.values()]
         # one bound, at every n, on the K still open to some n
         live = np.flatnonzero(opened.any(axis=0))
@@ -351,7 +319,7 @@ class _RateBound:
         return out & ~opened.any(axis=0)
 
 
-def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
+def _scan(scenario, last: int, best=None):
     """Batches of K = L, ..., last in ascending order, each of at most _BATCH
     elements: c rows from K = k are c * (k + c - 1) elements wide. Given the
     incumbents best (see _RateBound), no batch holds a K that it rules out:
@@ -359,7 +327,7 @@ def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
     not ruled out and ends before the next one that is, paired with the n of
     best to which one of its K is open.
     """
-    bound, k = _RateBound(channel, eps, best), channel.num_paths
+    bound, k = _RateBound(scenario, best), len(scenario.h)
     while k <= last:
         ruled = bound.rules_out(np.arange(k, min(k + _BATCH, last + 1)))
         start = int(ruled.argmin())
@@ -371,7 +339,7 @@ def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
         k += start
         rows = max((math.isqrt((k - 1) ** 2 + 4 * _BATCH) - (k - 1)) // 2, 1)
         stop = k + min(rows, width)
-        batch = _Batch(channel, eps, range(k, stop))
+        batch = _Batch(scenario, range(k, stop))
         contends = bound.open[:, start:start + len(batch.ks)].any(axis=1)
         yield batch, [n for n, open_ in zip(best or (), contends) if open_]
         bound.margin = float(batch.margins[-1]) if len(batch.ks) else bound.margin
@@ -379,29 +347,32 @@ def _scan(channel: MultiPathChannel, eps: float, last: int, best=None):
         k = stop
 
 
-def optimize_subchannel_counts(channel: MultiPathChannel, ns, eps: float) -> list:
-    """The best plan of each blocklength in ns, from one scan of K.
+def optimize_subchannel_counts(scenario, ns) -> list:
+    """The best plan of each blocklength in ns, from one scan of K for a
+    MultiPathScenario's taps, sigma2, P and eps (its n and subchannels aside).
 
     The batches of the longest blocklength's scan are built once, each
     rated in one pass at the n it may win; a K that _RateBound rules out
     would lose to, or tie with, a smaller K, so it is skipped. Each entry is
     the BlockPlan that scanning its n alone returns (best rate, ties to
     smaller K), or the exception that scan raises, so one infeasible n
-    leaves the others planned. An eps outside (0, 1) raises ValueError for
-    the whole call, and an n that admits over _MAX_WALK counts is infeasible.
+    leaves the others planned: an n the scenario refuses gets its error, and
+    an n that admits over _MAX_WALK counts is infeasible.
     """
-    num_paths = channel.num_paths
+    num_paths = len(scenario.h)
     results = {}
     for n in ns:
-        if n < 2 * num_paths:
-            results[n] = ValueError(f"scheme 3 needs n of at least {2 * num_paths}, got {n}")
-        elif n - 2 * num_paths + 2 > _MAX_WALK:
-            results[n] = InfeasibleError(
-                f"scheme 3: n = {short_int(n)} admits {short_int(n - 2 * num_paths + 2)} "
-                f"subchannel counts, more than the {_MAX_WALK} one scan may walk; set subchannels"
-            )
+        try:
+            replace(scenario, n=n, subchannels=None)
+            if n - 2 * num_paths + 2 > _MAX_WALK:
+                raise InfeasibleError(
+                    f"scheme 3: n = {short_int(n)} admits {short_int(n - 2 * num_paths + 2)} "
+                    f"subchannel counts, more than the {_MAX_WALK} one scan may walk; "
+                    "set subchannels")
+        except ValueError as exc:  # InfeasibleError among them
+            results[n] = exc
     best = {n: None for n in ns if n not in results}
-    for batch, open_ns in _scan(channel, eps, max(best, default=0) - num_paths + 1, best):
+    for batch, open_ns in _scan(scenario, max(best, default=0) - num_paths + 1, best):
         best.update(zip(open_ns, batch.best(open_ns, [best[n] for n in open_ns])))
         if batch.error is not None:
             failed = batch.ks.start + len(batch.ks)
@@ -409,14 +380,6 @@ def optimize_subchannel_counts(channel: MultiPathChannel, ns, eps: float) -> lis
             break
         del batch  # freed before the next batch is built
     return [results[n] if n in results else best[n] for n in ns]
-
-
-def optimize_subchannel_count(channel: MultiPathChannel, n: int, eps: float) -> BlockPlan:
-    """The best plan over every admissible K, ties to the smaller K."""
-    (plan,) = optimize_subchannel_counts(channel, [n], eps)
-    if isinstance(plan, Exception):
-        raise plan
-    return plan
 
 
 # ---------------------------------------------------------------------------

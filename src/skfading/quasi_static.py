@@ -169,7 +169,7 @@ def feedback_budget(scenario, iterations: int) -> dict:
 def derive_params1(scenario) -> QuasiStaticParams:
     """Derive scheme 1's constants from a QuasiStaticScenario. The transmitter
     designs for the worst gain in its CSI ball, max(|h_hat| - D, 0); the true
-    h never enters. no_positive_rate marks a ball that contains zero gain."""
+    h never enters. no_positive_rate marks a design gain^2 * SNR of 0."""
     n, eps = scenario.n, scenario.eps
     link = feedback_budget(scenario, n - 1)
     a, b = link["scaled_err_var"], link["arg_var_bound"]
@@ -180,6 +180,9 @@ def derive_params1(scenario) -> QuasiStaticParams:
     if g2snr == 0.0:  # zero gain, or one whose squared SNR underflows
         return QuasiStaticParams(**link, gain_snr=0.0, rate=0.0, no_positive_rate=True)
     require_gain_snr(g2snr, "scheme 1")
+    if not math.isfinite(g2snr * a):  # the rate's g2snr * a / b
+        raise InfeasibleError(f"scheme 1: gain^2 * SNR * a overflows at a = {a:.3g} "
+                              f"(P_tilde = {scenario.P_tilde:.3g})")
 
     l_factor = 4.0 * q_tail_inv(eps / 4.0) ** 2
     raw_rate = float(n - 1) / float(n) / 2.0 * math.log2(1.0 + g2snr * a / b) \

@@ -532,7 +532,8 @@ def _link_engine(scenario, master_seed, coupled: bool, side):
     """
     params = scenario.derive()
     if params.no_positive_rate:
-        raise InfeasibleError("scenario admits no positive rate (a csi ball contains 0)")
+        raise InfeasibleError("scenario admits no positive rate: its design gain^2 * SNR "
+                              "is 0 (every CSI ball contains 0) or underflows")
     n = params.n
     count = qs.message_size(n, params.rate)  # refuses an n too large for any array
     gam = params.feedback_gains
@@ -887,10 +888,12 @@ class MultiPathScenario(Scenario):
                              f"n={short_int(self.n)}, got {short_int(k)}")
 
     def derive(self) -> mp.BlockPlan:
-        channel = mp.MultiPathChannel(self.h, self.sigma2, self.P)
-        if self.subchannels is None:
-            return mp.optimize_subchannel_count(channel, self.n, self.eps)
-        return mp.plan_block(channel, self.n, self.eps, self.subchannels)
+        if self.subchannels is not None:
+            return mp.plan_block(self)
+        (plan,) = mp.optimize_subchannel_counts(self, [self.n])
+        if isinstance(plan, Exception):
+            raise plan
+        return plan
 
 
 def _engine(scenario, master_seed: int, coupled: bool):

@@ -169,13 +169,17 @@ def derive_params2(scenario) -> TwoPathParams:
 
     g1, g2 = max(abs(scenario.h1_hat) - d, 0.0), max(abs(scenario.h2_hat) - d, 0.0)
     energy = g1 * g1 + g2 * g2
-    if energy == 0.0:  # zero gains, or squares that underflow
+    # zero gains, or squares or an energy * SNR that underflow
+    if energy == 0.0 or energy * snr == 0.0:
         return TwoPathParams(
             **link, var_ratio_3=1.0, var_ratio_4=1.0, var_ratio_star=1.0,
             art_noise_var=0.0, gain_energy=0.0, rate=0.0, no_positive_rate=True,
         )
     # the steady-state gain (g1 + g2 sqrt(rho_star))^2 is at most (g1 + g2)^2
     require_gain_snr((g1 + g2) * (g1 + g2) * snr, "scheme 2")
+    if not math.isfinite(snr * a):  # c's snr * a / b
+        raise InfeasibleError(f"scheme 2: SNR * a overflows at a = {a:.3g} "
+                              f"(P_tilde = {scenario.P_tilde:.3g})")
 
     c = snr * a / b
     rho3 = 1.0 / (1.0 + g1 * g1 * c)

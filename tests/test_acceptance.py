@@ -18,11 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from skfading.multi_path import (
-    MultiPathChannel,
-    plan_block,
-    variance_lemma3,
-)
+from skfading.multi_path import plan_block, variance_lemma3
 from skfading.numerics import (
     circulant_matrix,
     modulo_reduce,
@@ -415,7 +411,6 @@ def test_criterion_8_multi_path_structure():
 
 def test_criterion_9_figure_ordering():
     t0 = time.monotonic()
-    channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
     worst_margin = math.inf
     for n in range(200, 1001, 100):
         params2 = TwoPathScenario(
@@ -424,7 +419,8 @@ def test_criterion_9_figure_ordering():
         ).derive()
         best = None
         for k in range(2, n - 1):
-            plan = plan_block(channel, n, 1e-4, k)
+            plan = plan_block(MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=n,
+                                                eps=1e-4, subchannels=k))
             if best is None or plan.rate > best.rate:
                 best = plan
         # rates are compared per real signal dimension: the block scheme's

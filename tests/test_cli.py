@@ -373,6 +373,14 @@ def test_simulate_scheme3_alphabet_beyond_double_resolution(tmp_path, capsys):
     assert "infeasible parameters" in capsys.readouterr().err
 
 
+# P / sigma2 underflows to 0 under positive design gains, and gain^2 * SNR
+# * a overflows at a huge P_tilde while gain^2 * SNR stays in range
+SNR_UNDERFLOW = {"n": 48, "eps": 1e-3, "sigma2": 1e230, "P": 1e-242, "P_tilde": 10.0,
+                 "sigma_z": 0.0, "distortion": 0.0}
+P_TILDE_OVERFLOW = {"n": 390, "eps": 1e-7, "sigma2": 22.0, "P": 1e47, "P_tilde": 1.4e303,
+                    "sigma_z": 0.0, "distortion": 0.0}
+
+
 @pytest.mark.parametrize("base,change", [
     # |H_k|^2 overflows: water_fill used to reject the infinite gain
     (SCHEME3_CONFIG, {"h_re": [1e238, 0.5, 0.3], "subchannels": 4}),
@@ -389,6 +397,12 @@ def test_simulate_scheme3_alphabet_beyond_double_resolution(tmp_path, capsys):
     (SCHEME1_CONFIG, {"n": 1e15}),
     (SCHEME2_CONFIG, {"n": 1e15}),
     (SCHEME3_CONFIG, {"n": 1e15}),
+    # no positive rate, where scheme 2 divided by zero (exit 1)
+    (SCHEME2_CONFIG, dict(SNR_UNDERFLOW, h1_hat=0.9, h2_hat=0.5)),
+    # refused in the derive, where scheme 1 refused a 2^inf alphabet and
+    # scheme 2 hit a math domain error (exit 1)
+    (SCHEME1_CONFIG, dict(P_TILDE_OVERFLOW, h_hat=1.5)),
+    (SCHEME2_CONFIG, dict(P_TILDE_OVERFLOW, h1_hat=1.5, h2_hat=1.7)),
 ])
 def test_simulate_extreme_magnitudes_are_infeasible(tmp_path, capsys, base, change):
     cfg = write_json(tmp_path / "c.json", dict(base, **change))
@@ -840,6 +854,25 @@ def test_rate_sweep_extreme_magnitudes_leave_blank_cells(tmp_path, capsys, key, 
     assert "" in cells  # the cells the value reaches are infeasible
     assert all(c == "" or math.isfinite(float(c)) for c in cells)
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixed, row, reasons", [
+    (dict(SNR_UNDERFLOW, h_hat=0.9, h1_hat=0.9, h2_hat=0.5), "48,0,0", []),
+    (dict(P_TILDE_OVERFLOW, h_hat=1.5, h1_hat=1.5, h2_hat=1.7), "390,,", [
+        "theorem1 infeasible at N=390: scheme 1: gain^2 * SNR * a overflows at a = 1.02e+302 "
+        "(P_tilde = 1.4e+303)",
+        "theorem2 infeasible at N=390: scheme 2: SNR * a overflows at a = 1.02e+302 "
+        "(P_tilde = 1.4e+303)"]),
+], ids=["snr_underflow", "p_tilde_overflow"])
+def test_rate_sweep_design_gain_snr_edges(tmp_path, capsys, fixed, row, reasons):
+    # a design gain^2 * SNR that underflows rates 0 in both curves (the
+    # whole sweep once exited 1 on theorem2's division by zero); an
+    # overflowing gain^2 * SNR * a leaves blank cells (theorem1 read inf)
+    spec = {"variable": "N", "values": [fixed["n"]], "curves": ["theorem1", "theorem2"],
+            "fixed": fixed}
+    assert main(["rate-sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == EXIT_OK
+    assert capsys.readouterr() == (f"x,theorem1,theorem2\n{row}\n",
+                                   "".join(f"note: {reason}\n" for reason in reasons))
 
 
 @pytest.mark.parametrize("values, fixed", [

@@ -6,19 +6,23 @@ import pytest
 
 from skfading.multi_path import (
     BlockPlan,
-    MultiPathChannel,
     add_cyclic_prefix,
     decode_complex,
     extract_payload,
     map_complex,
     mmse_gain_mp,
-    optimize_subchannel_count,
     optimize_subchannel_counts,
     plan_block,
     sub_message_sizes,
     variance_lemma3,
 )
 from skfading.numerics import circulant_matrix, dft, idft, q_tail_inv
+from skfading.simulation import MultiPathScenario
+
+
+def block(taps, n, eps, k, P=10.0):
+    """The plan of k subchannels for the taps at sigma2 = 1."""
+    return plan_block(MultiPathScenario(h=taps, sigma2=1.0, P=P, n=n, eps=eps, subchannels=k))
 
 
 def rate_lpath_oracle(taps, sigma2, P, n, eps, k):
@@ -66,8 +70,7 @@ def rate_lpath_oracle(taps, sigma2, P, n, eps, k):
 # ---------------------------------------------------------------------------
 
 def test_plan_block_flat_channel():
-    channel = MultiPathChannel((2.0, 0.0), 1.0, 10.0)
-    plan = plan_block(channel, 60, 1e-3, 4)
+    plan = block((2.0, 0.0), 60, 1e-3, 4)
     assert np.allclose(np.abs(plan.gains), 2.0)
     assert np.allclose(plan.powers, 10.0)
     assert plan.blocks == 60 // 5
@@ -75,8 +78,7 @@ def test_plan_block_flat_channel():
 
 def test_plan_block_two_tap_equal():
     # gains [2, 0]: the null subchannel gets no power and carries no rate
-    channel = MultiPathChannel((1.0, 1.0), 1.0, 10.0)
-    plan = plan_block(channel, 40, 1e-3, 2)
+    plan = block((1.0, 1.0), 40, 1e-3, 2)
     assert np.allclose(plan.gains, [2.0, 0.0], atol=1e-12)
     assert np.allclose(plan.powers, [20.0, 0.0])
     assert plan.sub_rate_half[1] == 0.0
@@ -84,35 +86,32 @@ def test_plan_block_two_tap_equal():
 
 
 def test_plan_block_rate_matches_independent_pass():
-    channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
     for k in (2, 5, 11):
-        plan = plan_block(channel, 120, 1e-4, k)
-        oracle = rate_lpath_oracle(channel.taps, 1.0, 10.0, 120, 1e-4, k)
+        plan = block((0.9, 0.5), 120, 1e-4, k)
+        oracle = rate_lpath_oracle((0.9, 0.5), 1.0, 10.0, 120, 1e-4, k)
         assert plan.rate == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
 def test_plan_block_power_budget():
-    channel = MultiPathChannel((1.0, 0.5, 0.25), 1.0, 7.0)
-    plan = plan_block(channel, 200, 1e-3, 16)
+    plan = block((1.0, 0.5, 0.25), 200, 1e-3, 16, P=7.0)
     assert abs(plan.powers.sum() - 16 * 7.0) <= 1e-9 * 16 * 7.0
     assert plan.blocks >= 1
 
 
 def test_plan_block_range_check():
-    channel = MultiPathChannel((1.0, 0.5), 1.0, 10.0)
+    # the scenario refuses a count outside {L, ..., n - L + 1}
     with pytest.raises(ValueError):
-        plan_block(channel, 20, 1e-3, 1)
+        block((1.0, 0.5), 20, 1e-3, 1)
     with pytest.raises(ValueError):
-        plan_block(channel, 20, 1e-3, 20)
+        block((1.0, 0.5), 20, 1e-3, 20)
 
 
 def test_optimize_subchannel_count_is_exhaustive_max():
-    channel = MultiPathChannel((1.0, 0.5, 0.25), 1.0, 10.0)
     n, eps = 300, 1e-4
-    best = optimize_subchannel_count(channel, n, eps)
+    best = MultiPathScenario(h=(1.0, 0.5, 0.25), sigma2=1.0, P=10.0, n=n, eps=eps).derive()
     rates = {}
     for k in range(3, n - 3 + 2):
-        rates[k] = plan_block(channel, n, eps, k).rate
+        rates[k] = block((1.0, 0.5, 0.25), n, eps, k).rate
     assert best.rate == max(rates.values())
     # ties break toward the smaller count
     top = max(rates.values())
@@ -124,12 +123,12 @@ def test_subchannel_scan_working_set():
     # the scan holds one batch of K at a time, 0.74 MB at n = 1000; one
     # array over the whole scan (996 rows of up to 998 power gains) is 8 MB.
     # The walk shared by six blocklengths adds only their layouts of a batch.
-    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
-    optimize_subchannel_count(channel, 40, 1e-6)  # lazy set-up stays out of the peak
+    scenario = MultiPathScenario(h=(1.0, 0.5, 0.3), sigma2=1.0, P=10.0, n=40, eps=1e-6)
+    scenario.derive()  # lazy set-up stays out of the peak
     for ns in ([1000], [25, 220, 415, 610, 805, 1000]):
         tracemalloc.start()
         try:
-            optimize_subchannel_counts(channel, ns, 1e-6)
+            optimize_subchannel_counts(scenario, ns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -137,8 +136,7 @@ def test_subchannel_scan_working_set():
 
 
 def test_optimize_subchannel_count_minimal_blocklength():
-    channel = MultiPathChannel((1.0, 0.5), 1.0, 10.0)
-    best = optimize_subchannel_count(channel, 4, 1e-3)
+    best = MultiPathScenario(h=(1.0, 0.5), sigma2=1.0, P=10.0, n=4, eps=1e-3).derive()
     assert best.subchannels in (2, 3)
 
 
@@ -147,8 +145,7 @@ def test_optimize_subchannel_count_minimal_blocklength():
 # ---------------------------------------------------------------------------
 
 def test_split_rate_bookkeeping():
-    channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
-    plan = plan_block(channel, 60, 1e-2, 4)
+    plan = block((0.9, 0.5), 60, 1e-2, 4)
     sizes, achieved = sub_message_sizes(plan)
     assert sizes.shape == (plan.subchannels,)
     assert achieved <= plan.rate + 1e-12
@@ -237,8 +234,7 @@ def test_cyclic_prefix_turns_convolution_circulant():
 def test_dft_of_payload_diagonalizes():
     taps = np.array([0.9, 0.5 + 0.1j])
     k = 8
-    channel = MultiPathChannel(tuple(taps), 1.0, 10.0)
-    plan = plan_block(channel, 80, 1e-3, k)
+    plan = block(tuple(taps), 80, 1e-3, k)
     rng = np.random.default_rng(2)
     freq = rng.normal(size=k) + 1j * rng.normal(size=k)
     time_block = idft(freq)
@@ -253,8 +249,7 @@ def test_dft_of_payload_diagonalizes():
 # ---------------------------------------------------------------------------
 
 def test_variance_lemma3_first_iteration():
-    channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
-    plan = plan_block(channel, 60, 1e-3, 4)
+    plan = block((0.9, 0.5), 60, 1e-3, 4)
     for k in np.flatnonzero(plan.powers > 0):
         total, per_comp = variance_lemma3(plan, int(k), 1)
         g2 = abs(plan.gains[k]) ** 2
@@ -263,8 +258,7 @@ def test_variance_lemma3_first_iteration():
 
 
 def test_variance_lemma3_geometric_ratio():
-    channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
-    plan = plan_block(channel, 60, 1e-3, 4)
+    plan = block((0.9, 0.5), 60, 1e-3, 4)
     k = int(np.argmax(plan.powers))
     s = abs(plan.gains[k]) ** 2 * plan.powers[k] / plan.sigma2
     for it in range(1, 6):
@@ -274,30 +268,19 @@ def test_variance_lemma3_geometric_ratio():
 
 
 def test_variance_lemma3_rejects_dead_subchannel():
-    channel = MultiPathChannel((1.0, 1.0), 1.0, 10.0)
-    plan = plan_block(channel, 40, 1e-3, 2)
+    plan = block((1.0, 1.0), 40, 1e-3, 2)
     with pytest.raises(ValueError):
         variance_lemma3(plan, 1, 1)
 
 
 def test_mmse_gain_mp_formula():
-    channel = MultiPathChannel((0.9, 0.5), 1.0, 10.0)
-    plan = plan_block(channel, 60, 1e-3, 4)
+    plan = block((0.9, 0.5), 60, 1e-3, 4)
     k = int(np.argmax(plan.powers))
     var, _ = variance_lemma3(plan, k, 2)
     beta = mmse_gain_mp(plan, k, var)
     pk = plan.powers[k]
     g2 = abs(plan.gains[k]) ** 2
     assert beta == pytest.approx(math.sqrt(pk * var) / (pk + plan.sigma2 / g2))
-
-
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        MultiPathChannel((1.0,), 1.0, 10.0)
-    with pytest.raises(ValueError):
-        MultiPathChannel((0.0, 0.0), 1.0, 10.0)
-    with pytest.raises(ValueError):
-        MultiPathChannel((1.0, 0.5), 0.0, 10.0)
 
 
 def test_decode_joint_roundtrip():

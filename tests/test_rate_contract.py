@@ -24,13 +24,7 @@ import pytest
 
 from skfading import multi_path
 from skfading.cli import EXIT_OK, main
-from skfading.multi_path import (
-    BlockPlan,
-    MultiPathChannel,
-    optimize_subchannel_count,
-    optimize_subchannel_counts,
-    plan_block,
-)
+from skfading.multi_path import BlockPlan, optimize_subchannel_counts, plan_block
 from skfading.numerics import (
     MAX_GAIN_SNR,
     InfeasibleError,
@@ -41,6 +35,7 @@ from skfading.numerics import (
     water_fill,
 )
 from skfading.quasi_static import rate_fd_baseline
+from skfading.simulation import MultiPathScenario
 from skfading.two_path import rate_tp_benchmark, solve_rho_star
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -270,22 +265,25 @@ def water_fill_1d(gains, noise_var, total_power):
     return powers, float(level)
 
 
-def plan_block_per_k(channel, n, eps, k):
-    """One K laid out on its own: spectrum, 1-D water fill, rate."""
-    num_paths = channel.num_paths
-    gains = channel_spectrum(channel.taps, k)
+def plan_block_per_k(scenario):
+    """A MultiPathScenario's K laid out on its own: spectrum, 1-D water fill,
+    rate."""
+    n, eps, k, sigma2, P = (scenario.n, scenario.eps, scenario.subchannels,
+                            scenario.sigma2, scenario.P)
+    num_paths = len(scenario.h)
+    gains = channel_spectrum(np.asarray(scenario.h, dtype=complex), k)
     magnitudes = np.abs(gains)
     peak = float(magnitudes.max())
-    require_gain_snr(peak * peak * (k * channel.P / channel.sigma2), "scheme 3")
+    require_gain_snr(peak * peak * (k * P / sigma2), "scheme 3")
     power_gains = np.square(magnitudes, out=magnitudes)
-    powers, level = water_fill_1d(power_gains, channel.sigma2, k * channel.P)
+    powers, level = water_fill_1d(power_gains, sigma2, k * P)
     block_len = num_paths + k - 1
     blocks = n // block_len
     margin = 4.0 * q_tail_inv(eps / (4.0 * k)) ** 2
     half = np.zeros(k)
     active = powers > 0
     snrs = np.zeros(k)
-    snrs[active] = power_gains[active] * powers[active] / channel.sigma2
+    snrs[active] = power_gains[active] * powers[active] / sigma2
     raw = (blocks - 1) / (2.0 * n) * np.log2(1.0 + snrs[active]) \
         - 1.0 / (2.0 * n) * np.log2(margin / (12.0 * snrs[active]))
     half[active] = np.maximum(raw, 0.0)
@@ -293,14 +291,15 @@ def plan_block_per_k(channel, n, eps, k):
         n=n, eps=eps, num_paths=num_paths, subchannels=k, block_len=block_len,
         blocks=blocks, gains=gains, powers=powers, water_level=level,
         union_margin=margin, sub_rate_half=half, rate=float(2.0 * half.sum()),
-        sigma2=channel.sigma2, P=channel.P,
+        sigma2=sigma2, P=P,
     )
 
 
-def scan_per_k(channel, n, eps):
-    best = None
-    for k in range(channel.num_paths, n - channel.num_paths + 2):
-        plan = plan_block_per_k(channel, n, eps, k)
+def scan_per_k(scenario):
+    """The best of a MultiPathScenario's K laid out one at a time."""
+    best, paths = None, len(scenario.h)
+    for k in range(paths, scenario.n - paths + 2):
+        plan = plan_block_per_k(dataclasses.replace(scenario, subchannels=k))
         if best is None or plan.rate > best.rate:
             best = plan
     return best
@@ -317,6 +316,10 @@ def assert_same_plan(plan, ref):
             assert same_bits(got, want), field.name
 
 
+# the benchmark's 3-tap channel at P = 10, whose n and subchannels the
+# tests replace
+SC3 = MultiPathScenario(h=(1.0, 0.5, 0.3), sigma2=1.0, P=10.0, n=1000, eps=1e-6)
+
 # (taps, sigma2, P, n, eps): the channels of the theorem3 digests above
 SCAN_CASES = {
     "zero_spectrum": ((1.0, 1.0), 1.0, 10.0, 120, 1e-3),
@@ -331,33 +334,34 @@ SCAN_CASES = {
 
 def row_plan(batch, n, row):
     """A batch row's plan at n, from the batch's fields and one-pass rates."""
-    k, channel, block_len = batch.ks[row], batch.channel, int(batch.block_lens[row])
+    k, scenario, block_len = batch.ks[row], batch.scenario, int(batch.block_lens[row])
     half = batch.half_rates([n])[0, row]
     assert not half[k:].any()
     return BlockPlan(
-        n=n, eps=batch.eps, num_paths=channel.num_paths, subchannels=k,
+        n=n, eps=scenario.eps, num_paths=len(scenario.h), subchannels=k,
         block_len=block_len, blocks=n // block_len, gains=batch.spectra[row],
         powers=batch.powers[row, :k], water_level=float(batch.levels[row]),
         union_margin=float(batch.margins[row]), sub_rate_half=half[:k],
-        rate=float(2.0 * half[:k].sum()), sigma2=channel.sigma2, P=channel.P,
+        rate=float(2.0 * half[:k].sum()), sigma2=scenario.sigma2, P=scenario.P,
     )
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_scan_bit_equal_to_per_k_plans(case):
     taps, sigma2, P, n, eps = SCAN_CASES[case]
-    channel = MultiPathChannel(taps, sigma2, P)
+    scenario = MultiPathScenario(h=taps, sigma2=sigma2, P=P, n=n, eps=eps)
     ks, widest = [], 0
-    for batch, _ in multi_path._scan(channel, eps, n - channel.num_paths + 1):
+    for batch, _ in multi_path._scan(scenario, n - len(taps) + 1):
         widest = max(widest, len(batch.ks))
         for row, k in enumerate(batch.ks):
-            ref = plan_block_per_k(channel, n, eps, k)
+            at_k = dataclasses.replace(scenario, subchannels=k)
+            ref = plan_block_per_k(at_k)
             assert_same_plan(row_plan(batch, n, row), ref)
-            assert_same_plan(plan_block(channel, n, eps, k), ref)
+            assert_same_plan(plan_block(at_k), ref)
             ks.append(k)
-    assert ks == list(range(channel.num_paths, n - channel.num_paths + 2))
+    assert ks == list(range(len(taps), n - len(taps) + 2))
     assert widest > 1  # the batches do hold several K
-    assert_same_plan(optimize_subchannel_count(channel, n, eps), scan_per_k(channel, n, eps))
+    assert_same_plan(scenario.derive(), scan_per_k(scenario))
 
 
 def test_row_choice_sums_each_row_over_its_own_k():
@@ -403,11 +407,11 @@ def test_row_choice_sums_each_row_over_its_own_k():
     ((1e-165, 1e-165), 6e307, 10),
 ], ids=["gain_snr", "underflow"])
 def test_scan_raises_where_per_k_scan_does(taps, P, n):
-    channel = MultiPathChannel(taps, 1.0, P)
+    scenario = MultiPathScenario(h=taps, sigma2=1.0, P=P, n=n, eps=1e-6)
     with pytest.raises(InfeasibleError) as ref:
-        scan_per_k(channel, n, 1e-6)
+        scan_per_k(scenario)
     with pytest.raises(InfeasibleError) as got:
-        optimize_subchannel_count(channel, n, 1e-6)
+        scenario.derive()
     assert str(got.value) == str(ref.value)
 
 
@@ -437,17 +441,21 @@ ORACLE_SWEEPS = {
 }
 
 
-def scan_alone(channel, n, eps):
-    """The per-K scan of one blocklength: its best plan, or what it raises."""
-    if n < 2 * channel.num_paths:
-        return ValueError(f"scheme 3 needs n of at least {2 * channel.num_paths}, got {n}")
+def plan_alone(**fields):
+    """The MultiPathScenario of fields planned alone by the per-K oracles: a
+    scan, or its subchannels laid out; or what the scenario or its plan
+    raises."""
     try:
-        return scan_per_k(channel, n, eps)
-    except InfeasibleError as exc:
+        scenario = MultiPathScenario(**fields)
+        if scenario.subchannels is None:
+            return scan_per_k(scenario)
+        return plan_block_per_k(scenario)
+    except ValueError as exc:  # InfeasibleError among them
         return exc
 
 
-# (taps, sigma2, P, eps, blocklengths) of one shared walk
+# (taps, sigma2, P, eps, blocklengths) of one shared walk; n = 5 is below the
+# 6 that 3 taps need
 WALK_CASES = {
     "bench": ((1.0, 0.5, 0.3), 1.0, 9.3, 1e-6, [1000, 5, 25, 220, 415, 610, 805, 25]),
     "fails_at_51": ((1.0, 0.5, 0.3), 1.0, P_FAILS_AT_51, 1e-6, [5, 25, 40, 52, 53, 200]),
@@ -488,13 +496,17 @@ WALK_CASES.update(random_walks())
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
 def test_shared_walk_bit_equal_to_scans_alone(case):
     taps, sigma2, P, eps, ns = WALK_CASES[case]
-    channel = MultiPathChannel(taps, sigma2, P)
-    for n, got in zip(ns, optimize_subchannel_counts(channel, ns, eps), strict=True):
-        want = scan_alone(channel, n, eps)
+    scenario = MultiPathScenario(h=taps, sigma2=sigma2, P=P, n=max(ns), eps=eps)
+    plans = optimize_subchannel_counts(scenario, ns)
+    for n, got in zip(ns, plans, strict=True):
+        want = plan_alone(h=taps, sigma2=sigma2, P=P, n=n, eps=eps)
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want), n
         else:
             assert_same_plan(got, want)
+    if case == "bench":  # the short n gets the scenario's refusal, its neighbours plans
+        assert str(plans[1]) == "scheme 3 needs n of at least 6, got 5"
+        assert isinstance(plans[0], BlockPlan) and isinstance(plans[2], BlockPlan)
 
 
 def oracle_sweep(spec):
@@ -505,15 +517,8 @@ def oracle_sweep(spec):
         # sigma2 = 1: an SNR value is P
         key = {"N": "n", "D": "distortion", "SNR": "P", "K": "subchannels"}[variable]
         cfg = dict(fixed, **{key: x})
-        channel = MultiPathChannel(tuple(cfg["h_re"]), cfg["sigma2"], cfg["P"])
-        n, eps = cfg["n"], cfg["eps"]
-        if variable == "K":
-            try:
-                plan = plan_block_per_k(channel, n, eps, x)
-            except InfeasibleError as exc:
-                plan = exc
-        else:
-            plan = scan_alone(channel, n, eps)
+        plan = plan_alone(h=tuple(cfg["h_re"]), sigma2=cfg["sigma2"], P=cfg["P"],
+                          n=cfg["n"], eps=cfg["eps"], subchannels=cfg.get("subchannels"))
         cells = [f"{x:.12g}"]
         for label in spec["curves"]:
             if isinstance(plan, Exception):
@@ -559,13 +564,13 @@ def test_plans_beyond_int64(tmp_path, capsys, spec, rows):
     assert main(["rate-sweep", "--spec", str(path)]) == EXIT_OK
     out, err = capsys.readouterr()
     assert out.splitlines() == ["x,theorem3", *rows] and err == ""
-    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
     # n = 3002 m - 1 just past int64 rounds up past 3002 m as a double, so
     # float arithmetic would count one block too many
     for n, k in ((10**20, 3), (10**20, 40), (10**15, 10), (10**18, 10),
                  (9223372036854778981, 3000)):
-        plan = plan_block(channel, n, 1e-6, k)
-        assert_same_plan(plan, plan_block_per_k(channel, n, 1e-6, k))
+        scenario = dataclasses.replace(SC3, n=n, subchannels=k)
+        plan = plan_block(scenario)
+        assert_same_plan(plan, plan_block_per_k(scenario))
         assert plan.blocks == n // (k + 2)
 
 
@@ -600,7 +605,7 @@ def test_rates_keep_their_textbook_bits():
         fd = (n - 1) / (2.0 * n) * math.log2(1.0 + h * h * snr) - 1.0 / (2.0 * n) * fd_margin
         tp = (n - 3) / (2.0 * n) * steady - 1.0 / (2.0 * n) * tp_margin
         assert rate_fd_baseline(h, snr, n, eps) == fd and rate_tp_benchmark(h1, h2, snr, n, eps) == tp
-    batch = multi_path._Batch(MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0), eps, range(3, 12))
+    batch = multi_path._Batch(SC3, range(3, 12))
     column = np.array(ns)[:, None]
     twice = 2.0 * column.astype(float)
     raw = ((column // batch.block_lens - 1).astype(float) / twice)[:, batch.row_of]
@@ -628,14 +633,13 @@ BOUND_CASES = {
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_rate_bound_holds_at_every_k(case):
     taps, sigma2, P, eps, ns = BOUND_CASES[case]
-    channel = MultiPathChannel(taps, sigma2, P)
-    bound = multi_path._RateBound(channel, eps)
+    scenario = MultiPathScenario(h=taps, sigma2=sigma2, P=P, n=max(ns), eps=eps)
+    bound = multi_path._RateBound(scenario)
     rated = 0
     for n in ns:
-        for k in range(channel.num_paths, n - channel.num_paths + 2):
-            try:
-                plan = plan_block_per_k(channel, n, eps, k)
-            except InfeasibleError:
+        for k in range(len(taps), n - len(taps) + 2):
+            plan = plan_alone(h=taps, sigma2=sigma2, P=P, n=n, eps=eps, subchannels=k)
+            if isinstance(plan, Exception):  # infeasible, or an n too short
                 continue
             assert plan.rate <= bound.bounds(k, plan.union_margin)(n), (n, k)
             rated += 1
@@ -646,14 +650,21 @@ def test_rate_bound_holds_at_every_k(case):
 def test_capacity_bound_holds_at_every_k(case):
     # the water-filled sum of log2(1 + SNR) over K subchannels, which the
     # rate bound takes at most K per_k + spread
-    taps, sigma2, P, eps, _ = BOUND_CASES[case]
-    channel = MultiPathChannel(taps, sigma2, P)
-    per_k, spread = multi_path._RateBound(channel, eps).capacity
+    taps, sigma2, P, eps, ns = BOUND_CASES[case]
+    scenario = MultiPathScenario(h=taps, sigma2=sigma2, P=P, n=max(ns), eps=eps)
+    per_k, spread = multi_path._RateBound(scenario).capacity
     assert per_k < math.inf and spread < math.inf
-    for k in range(channel.num_paths, 301):
-        gains = np.square(np.abs(channel_spectrum(channel.taps, k)))
+    for k in range(len(taps), 301):
+        gains = np.square(np.abs(channel_spectrum(np.asarray(taps, dtype=complex), k)))
         powers, _ = water_fill(gains, sigma2, k * P)
         assert np.log2(1.0 + gains * powers / sigma2).sum() <= k * per_k + spread, k
+
+
+def unchecked(taps, sigma2, P, eps, n=400, subchannels=None):
+    """A MultiPathScenario's fields without its checks: the planners read
+    them and check none, so an eps below the scenario's domain still
+    reaches the rate bound's own underflow test."""
+    return SimpleNamespace(h=taps, sigma2=sigma2, P=P, eps=eps, n=n, subchannels=subchannels)
 
 
 # (taps, sigma2, P, eps, outcomes): channels with extreme taps, P, sigma2 or eps
@@ -679,17 +690,17 @@ def test_rate_bound_skips_only_what_passes_every_check(case):
     # against an incumbent that no K beats, the feasibility certificate alone
     # decides: a K that fails a check of the walk's batches is never skipped
     taps, sigma2, P, eps, outcomes = SKIP_CASES[case]
-    channel = MultiPathChannel(taps, sigma2, P)
     n = 400
-    bound = multi_path._RateBound(channel, eps, {n: SimpleNamespace(rate=math.inf)})
+    bound = multi_path._RateBound(unchecked(taps, sigma2, P, eps),
+                                  {n: SimpleNamespace(rate=math.inf)})
     bound.margin = 1.0
-    ks = np.arange(channel.num_paths, n - channel.num_paths + 2)
+    ks = np.arange(len(taps), n - len(taps) + 2)
     ruled = bound.rules_out(ks)
     assert ruled.dtype == bool and ruled.shape == ks.shape
     seen = set()
     for k, skipped in zip(ks.tolist(), ruled.tolist()):
         try:
-            plan_block(channel, n, eps, k)
+            plan_block(unchecked(taps, sigma2, P, eps, n, k))
         except (InfeasibleError, ValueError):
             assert not skipped, k
             seen.add("failed")
@@ -701,12 +712,11 @@ def test_rate_bound_skips_only_what_passes_every_check(case):
 @pytest.mark.parametrize("case", sorted(SKIP_CASES))
 def test_capacity_bound_falls_back_without_a_warning(case):
     taps, sigma2, P, eps, _ = SKIP_CASES[case]
-    channel = MultiPathChannel(taps, sigma2, P)
-    bound = multi_path._RateBound(channel, eps)
+    bound = multi_path._RateBound(unchecked(taps, sigma2, P, eps))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         per_k, spread = bound.capacity
-        bound.bounds(np.arange(channel.num_paths, 400), 1.0)(400)
+        bound.bounds(np.arange(len(taps), 400), 1.0)(400)
     assert ((per_k, spread) == (math.inf, math.inf)) == (case in CAPACITY_FALLS_BACK)
 
 
@@ -723,7 +733,8 @@ def test_walk_skips_most_counts(monkeypatch):
     monkeypatch.setattr(multi_path, "channel_spectrum", counted)
     for blocklengths, most in ((ns, 150), ([10_000], 500)):
         built.clear()
-        optimize_subchannel_counts(MultiPathChannel(taps, sigma2, P), blocklengths, eps)
+        scenario = MultiPathScenario(h=taps, sigma2=sigma2, P=P, n=max(blocklengths), eps=eps)
+        optimize_subchannel_counts(scenario, blocklengths)
         assert len(built) == len(set(built))
         assert len(built) < most, blocklengths
 
@@ -734,7 +745,7 @@ def test_walk_in_one_batch_never_builds_the_capacity_bound(monkeypatch):
         raise AssertionError("capacity bound built")
 
     monkeypatch.setattr(multi_path._RateBound, "capacity", property(unbuilt))
-    plan = optimize_subchannel_count(MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0), 64, 1e-2)
+    plan = dataclasses.replace(SC3, n=64, eps=1e-2).derive()
     assert plan.rate > 0
 
 
@@ -772,8 +783,7 @@ def test_walk_rates_each_batch_once_and_bounds_each_window_once(monkeypatch):
                         counted(multi_path._RateBound.rules_out, "windows"))
     monkeypatch.setattr(multi_path._RateBound, "bounds", bounds)
     ns = list(range(100, 10_001, 100))
-    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
-    plans = optimize_subchannel_counts(channel, ns, 1e-6)
+    plans = optimize_subchannel_counts(SC3, ns)
     assert all(isinstance(plan, BlockPlan) for plan in plans)
     assert 0 < calls["ratings"] <= calls["batches"] < calls["windows"]
     assert max(widest) > 1
@@ -782,11 +792,10 @@ def test_walk_rates_each_batch_once_and_bounds_each_window_once(monkeypatch):
 
 def test_walk_refuses_more_counts_than_its_limit(monkeypatch):
     monkeypatch.setattr(multi_path, "_MAX_WALK", 10)
-    channel = MultiPathChannel((1.0, 0.5, 0.3), 1.0, 10.0)
     # n = 14 admits K = 3, ..., 12, the limit; n = 15 admits one more
-    walked, refused, short = optimize_subchannel_counts(channel, [14, 15, 5], 1e-6)
-    assert_same_plan(walked, scan_per_k(channel, 14, 1e-6))
+    walked, refused, short = optimize_subchannel_counts(SC3, [14, 15, 5])
+    assert_same_plan(walked, scan_per_k(dataclasses.replace(SC3, n=14)))
     assert isinstance(refused, InfeasibleError)
     assert str(refused) == ("scheme 3: n = 15 admits 11 subchannel counts, more than "
                             "the 10 one scan may walk; set subchannels")
-    assert type(short) is ValueError
+    assert type(short) is ValueError and str(short) == "scheme 3 needs n of at least 6, got 5"

@@ -292,7 +292,7 @@ def test_scheme3_trials_do_not_depend_on_their_tile(scenario, live):
     (quasi_static, "derive_params1", SC1),
     (two_path, "derive_params2", SC2),
     # subchannels unset: the derive is the subchannel-count scan
-    (multi_path, "optimize_subchannel_count",
+    (multi_path, "optimize_subchannel_counts",
      MultiPathScenario(h=(0.9, 0.5), sigma2=1.0, P=10.0, n=24, eps=1e-2)),
 ], ids=["scheme1", "scheme2", "scheme3"])
 def test_monte_carlo_derives_once(monkeypatch, module, name, scenario):
@@ -790,9 +790,6 @@ def test_scheme3_message_size_consistency():
     assert message_size(SC1.n, params.rate) >= 2
 
 
-CHANNEL2 = multi_path.MultiPathChannel(h=(0.9, 0.5), sigma2=1.0, P=10.0)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: quasi_static.rate_fd_baseline(0.0, 10.0, 50, 1e-3), "nonzero fading coefficient"),
     (lambda: two_path.solve_rho_star(-0.1, 0.5, 10.0), "nonnegative"),
@@ -801,11 +798,10 @@ CHANNEL2 = multi_path.MultiPathChannel(h=(0.9, 0.5), sigma2=1.0, P=10.0)
     (lambda: multi_path.add_cyclic_prefix(np.ones(8), 1), "at least two paths"),
     (lambda: multi_path.variance_lemma3(SC3.derive(), 0, 0), "iteration index starts at 1"),
     (lambda: numerics.channel_spectrum([], 8), "at least one tap"),
-    (lambda: multi_path.plan_block(CHANNEL2, 24, 1.5, 3), "target error probability"),
     (lambda: wilson_interval(0, 0), "at least one trial"),
 ], ids=["fd_baseline_h",
         "rho_star_gain", "tp_benchmark_h1", "tp_benchmark_n", "cyclic_prefix_paths",
-        "lemma3_iteration", "spectrum_taps", "plan_block_eps", "wilson_no_trials"])
+        "lemma3_iteration", "spectrum_taps", "wilson_no_trials"])
 def test_library_input_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -893,6 +889,43 @@ def test_scenarios_take_a_numpy_integer_n():
         assert replace(sc, n=np.int64(sc.n)).derive().rate == sc.derive().rate
 
 
+# the derives' edges between a rate and a refusal: (scenario, the rate of a
+# scenario that admits no positive rate, or the refusal's message)
+DERIVE_EDGES = [
+    # P / sigma2 underflows to 0 under positive design gains: no positive
+    # rate (scheme 2 once divided by zero)
+    (QuasiStaticScenario(h_hat=0.9, distortion=0.0, sigma2=1e230, P=1e-242, P_tilde=10.0,
+                         sigma_z=0.0, n=48, eps=1e-3), 0.0),
+    (TwoPathScenario(h1_hat=0.9, h2_hat=0.5, distortion=0.0, sigma2=1e230, P=1e-242,
+                     P_tilde=10.0, sigma_z=0.0, n=48, eps=1e-3), 0.0),
+    # gain^2 * SNR * a overflows at a huge P_tilde (scheme 1 once rated inf,
+    # scheme 2 raised a math domain error)
+    (QuasiStaticScenario(h_hat=1.5, distortion=0.0, sigma2=22.0, P=1e47, P_tilde=1.4e303,
+                         sigma_z=0.0, n=390, eps=1e-7),
+     "scheme 1: gain^2 * SNR * a overflows at a = 1.02e+302 (P_tilde = 1.4e+303)"),
+    (TwoPathScenario(h1_hat=1.5, h2_hat=1.7, distortion=0.0, sigma2=22.0, P=1e47,
+                     P_tilde=1.4e303, sigma_z=0.0, n=390, eps=1e-7),
+     "scheme 2: SNR * a overflows at a = 1.02e+302 (P_tilde = 1.4e+303)"),
+]
+
+
+@pytest.mark.parametrize("scenario, outcome", DERIVE_EDGES, ids=[
+    "snr_underflow_scheme1", "snr_underflow_scheme2",
+    "p_tilde_overflow_scheme1", "p_tilde_overflow_scheme2"])
+def test_derive_edges(scenario, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(InfeasibleError) as exc:
+            scenario.derive()
+        assert str(exc.value) == outcome
+        return
+    params = scenario.derive()
+    assert params.no_positive_rate and params.rate == outcome
+    with pytest.raises(InfeasibleError) as exc:
+        monte_carlo(scenario, 1, master_seed=1)
+    assert str(exc.value) == ("scenario admits no positive rate: its design gain^2 * SNR "
+                              "is 0 (every CSI ball contains 0) or underflows")
+
+
 def test_plan_block_refuses_a_subchannel_count_beyond_any_array():
     # K = 1e300 once reached numpy's "Maximum allowed dimension exceeded"
     # (a ValueError, exit 1 in simulate); K just past the largest array
@@ -905,7 +938,8 @@ def test_plan_block_refuses_a_subchannel_count_beyond_any_array():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: multi_path.plan_block(CHANNEL2, int(1e30), 1e-2, 1),
+    # the range that plan_block once checked as well
+    (lambda: replace(SC3, n=int(1e30), subchannels=1),
      "subchannels must lie in {2, ..., 1e+30} for 2 taps and n=1e+30, got 1"),
     (lambda: replace(SC3, n=int(1e308), subchannels=None).derive(),
      "scheme 3: n = 1e+308 admits 1e+308 subchannel counts, more than the 100000 one scan "
